@@ -86,6 +86,13 @@ class CharacteristicCost:
     probes: int = 0
 
 
+def _reject_negative(vals: np.ndarray):
+    neg = vals < 0
+    if neg.any():
+        raise ValueError(f"malformed cost: negative cost {float(vals[neg][0])!r}; "
+                         "costs must be non-negative")
+
+
 def find_characteristic_cost(instance: BipartiteInstance, config: ReductionConfig,
                              backend: Backend, seed=0) -> CharacteristicCost:
     """Sample a cost ladder and binary-search the matching-size threshold.
@@ -101,6 +108,9 @@ def find_characteristic_cost(instance: BipartiteInstance, config: ReductionConfi
     is_ = rng.integers(0, n, size=s)
     js = rng.integers(0, n, size=s)
     ladder = np.sort(instance.cost.pairs(is_, js))
+    if np.isnan(ladder[-1]):  # np.sort puts NaN last
+        raise ValueError("malformed cost: the sampled costs include NaN")
+    _reject_negative(ladder)
     bar = (config.beta - 2.0 * g) * n
     probes = 0
 
@@ -152,6 +162,7 @@ class RoundedCost(CostOracle):
         return self.base.counter
 
     def _round(self, vals):
+        _reject_negative(vals)
         finite = np.isfinite(vals)
         over = finite & (vals > self.w)
         if over.any():

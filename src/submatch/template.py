@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (
     UNMATCHED, BipartiteInstance, CostOracle, EmptyMatching, MatchingOracle,
-    MembershipOracle, PotentialOracle, ScaledCost, ZeroPotential, v0, v1,
+    MembershipOracle, PotentialOracle, ScaledCost, ZeroPotential,
 )
 from .mcm import Backend
 
@@ -42,7 +42,9 @@ SAMPLE_SIZE_CONSTANT = 48
 
 #: cap on |S|: sampling with replacement from at most n distinct edges
 #: saturates statistically long before this point (every edge has been
-#: seen ~|S|/n times), so larger sample sizes only burn memory.
+#: seen ~|S|/n times), so larger sample sizes only cost random draws; the
+#: estimator keeps per-vertex counts, but a draw chunk still holds up to
+#: 2|S| indices.
 SAMPLE_SIZE_CAP = 2_000_000
 
 
@@ -321,41 +323,46 @@ def sample_and_estimate(matching: MatchingOracle, gamma: float, C: int, n: int,
 
     Samples |S| = ceil(48 (C/gamma)^2 ln n) matched edges with replacement
     by rejection-sampling side-0 vertices, discards the ceil(3 gamma |S|)
-    most expensive samples (ties broken by sample index) and extrapolates:
-    c_hat = (n / |S|) * sum(kept).  Returns (c_hat, w, alpha_w) where w is
-    the cheapest discarded value and alpha_w the exact fraction of matching
-    edges costing >= w.
+    most expensive samples and extrapolates: c_hat = (n / |S|) * sum(kept).
+    Returns (c_hat, w, alpha_w) where w is the cheapest discarded value and
+    alpha_w the exact fraction of matching edges costing > w.
+
+    The sample is kept as per-vertex draw counts, never as an |S|-long
+    array: each distinct drawn edge's cost is read once, the distinct
+    costs are sorted, and the kept prefix is rebuilt by repeating each cost
+    by its count.  Which of several tied draws is dropped cannot change
+    the kept values, so the sum is that of the sorted sample's prefix.
     """
     rng = np.random.default_rng(seed)
     s = sample_size(gamma, C, n)
-    picks = np.empty(s, dtype=np.int64)
+    m0 = matching.mate_of_v0()
+    counts = np.zeros(n, dtype=np.int64)
     got = 0
     misses = 0
     while got < s:
         chunk = rng.integers(0, n, size=max(2 * (s - got), 64))
-        mates = matching.mates(v0(chunk))
-        hit = mates != UNMATCHED
-        take = min(int(hit.sum()), s - got)
-        picks[got:got + take] = chunk[hit][:take]
+        hit = m0[chunk] != UNMATCHED
+        hits = int(hit.sum())
+        take = min(hits, s - got)
+        counts += np.bincount(chunk[hit][:take], minlength=n)
         got += take
-        misses += len(chunk) - int(hit.sum())
+        misses += len(chunk) - hits
         if got == 0 and misses > 64 * max(n, 64):
             if matching.size() == 0:
                 raise ValueError("cannot sample from an empty matching")
             misses = 0
-    # gather each distinct matched edge's cost once, then fan out
-    uniq, inv = np.unique(picks, return_inverse=True)
-    mates_u = matching.mates(v0(uniq)) >> 1
-    costs_u = cost.pairs(uniq, mates_u)
-    samples = costs_u[inv]
-    d = math.ceil(3 * gamma * s)
-    d = min(d, s)
-    order = np.argsort(samples, kind="stable")
-    kept = samples[order[: s - d]]
-    w = float(samples[order[s - d]]) if d > 0 else float("inf")
+    # read each distinct drawn edge's cost once, in ascending vertex order
+    drawn = np.nonzero(counts)[0]
+    costs_u = cost.pairs(drawn, m0[drawn])
+    order = np.argsort(costs_u, kind="stable")
+    sorted_costs = costs_u[order]
+    cum = np.cumsum(counts[drawn][order])
+    d = min(math.ceil(3 * gamma * s), s)
+    keep = s - d
+    kept = np.repeat(sorted_costs, np.diff(np.minimum(cum, keep), prepend=0))
+    w = float(sorted_costs[np.searchsorted(cum, keep, side="right")]) if d > 0 else float("inf")
     c_hat = (n / s) * float(kept.sum())
     # realized discard fraction under the keep-ties-at-w rule, by exact scan
-    m0 = matching.mate_of_v0()
     rows = np.nonzero(m0 != UNMATCHED)[0]
     if len(rows):
         all_costs = cost.pairs(rows, m0[rows])

@@ -80,6 +80,30 @@ def test_characteristic_cost_probe_count_is_logarithmic():
     assert got.probes <= math.ceil(math.log2(s)) + 2
 
 
+def test_characteristic_cost_rejects_nan_ladder_without_extra_reads():
+    n = 60
+    costs = np.random.default_rng(0).uniform(size=(n, n))
+    costs[np.random.default_rng(1).uniform(size=(n, n)) < 0.01] = np.nan
+    inst = BipartiteInstance.from_matrix(costs)
+    cfg = ReductionConfig(0.85, 1.0, 0.1)
+    with pytest.raises(ValueError, match="NaN"):
+        find_characteristic_cost(inst, cfg, Backend.exact(), seed=0)
+    ladder_size = math.ceil(n * math.log(n) / cfg.gamma_effective)
+    assert inst.query_count == ladder_size
+
+
+def test_characteristic_cost_rejects_negative_ladder_without_extra_reads():
+    n = 60
+    costs = np.random.default_rng(0).uniform(size=(n, n))
+    costs[:6] = -9.0
+    inst = BipartiteInstance.from_matrix(costs)
+    cfg = ReductionConfig(0.85, 1.0, 0.1)
+    with pytest.raises(ValueError, match="negative cost -9.0"):
+        find_characteristic_cost(inst, cfg, Backend.exact(), seed=0)
+    ladder_size = math.ceil(n * math.log(n) / cfg.gamma_effective)
+    assert inst.query_count == ladder_size
+
+
 # -- rounding ----------------------------------------------------------------------
 
 def test_round_costs_examples():
@@ -104,6 +128,14 @@ def test_round_costs_passes_infinity_through():
     inst = BipartiteInstance.from_matrix(np.array([[np.inf]]))
     rounded = round_costs(inst.cost, 0.5, 1.0)
     assert np.isinf(rounded.peek_dense()[0, 0])
+
+
+def test_round_costs_rejects_negative_by_name():
+    inst = BipartiteInstance.from_matrix(np.array([[0.5, -9.0], [1.0, 0.0]]))
+    rounded = round_costs(inst.cost, 0.5, 1.0)
+    with pytest.raises(ValueError, match="negative cost -9.0"):
+        rounded.pairs(np.array([0, 0]), np.array([0, 1]))
+    assert inst.query_count == 2
 
 
 @settings(max_examples=200, deadline=None)

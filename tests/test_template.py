@@ -187,6 +187,111 @@ def test_sample_and_estimate_discards_expensive_tail():
     assert alpha_w == pytest.approx(5 / 50)
 
 
+def _sort_based_sample_and_estimate(matching, gamma, C, n, seed, cost):
+    """The estimator as it was before draw counts: materialize and sort |S|."""
+    rng = np.random.default_rng(seed)
+    s = sample_size(gamma, C, n)
+    picks = np.empty(s, dtype=np.int64)
+    got = 0
+    misses = 0
+    while got < s:
+        chunk = rng.integers(0, n, size=max(2 * (s - got), 64))
+        mates = matching.mates(v0(chunk))
+        hit = mates != UNMATCHED
+        take = min(int(hit.sum()), s - got)
+        picks[got:got + take] = chunk[hit][:take]
+        got += take
+        misses += len(chunk) - int(hit.sum())
+        if got == 0 and misses > 64 * max(n, 64):
+            if matching.size() == 0:
+                raise ValueError("cannot sample from an empty matching")
+            misses = 0
+    uniq, inv = np.unique(picks, return_inverse=True)
+    mates_u = matching.mates(v0(uniq)) >> 1
+    costs_u = cost.pairs(uniq, mates_u)
+    samples = costs_u[inv]
+    d = min(math.ceil(3 * gamma * s), s)
+    order = np.argsort(samples, kind="stable")
+    kept = samples[order[: s - d]]
+    w = float(samples[order[s - d]]) if d > 0 else float("inf")
+    c_hat = (n / s) * float(kept.sum())
+    m0 = matching.mate_of_v0()
+    rows = np.nonzero(m0 != UNMATCHED)[0]
+    if len(rows):
+        all_costs = cost.pairs(rows, m0[rows])
+        alpha_w = float(np.count_nonzero(all_costs > w)) / n
+    else:
+        alpha_w = 0.0
+    return c_hat, w, alpha_w
+
+
+def _full_matching(n, seed):
+    perm = np.random.default_rng(seed).permutation(n)
+    return ArrayMatching.from_pairs(n, [(i, int(perm[i])) for i in range(n)])
+
+
+def _sparse_matching(n, frac, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(n, size=max(1, int(frac * n)), replace=False)
+    cols = rng.choice(n, size=len(rows), replace=False)
+    return ArrayMatching.from_pairs(n, [(int(i), int(j)) for i, j in zip(rows, cols)])
+
+
+@pytest.mark.parametrize("case", ["full-noninteger", "sparse-10pct", "ties-at-w",
+                                  "gamma-third-keeps-nothing"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sample_and_estimate_bit_identical_to_sort_based(case, seed):
+    n = 300
+    rng = np.random.default_rng(100 + seed)
+    gamma, C = 0.1, 3
+    if case == "full-noninteger":
+        costs = rng.uniform(0.0, 7.0, size=(n, n))
+        matching = _full_matching(n, seed)
+    elif case == "sparse-10pct":
+        costs = rng.uniform(0.0, 7.0, size=(n, n))
+        matching = _sparse_matching(n, 0.1, seed)
+    elif case == "ties-at-w":
+        # most matched edges cost 2, a few 3: the trim boundary lands inside
+        # the large block of 2s
+        costs = np.where(rng.uniform(size=(n, n)) < 0.05, 3.0, 2.0)
+        costs[rng.uniform(size=(n, n)) < 0.5] = 1.0
+        matching = _full_matching(n, seed)
+    else:
+        gamma = 0.4  # 3 * gamma >= 1: every draw is discarded
+        costs = rng.integers(1, C + 1, size=(n, n)).astype(np.float64)
+        matching = _full_matching(n, seed)
+    results = []
+    for estimator in (sample_and_estimate, _sort_based_sample_and_estimate):
+        inst = BipartiteInstance.from_matrix(costs)
+        # the template hands the estimator costs rescaled by 1/gamma
+        cost = ScaledCost(inst.cost, 1.0 / gamma)
+        before = inst.query_count
+        out = estimator(matching, gamma, C, n, seed, cost)
+        results.append((out, inst.query_count - before))
+    assert results[0] == results[1]
+    c_hat, w, _ = results[0][0]
+    if case == "ties-at-w":
+        assert w == 2.0 / gamma
+    if case == "gamma-third-keeps-nothing":
+        assert c_hat == 0.0
+
+
+def test_sample_and_estimate_trim_boundary_between_cost_blocks():
+    # one cheap edge among ten; at this seed the cheap edge is drawn exactly
+    # s - d times, so the kept prefix ends where its block ends and w is the
+    # first value of the next block
+    n, gamma, seed = 10, 0.3, 44
+    costs = np.full((n, n), 2.0)
+    costs[0, 0] = 1.0
+    matching = ArrayMatching.from_pairs(n, [(i, i) for i in range(n)])
+    s = sample_size(gamma, 1, n)
+    keep = s - math.ceil(3 * gamma * s)
+    outs = [estimator(matching, gamma, 1, n, seed,
+                      BipartiteInstance.from_matrix(costs).cost)
+            for estimator in (sample_and_estimate, _sort_based_sample_and_estimate)]
+    assert outs[0] == outs[1] == ((n / s) * keep, 2.0, 0.0)
+
+
 # -- full template runs --------------------------------------------------------------
 
 def test_run_template_all_ones():
