@@ -1,7 +1,7 @@
 """Query counts versus instance size for both backends.
 
-The exact backend reads the full matrix several times, so its query count
-grows like n^2.  The sampled backend probes under a hard per-call budget;
+The exact backend reads the full matrix once per estimate, so its query
+count is exactly n^2.  The sampled backend probes under a hard per-call budget;
 its fitted log-log slope stays strictly below 2.  (The big sweep lives in
 the acceptance suite; this demo uses a quicker grid.)
 """

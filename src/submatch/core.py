@@ -22,7 +22,7 @@ import numpy as np
 __all__ = [
     "v0", "v1", "side", "index", "decode",
     "QueryCounter", "CostOracle", "MatrixCost", "FunctionCost",
-    "ScaledCost", "ThresholdedCostView",
+    "ScaledCost", "ThresholdedCostView", "MaterializedCost",
     "BipartiteInstance", "write_instance", "read_instance", "query_count",
     "MatchingOracle", "EmptyMatching", "ArrayMatching", "OverlayMatching",
     "PotentialOracle", "ZeroPotential",
@@ -99,7 +99,9 @@ class CostOracle:
     at the root oracle only; adapters forward the ``counted`` flag so each
     matrix access is counted exactly once no matter how many adapters are
     stacked on top.  ``peek_*`` variants bypass the counter and exist for
-    diagnostics and test harnesses only.
+    diagnostics and test harnesses only.  A :class:`MaterializedCost`
+    counts its base's n^2 entries once, when it is built, and serves every
+    later read from memory without counting again.
 
     A value of ``+inf`` is a sentinel meaning "non-edge"; all matching
     machinery treats it as an absent edge.
@@ -258,19 +260,52 @@ class ScaledCost(_AdapterCost):
 
 
 class ThresholdedCostView(_AdapterCost):
-    """Keep edges of cost <= limit; everything above becomes a non-edge."""
+    """Keep edges of cost <= limit; everything above becomes a non-edge.
+
+    A NaN cost is malformed input, not a non-edge: reading one raises.
+    """
 
     def __init__(self, base: CostOracle, limit: float):
         super().__init__(base)
         self.limit = float(limit)
 
-    def _block(self, rows, cols, counted):
-        vals = self.base._block(rows, cols, counted)
+    def _threshold(self, vals):
+        if np.isnan(vals).any():
+            raise ValueError("malformed cost: a cost read is NaN")
         return np.where(vals <= self.limit, vals, np.inf)
 
+    def _block(self, rows, cols, counted):
+        return self._threshold(self.base._block(rows, cols, counted))
+
     def _pairs(self, is_, js, counted):
-        vals = self.base._pairs(is_, js, counted)
-        return np.where(vals <= self.limit, vals, np.inf)
+        return self._threshold(self.base._pairs(is_, js, counted))
+
+
+class MaterializedCost(_AdapterCost):
+    """The whole base matrix, read once at construction and kept in memory.
+
+    Building it is one counted ``base.block`` of all n x n entries; every
+    later read is served from the stored matrix and counts nothing, so a
+    caller that reads the matrix many times pays n^2 reads once.  The
+    stored values are exactly the base's block values.  A block of all
+    rows and all columns is a read-only view of the stored matrix, not a
+    copy.
+    """
+
+    def __init__(self, base: CostOracle):
+        super().__init__(base)
+        self._all = np.arange(self.n)
+        self._m = base.block(self._all, self._all)
+
+    def _block(self, rows, cols, counted):
+        if np.array_equal(rows, self._all) and np.array_equal(cols, self._all):
+            out = self._m.view()
+            out.flags.writeable = False
+            return out
+        return self._m[rows][:, cols]
+
+    def _pairs(self, is_, js, counted):
+        return self._m[is_, js]
 
 
 def query_count(instance: "BipartiteInstance") -> int:

@@ -4,8 +4,9 @@ The template algorithm only ever talks to three subroutines: approximate
 matching size, large-matching extraction inside a vertex set, and
 bounded-length augmentation over eligible edges (plus the potential-aware
 forward variant that buckets edges by potential values).  The exact
-backend satisfies every contract deterministically by materializing the
-relevant graph lazily and running Hopcroft-Karp; the sampled backend is a
+backend satisfies every contract deterministically: it reads the cost
+matrix once into memory (:meth:`Backend.prepare_cost`), builds each
+call's graph from it and runs Hopcroft-Karp; the sampled backend is a
 best-effort randomized implementation under a hard per-call query budget
 and exists to demonstrate empirical sublinearity.
 """
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    UNMATCHED, ArrayMatching, CostOracle, MatchingOracle, MembershipOracle,
-    OverlayMatching, PotentialOracle, v0, v1,
+    UNMATCHED, ArrayMatching, CostOracle, MatchingOracle, MaterializedCost,
+    MembershipOracle, OverlayMatching, PotentialOracle, v0, v1,
 )
 
 __all__ = [
@@ -61,8 +62,10 @@ def delta_out_forward(delta_in: float, range_bound: int) -> float:
 def backend_query_budget(params: SubroutineParams, n: int, variant: str = "sampled") -> int:
     """Maximum cost/edge queries one subroutine call may spend.
 
-    The exact backend nominally reads the full matrix; the sampled backend
-    is capped at O(n^(2-eps) log n) and the cap is asserted per call.
+    The exact backend's cap is the full matrix, n^2.  Its calls read a
+    matrix that :meth:`Backend.prepare_cost` materialized once per
+    estimate, so in practice they log zero reads.  The sampled backend is
+    capped at O(n^(2-eps) log n) and the cap is asserted per call.
     """
     if n <= 0:
         return 0
@@ -139,15 +142,16 @@ class ThresholdView(GraphView):
 
 
 # ---------------------------------------------------------------------------
-# Hopcroft-Karp over adjacency arrays (exact backend workhorse)
+# Hopcroft-Karp over adjacency lists (exact backend workhorse)
 # ---------------------------------------------------------------------------
 
-def _hopcroft_karp(adj: list[np.ndarray], n0: int, n1: int):
-    """Iterative Hopcroft-Karp; adj[i] lists side-1 neighbors of i."""
-    mate0 = np.full(n0, -1, dtype=np.int64)
-    mate1 = np.full(n1, -1, dtype=np.int64)
+def _hopcroft_karp(adj: list[list[int]], n0: int, n1: int):
+    """Iterative Hopcroft-Karp; adj[i] lists side-1 neighbors of i in
+    ascending order.  Returns (size, mate0, mate1) with int64 mate arrays."""
+    mate0 = [-1] * n0
+    mate1 = [-1] * n1
     inf = n0 + n1 + 1
-    dist = np.empty(n0, dtype=np.int64)
+    dist = [0] * n0
     size = 0
     while True:
         queue = []
@@ -158,21 +162,20 @@ def _hopcroft_karp(adj: list[np.ndarray], n0: int, n1: int):
             else:
                 dist[i] = inf
         found = False
-        head = 0
-        while head < len(queue):
-            i = queue[head]
-            head += 1
+        for i in queue:  # the BFS queue grows while it is walked
+            d = dist[i] + 1
             for j in adj[i]:
                 m = mate1[j]
                 if m == -1:
                     found = True
                 elif dist[m] == inf:
-                    dist[m] = dist[i] + 1
-                    queue.append(int(m))
+                    dist[m] = d
+                    queue.append(m)
         if not found:
-            return size, mate0, mate1
+            return (size, np.array(mate0, dtype=np.int64),
+                    np.array(mate1, dtype=np.int64))
         # phase DFS, iterative to keep stack depth independent of n
-        ptr = np.zeros(n0, dtype=np.int64)
+        ptr = [0] * n0
         for start in range(n0):
             if mate0[start] != -1:
                 continue
@@ -180,9 +183,10 @@ def _hopcroft_karp(adj: list[np.ndarray], n0: int, n1: int):
             path = []
             while stack:
                 i = stack[-1]
+                row = adj[i]
                 advanced = False
-                while ptr[i] < len(adj[i]):
-                    j = int(adj[i][ptr[i]])
+                while ptr[i] < len(row):
+                    j = row[ptr[i]]
                     ptr[i] += 1
                     m = mate1[j]
                     if m == -1:
@@ -200,7 +204,7 @@ def _hopcroft_karp(adj: list[np.ndarray], n0: int, n1: int):
                         break
                     if dist[m] == dist[i] + 1:
                         path.append((i, j))
-                        stack.append(int(m))
+                        stack.append(m)
                         advanced = True
                         break
                 if not advanced:
@@ -210,21 +214,24 @@ def _hopcroft_karp(adj: list[np.ndarray], n0: int, n1: int):
                         path.pop()
 
 
-def _mask_to_adj(mask: np.ndarray) -> list[np.ndarray]:
-    return [np.nonzero(row)[0] for row in mask]
+def _mask_to_adj(mask: np.ndarray) -> list[list[int]]:
+    """Row-wise ascending column lists of a boolean mask."""
+    rows, cols = np.nonzero(mask)
+    ends = np.cumsum(np.bincount(rows, minlength=mask.shape[0])).tolist()
+    cols = cols.tolist()
+    return [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def _global_matching(n: int, rows, cols, sub_mate0) -> ArrayMatching:
     """Lift a matching on (rows x cols) submatrix indices to instance indices."""
     mate0 = np.full(n, -1, dtype=np.int64)
     mate1 = np.full(n, -1, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    for r, jj in enumerate(sub_mate0):
-        if jj != -1:
-            i, j = rows[r], cols[jj]
-            mate0[i] = j
-            mate1[j] = i
+    sub = np.asarray(sub_mate0, dtype=np.int64)
+    r = np.nonzero(sub != -1)[0]
+    i = np.asarray(rows, dtype=np.int64)[r]
+    j = np.asarray(cols, dtype=np.int64)[sub[r]]
+    mate0[i] = j
+    mate1[j] = i
     return ArrayMatching(mate0, mate1)
 
 
@@ -263,9 +270,9 @@ class _Eligibility:
         self._adj = None
 
     @property
-    def adj(self) -> list[np.ndarray]:
+    def adj(self) -> list[list[int]]:
         if self._adj is None:
-            self._adj = [np.nonzero(row)[0] for row in self.nonmatched]
+            self._adj = _mask_to_adj(self.nonmatched)
         return self._adj
 
 
@@ -299,13 +306,13 @@ def _find_exact_length_paths(elig: _Eligibility, half_len: int) -> list[list[int
     if half_len == 0:
         return _free_edge_paths(elig)
     n = elig.n
-    used0 = np.zeros(n, dtype=bool)
-    used1 = np.zeros(n, dtype=bool)
-    free0 = elig.mate0 == UNMATCHED
-    free1 = elig.mate1 == UNMATCHED
+    used0 = [False] * n
+    used1 = [False] * n
+    free0 = (elig.mate0 == UNMATCHED).tolist()
+    free1 = (elig.mate1 == UNMATCHED).tolist()
     adj = elig.adj
-    mate1 = elig.mate1
-    mtight = elig.matched_tight
+    mate1 = elig.mate1.tolist()
+    mtight = elig.matched_tight.tolist()
     paths = []
     for start in range(n):
         if not free0[start] or used0[start]:
@@ -325,7 +332,7 @@ def _find_exact_length_paths(elig: _Eligibility, half_len: int) -> list[list[int
             last = hops == half_len + 1
             advanced = False
             while p < len(cand):
-                j = int(cand[p])
+                j = cand[p]
                 p += 1
                 if used1[j] or j in onpath1:
                     continue
@@ -334,7 +341,7 @@ def _find_exact_length_paths(elig: _Eligibility, half_len: int) -> list[list[int
                         found = seq + [j]
                         break
                     continue
-                i2 = int(mate1[j])
+                i2 = mate1[j]
                 if i2 == UNMATCHED or used0[i2] or i2 in onpath0 or not mtight[i2]:
                     continue
                 ptrs[-1] = p
@@ -410,6 +417,16 @@ class Backend:
         return cls("sampled", seed, epsilon)
 
     # -- plumbing -----------------------------------------------------------
+    def prepare_cost(self, cost: CostOracle) -> CostOracle:
+        """The cost oracle this backend's subroutines should be given.
+
+        Exact calls read the whole matrix or large blocks of it, so the
+        exact backend reads it once here, through every adapter stacked in
+        ``cost``, and its calls then read memory; the sampled backend reads
+        on demand and gets ``cost`` unchanged.
+        """
+        return MaterializedCost(cost) if self.variant == "exact" else cost
+
     def _rng(self) -> np.random.Generator:
         child = self._seq.spawn(1)[0]
         return np.random.default_rng(child)

@@ -311,6 +311,7 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
 
     if n < 1.0 / g:
         return _degenerate_estimate(instance, config, seed, timings, t0)
+    instance = BipartiteInstance(n, backend.prepare_cost(instance.cost))
 
     characteristic = find_characteristic_cost(instance, config, backend, seeds[0])
     timings["characteristic"] = time.perf_counter() - t0
@@ -344,6 +345,8 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     timings["template"] = time.perf_counter() - t2
 
     estimate = padded.unpad_estimate(tres.estimate) * rounded.scale_back
+    if characteristic.w_bar == 0.0:
+        estimate = 0.0  # every real edge left after thresholding costs 0
     matching = padded.unpad_matching(tres.matching)
     rng = np.random.default_rng(seeds[2])
     frac = _matched_fraction(matching, n, rng)

@@ -44,7 +44,7 @@ SAMPLE_SIZE_CONSTANT = 48
 #: saturates statistically long before this point (every edge has been
 #: seen ~|S|/n times), so larger sample sizes only cost random draws; the
 #: estimator keeps per-vertex counts, but a draw chunk still holds up to
-#: 2|S| indices.
+#: 2|S| int32 indices.
 SAMPLE_SIZE_CAP = 2_000_000
 
 
@@ -336,12 +336,13 @@ def sample_and_estimate(matching: MatchingOracle, gamma: float, C: int, n: int,
     rng = np.random.default_rng(seed)
     s = sample_size(gamma, C, n)
     m0 = matching.mate_of_v0()
+    matched = m0 != UNMATCHED
     counts = np.zeros(n, dtype=np.int64)
     got = 0
     misses = 0
     while got < s:
-        chunk = rng.integers(0, n, size=max(2 * (s - got), 64))
-        hit = m0[chunk] != UNMATCHED
+        chunk = rng.integers(0, n, size=max(2 * (s - got), 64), dtype=np.int32)
+        hit = matched[chunk]
         hits = int(hit.sum())
         take = min(hits, s - got)
         counts += np.bincount(chunk[hit][:take], minlength=n)
@@ -447,8 +448,9 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
                  backend: Backend, seed=0, collect_trace: bool = True) -> TemplateResult:
     """Run T iterations of Step 1 / Step 2 and the trimmed sampling estimate.
 
-    Costs must be integers in [1, params.C] (checked at first access); +inf
-    marks a non-edge.  The internal rescale c <- c/gamma is folded into a
+    Costs must be integers in [1, params.C] (checked when read; the exact
+    backend reads and checks them all once, up front); +inf marks a
+    non-edge.  The internal rescale c <- c/gamma is folded into a
     lazy cost adapter used by the estimator, whose output is scaled back,
     so the returned estimate is in the instance's own cost units.
 
@@ -458,7 +460,7 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
     n = instance.n
     if n < 1.0 / params.gamma:
         return _degenerate_exact(instance, params)
-    cost = _ValidatingCost(instance.cost, params.C)
+    cost = backend.prepare_cost(_ValidatingCost(instance.cost, params.C))
     matching: MatchingOracle = EmptyMatching(n)
     phi: PotentialOracle = ZeroPotential(n, params.range_bound)
     states = [IterationState(0, matching, phi)]

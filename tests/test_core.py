@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from submatch.core import (
     UNMATCHED, ArrayMatching, BipartiteInstance, EligibilityView, EmptyMatching,
-    FreeV0Membership, MatrixCost, OverlayMatching, ScaledCost, SetMembership,
+    FreeV0Membership, MaterializedCost, MatrixCost, OverlayMatching, ScaledCost, SetMembership,
     ThresholdedCostView, ZeroPotential, decode, index, is_eligible,
     is_one_feasible, read_instance, side, v0, v1, write_instance,
 )
@@ -53,6 +53,32 @@ def test_threshold_view_masks_with_inf():
     out = view.block(np.arange(2), np.arange(2))
     assert out[0, 0] == 1.0 and out[1, 0] == 2.0
     assert np.isinf(out[0, 1]) and np.isinf(out[1, 1])
+
+
+def test_threshold_view_rejects_nan_reads():
+    inst = BipartiteInstance.from_matrix(np.array([[1.0, np.nan], [2.0, 3.0]]))
+    view = ThresholdedCostView(inst.cost, 2.5)
+    assert view.pairs([0, 1], [0, 1])[0] == 1.0  # NaN-free reads still answer
+    with pytest.raises(ValueError, match="NaN"):
+        view.pairs([1, 0], [0, 1])
+    with pytest.raises(ValueError, match="NaN"):
+        view.block(np.arange(2), np.arange(2))
+    assert inst.query_count == 2 + 2 + 4  # no read beyond the ones asked for
+
+
+def test_materialized_cost_counts_its_matrix_once():
+    dense = np.random.default_rng(2).random((6, 6))
+    inst = BipartiteInstance.from_matrix(dense)
+    stacked = MaterializedCost(ScaledCost(inst.cost, 3.0))
+    assert inst.query_count == 36
+    assert stacked.counter is inst.cost.counter
+    rows, cols = np.array([4, 0, 4]), np.array([5, 1])
+    assert np.array_equal(stacked.block(rows, cols), dense[np.ix_(rows, cols)] * 3.0)
+    assert np.array_equal(stacked.pairs([3, 3], [0, 5]), dense[[3, 3], [0, 5]] * 3.0)
+    whole = stacked.dense()
+    assert np.array_equal(whole, dense * 3.0)
+    assert not whole.flags.writeable  # the stored matrix is shared, not copied
+    assert inst.query_count == 36
 
 
 def test_pairs_matches_block_for_matrix_and_function():

@@ -163,3 +163,18 @@ def test_detailed_result_exposes_pipeline_report():
     assert value == pytest.approx(res.estimate / pair.m)
     assert res.report["beta"] == 1.0
     assert res.report["alpha"] == pytest.approx(1.0 - 0.25 / 5)
+
+
+def test_exact_emd_estimate_is_pinned_and_reads_the_draws_once():
+    # value captured before the exact backend read its matrix only once;
+    # the answer must not move with how often the costs are read
+    support = 16
+    rng = np.random.default_rng(0)
+    table = rng.random((support, support))
+    masses = np.full(support, 1.0 / support)
+    value, pair, res = estimate_emd_detailed(
+        DiscreteDistribution(masses, table), DiscreteDistribution(masses, table),
+        support, 0.15, Backend.exact(seed=0), seed=0)
+    assert value == 0.11865249551048879
+    assert not res.report["degenerate"]
+    assert pair.instance.query_count == pair.m ** 2

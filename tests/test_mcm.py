@@ -314,3 +314,173 @@ def test_sampled_reproducible():
         size, m = b.approx_match(MaskView(mask), 0.15)
         runs.append((size, tuple(m.mate_of_v0())))
     assert runs[0] == runs[1]
+
+
+# -- list kernels against the numpy-array originals --------------------------------
+
+def _reference_hopcroft_karp(adj, n0, n1):
+    """The numpy-scalar Hopcroft-Karp the list kernel replaced, kept verbatim."""
+    mate0 = np.full(n0, -1, dtype=np.int64)
+    mate1 = np.full(n1, -1, dtype=np.int64)
+    inf = n0 + n1 + 1
+    dist = np.empty(n0, dtype=np.int64)
+    size = 0
+    while True:
+        queue = []
+        for i in range(n0):
+            if mate0[i] == -1:
+                dist[i] = 0
+                queue.append(i)
+            else:
+                dist[i] = inf
+        found = False
+        head = 0
+        while head < len(queue):
+            i = queue[head]
+            head += 1
+            for j in adj[i]:
+                m = mate1[j]
+                if m == -1:
+                    found = True
+                elif dist[m] == inf:
+                    dist[m] = dist[i] + 1
+                    queue.append(int(m))
+        if not found:
+            return size, mate0, mate1
+        ptr = np.zeros(n0, dtype=np.int64)
+        for start in range(n0):
+            if mate0[start] != -1:
+                continue
+            stack = [start]
+            path = []
+            while stack:
+                i = stack[-1]
+                advanced = False
+                while ptr[i] < len(adj[i]):
+                    j = int(adj[i][ptr[i]])
+                    ptr[i] += 1
+                    m = mate1[j]
+                    if m == -1:
+                        path.append((i, j))
+                        for pi, pj in path:
+                            mate0[pi] = pj
+                            mate1[pj] = pi
+                        size += 1
+                        for pi, _ in path:
+                            dist[pi] = inf
+                        stack = []
+                        path = []
+                        advanced = True
+                        break
+                    if dist[m] == dist[i] + 1:
+                        path.append((i, j))
+                        stack.append(int(m))
+                        advanced = True
+                        break
+                if not advanced:
+                    dist[i] = inf
+                    stack.pop()
+                    if path:
+                        path.pop()
+
+
+def _reference_exact_length_paths(elig, half_len):
+    """The numpy-array path DFS the list kernel replaced (half_len >= 1)."""
+    n = elig.n
+    used0 = np.zeros(n, dtype=bool)
+    used1 = np.zeros(n, dtype=bool)
+    free0 = elig.mate0 == UNMATCHED
+    free1 = elig.mate1 == UNMATCHED
+    adj = [np.nonzero(row)[0] for row in elig.nonmatched]
+    mate1 = elig.mate1
+    mtight = elig.matched_tight
+    paths = []
+    for start in range(n):
+        if not free0[start] or used0[start]:
+            continue
+        onpath0 = {start}
+        onpath1 = set()
+        seq = [start]
+        nodes = [start]
+        ptrs = [0]
+        found = None
+        while ptrs:
+            i = nodes[-1]
+            cand = adj[i]
+            p = ptrs[-1]
+            last = len(ptrs) == half_len + 1
+            advanced = False
+            while p < len(cand):
+                j = int(cand[p])
+                p += 1
+                if used1[j] or j in onpath1:
+                    continue
+                if last:
+                    if free1[j]:
+                        found = seq + [j]
+                        break
+                    continue
+                i2 = int(mate1[j])
+                if i2 == UNMATCHED or used0[i2] or i2 in onpath0 or not mtight[i2]:
+                    continue
+                ptrs[-1] = p
+                onpath1.add(j)
+                onpath0.add(i2)
+                seq.extend([j, i2])
+                nodes.append(i2)
+                ptrs.append(0)
+                advanced = True
+                break
+            if found is not None:
+                break
+            if not advanced:
+                ptrs.pop()
+                nodes.pop()
+                if len(seq) > 1:
+                    onpath0.discard(seq.pop())
+                    onpath1.discard(seq.pop())
+                else:
+                    seq.pop()
+        if found is not None:
+            paths.append(found)
+            for t, x in enumerate(found):
+                if t % 2 == 0:
+                    used0[x] = True
+                else:
+                    used1[x] = True
+    return paths
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (9, 9), (40, 40), (37, 12), (12, 37), (0, 5)])
+@pytest.mark.parametrize("density", [0.02, 0.1, 0.3, 0.7])
+def test_hopcroft_karp_lists_equal_numpy_reference(shape, density):
+    from submatch.mcm import _hopcroft_karp, _mask_to_adj
+    rng = np.random.default_rng([*shape, int(density * 100)])
+    for _ in range(5):
+        mask = rng.random(shape) < density
+        ref_adj = [np.nonzero(row)[0] for row in mask]
+        assert _mask_to_adj(mask) == [a.tolist() for a in ref_adj]
+        size, m0, m1 = _hopcroft_karp(_mask_to_adj(mask), *shape)
+        rsize, r0, r1 = _reference_hopcroft_karp(ref_adj, *shape)
+        assert (size, m0.tolist(), m1.tolist()) == (rsize, r0.tolist(), r1.tolist())
+        assert m0.dtype == m1.dtype == np.int64
+
+
+def test_exact_length_paths_lists_equal_numpy_reference():
+    from submatch.mcm import _Eligibility, _find_exact_length_paths
+    rng = np.random.default_rng(4)
+    lengths = []
+    for trial in range(60):
+        n = int(rng.integers(6, 40))
+        costs = rng.integers(1, 4, (n, n)).astype(float)
+        phi = FixedPotential(rng.integers(0, 4, n), rng.integers(0, 2, n))
+        perm = rng.permutation(n)
+        keep = rng.random(n) < rng.uniform(0.2, 0.9)
+        matching = ArrayMatching.from_pairs(n, [(i, int(perm[i])) for i in range(n) if keep[i]])
+        elig = _Eligibility(BipartiteInstance.from_matrix(costs).cost, phi, matching)
+        for half_len in (1, 2, 3):
+            got = _find_exact_length_paths(elig, half_len)
+            assert got == _reference_exact_length_paths(elig, half_len)
+            lengths += [len(path) for path in got]
+    # the random states hold many augmenting paths of every tested length
+    assert all(lengths.count(2 * h + 2) >= 10 for h in (1, 2, 3))

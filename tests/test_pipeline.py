@@ -331,3 +331,50 @@ def test_paper_mode_refuses_unrunnable_scale():
     with pytest.raises(ValueError, match="paper-mode"):
         estimate_min_weight_matching(inst, cfg, Backend.exact(seed=0), seed=0,
                                      parameter_mode="paper")
+
+
+# -- exact-backend reads and pinned answers ------------------------------------------
+
+def test_exact_estimate_is_pinned_and_reads_each_entry_once():
+    # value captured before the exact backend read its matrix only once;
+    # the answer must not move with how often the costs are read
+    n = 200
+    inst = uniform_instance(n, 3)
+    res = estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
+                                       Backend.exact(seed=3), seed=3)
+    assert not res.report["degenerate"]
+    assert res.estimate == 5.0427474186475445
+    assert inst.query_count == n * n
+    assert res.report["total_queries"] == n * n
+
+
+def test_sampled_estimate_and_reads_are_pinned():
+    # the sampled backend reads on demand; its answer and read count are
+    # those it gave before the exact backend started reading once
+    inst = uniform_instance(128, 4)
+    res = estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
+                                       Backend.sampled(seed=4, epsilon=0.2),
+                                       seed=4, T=8, k=5)
+    assert res.estimate == 44.79995253571114
+    assert inst.query_count == 243942
+
+
+def test_nan_off_the_ladder_is_rejected():
+    # no ladder draw hits (3, 7); the threshold step reads it and raises
+    costs = uniform_instance(100, 0).cost.peek_dense()
+    costs[3, 7] = np.nan
+    inst = BipartiteInstance.from_matrix(costs)
+    with pytest.raises(ValueError, match="NaN"):
+        estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
+                                     Backend.exact(seed=0), seed=0)
+
+
+def test_all_zero_matrix_estimates_zero():
+    n = 100
+    inst = BipartiteInstance.from_matrix(np.zeros((n, n)))
+    res = estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
+                                       Backend.exact(seed=0), seed=0)
+    assert not res.report["degenerate"]
+    assert res.stages.characteristic.w_bar == 0.0
+    assert res.estimate == 0.0
+    assert inst.query_count == n * n
