@@ -669,25 +669,6 @@ class EligibilityView:
             return False if self.mode == "forward" else s == c
         return s == c + 1
 
-    def forward_block(self, rows, cols, counted: bool = True) -> np.ndarray:
-        """Boolean block of non-matched eligible edges rows x cols."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        c = self.cost._block(rows, cols, counted)
-        p0 = self.phi.eval_many(v0(rows))
-        p1 = self.phi.eval_many(v1(cols))
-        tight = (p0[:, None] + p1[None, :]) == c + 1
-        mate_r = self.matching.mates(v0(rows))
-        has = mate_r != UNMATCHED
-        if has.any():
-            mate_idx = np.where(has, mate_r >> 1, -1)
-            colpos = {int(j): t for t, j in enumerate(cols)}
-            for r in np.nonzero(has)[0]:
-                t = colpos.get(int(mate_idx[r]))
-                if t is not None:
-                    tight[r, t] = False
-        return tight
-
 
 def is_eligible(u: int, v: int, view: EligibilityView) -> bool:
     return view.eligible(u, v)

@@ -396,7 +396,8 @@ class Backend:
     All randomness of the sampled backend derives from the seed; each call
     spawns a child RNG so runs are reproducible call-for-call.  Sampled
     calls are budget-capped and every call's query usage is logged and
-    asserted against :func:`backend_query_budget`.
+    asserted against :func:`backend_query_budget`.  A sampled augmentation
+    call reads each matched edge's tightness at most once.
     """
 
     def __init__(self, variant: str = "exact", seed: int = 0, epsilon: float = 0.1):
@@ -435,10 +436,10 @@ class Backend:
         params = SubroutineParams(epsilon=min(self.epsilon, 0.2))
         return backend_query_budget(params, n, self.variant)
 
-    def _log(self, op: str, counter, before: int, n: int):
+    def _log(self, op: str, counter, before: int, n: int, **extra):
         used = counter.count - before
         budget = self.query_budget(n)
-        rec = {"op": op, "queries": used, "budget": budget, "n": n}
+        rec = {"op": op, "queries": used, "budget": budget, "n": n, **extra}
         self.call_log.append(rec)
         if self.variant == "sampled" and used > budget:
             raise AssertionError(
@@ -547,25 +548,26 @@ class Backend:
         Tries each exact odd length 2k'+1 <= k in turn and succeeds on the
         first length class that yields at least gamma * n / k disjoint paths
         (and at least one, so a successful call always makes progress).
+        Sampled calls log ``memo_hits``: matched-edge tightness lookups
+        served from the call's memo instead of a read.
         """
         n = cost.n
         before = cost.counter.count
         bar = gamma * n / k
+        out, memo_hits = None, 0
         if not np.any(m_in.mate_of_v0() == UNMATCHED):
-            self._log("augment_eligible", cost.counter, before, n)
-            return None  # no free side-0 vertices, hence no augmenting paths
-        if self.variant == "exact":
+            pass  # no free side-0 vertices, hence no augmenting paths
+        elif self.variant == "exact":
             elig = _Eligibility(cost, phi, m_in)
-            out = None
             for half_len in range((k + 1) // 2):
                 paths = _find_exact_length_paths(elig, half_len)
                 if len(paths) >= bar and len(paths) >= 1:
                     out = _augment_overlay(m_in, paths)
                     break
-            self._log("augment_eligible", cost.counter, before, n)
-            return out
-        out = self._sampled_augment(phi, m_in, k, bar, cost, before)
-        self._log("augment_eligible", cost.counter, before, n)
+        else:
+            out, memo_hits = self._sampled_augment(phi, m_in, k, bar, cost, before)
+        extra = {"memo_hits": memo_hits} if self.variant == "sampled" else {}
+        self._log("augment_eligible", cost.counter, before, n, **extra)
         return out
 
     # -- sampled internals ---------------------------------------------------
@@ -593,8 +595,8 @@ class Backend:
             if len(free_r) == 0:
                 break
             batch = min(len(free_r) * 2, max(remaining() // 2, 1), 400_000)
-            is_ = rng.choice(free_r, size=batch)
-            js = rng.choice(cols, size=batch)
+            is_ = free_r[rng.integers(0, len(free_r), size=batch)]
+            js = cols[rng.integers(0, len(cols), size=batch)]
             hits = view.edge_pairs(is_, js)
             progressed = False
             for i, j in zip(is_[hits], js[hits]):
@@ -610,8 +612,8 @@ class Backend:
             trials += 1
             if len(free_r) == 0:
                 break
-            i = int(rng.choice(free_r))
-            j = int(rng.choice(cols))
+            i = int(free_r[rng.integers(0, len(free_r))])
+            j = int(cols[rng.integers(0, len(cols))])
             if not bool(view.edge_pairs([i], [j])[0]):
                 continue
             if mate1[j] == -1:
@@ -621,7 +623,7 @@ class Backend:
                     free_r = rows[mate0[rows] == -1]
                 continue
             i2 = int(mate1[j])
-            j2 = int(rng.choice(cols))
+            j2 = int(cols[rng.integers(0, len(cols))])
             if mate1[j2] == -1 and bool(view.edge_pairs([i2], [j2])[0]):
                 mate0[i] = j
                 mate1[j] = i
@@ -646,8 +648,8 @@ class Backend:
                 break
             room = sub_budget - (cost.counter.count - before)
             batch = min(len(free_r) * 2, max(room // 2, 1), 400_000)
-            is_ = rng.choice(free_r, size=batch)
-            js = rng.choice(cols, size=batch)
+            is_ = free_r[rng.integers(0, len(free_r), size=batch)]
+            js = cols[rng.integers(0, len(cols), size=batch)]
             vals = cost.pairs(is_, js)
             hits = (vals == target) & (base_mate0[is_] != js)
             progressed = False
@@ -661,7 +663,15 @@ class Backend:
 
     def _sampled_augment(self, phi, m_in, k, bar, cost, before):
         """Randomized bounded-depth search for disjoint eligible augmenting
-        paths; succeeds on the first exact length class reaching the bar."""
+        paths; succeeds on the first exact length class reaching the bar.
+
+        Potentials and mates are snapshots that stay fixed for the whole
+        call, and paths take effect only in the returned overlay, so the
+        tightness of a matched edge (mate1[j], j) cannot change within the
+        call: it is read at most once per call and kept in an int8 memo
+        keyed by j (-1 means not read yet).  Returns the overlay (or None)
+        and the number of tightness lookups the memo served.
+        """
         n = cost.n
         rng = self._rng()
         budget = self.query_budget(n)
@@ -671,10 +681,21 @@ class Backend:
         mate1 = m_in.mate_of_v1()
         free0_all = np.nonzero(mate0 == UNMATCHED)[0]
         probes = max(16, int(round(n ** (1.0 - min(self.epsilon, 0.2)))))
+        memo = np.full(n, -1, dtype=np.int8)
+        memo_hits = 0
 
         def tight_nm(i, js):
             vals = cost.pairs(np.full(len(js), i), js)
             return (phi0[i] + phi1[js] == vals + 1) & (mate0[i] != js)
+
+        def tight_matched(j):
+            nonlocal memo_hits
+            if memo[j] < 0:
+                i2 = mate1[j]
+                memo[j] = phi0[i2] + phi1[j] == cost.pairs([i2], [j])[0]
+            else:
+                memo_hits += 1
+            return memo[j] == 1
 
         for half_len in range((k + 1) // 2):
             used0 = np.zeros(n, dtype=bool)
@@ -687,24 +708,24 @@ class Backend:
                 if used0[start]:
                     continue
                 path = self._sample_one_path(
-                    int(start), half_len, used0, used1, mate1, phi0, phi1,
-                    mate0, cost, rng, probes, tight_nm)
+                    int(start), half_len, used0, used1, mate1, n, rng, probes,
+                    tight_nm, tight_matched)
                 if path is not None:
                     paths.append(path)
                     for t, x in enumerate(path):
                         (used0 if t % 2 == 0 else used1)[x] = True
             if len(paths) >= bar and len(paths) >= 1:
-                return _augment_overlay(m_in, paths)
-        return None
+                return _augment_overlay(m_in, paths), memo_hits
+        return None, memo_hits
 
-    def _sample_one_path(self, start, half_len, used0, used1, mate1,
-                         phi0, phi1, mate0, cost, rng, probes, tight_nm):
+    def _sample_one_path(self, start, half_len, used0, used1, mate1, n, rng,
+                         probes, tight_nm, tight_matched):
         seq = [start]
         onpath0 = {start}
         onpath1 = set()
         i = start
         for hop in range(half_len + 1):
-            js = rng.integers(0, cost.n, size=probes)
+            js = rng.integers(0, n, size=probes)
             ok = tight_nm(i, js)
             cand = None
             last = hop == half_len
@@ -720,8 +741,7 @@ class Backend:
                     continue
                 if i2 == UNMATCHED or used0[i2] or i2 in onpath0:
                     continue
-                val = cost.pairs([i2], [j])[0]
-                if phi0[i2] + phi1[j] != val:
+                if not tight_matched(j):
                     continue  # matched edge not tight, cannot walk back
                 cand = (j, i2)
                 break
@@ -741,10 +761,9 @@ class Backend:
 def _drop_matched(mask: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                   mate0: np.ndarray):
     """Clear matched pairs from a non-matched-edge mask (in place)."""
-    colpos = {int(j): t for t, j in enumerate(cols)}
-    for r, i in enumerate(rows):
-        m = mate0[i]
-        if m != UNMATCHED:
-            t = colpos.get(int(m))
-            if t is not None:
-                mask[r, t] = False
+    colpos = np.full(len(mate0), -1, dtype=np.int64)
+    colpos[cols] = np.arange(len(cols))
+    r = np.nonzero(mate0[rows] != UNMATCHED)[0]
+    t = colpos[mate0[rows[r]]]
+    keep = t >= 0  # the mate is one of the block's columns
+    mask[r[keep], t[keep]] = False

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import (
     UNMATCHED, BipartiteInstance, CostOracle, MatchingOracle,
-    ThresholdedCostView, as_seed_sequence, seed_label,
+    ThresholdedCostView, _AdapterCost, as_seed_sequence, seed_label,
 )
 from .mcm import Backend, ThresholdView
 from .template import TemplateParams, run_template
@@ -137,7 +137,7 @@ def find_characteristic_cost(instance: BipartiteInstance, config: ReductionConfi
 # Rounding
 # ---------------------------------------------------------------------------
 
-class RoundedCost(CostOracle):
+class RoundedCost(_AdapterCost):
     """Lazy integer rounding c_bar = ceil(2 c / (gamma^2 w)) + 1.
 
     Finite inputs above w are clamped to w and counted (the composed
@@ -147,8 +147,7 @@ class RoundedCost(CostOracle):
     """
 
     def __init__(self, base: CostOracle, gamma: float, w: float):
-        super().__init__(base.n)
-        self.base = base
+        super().__init__(base)
         self.gamma = float(gamma)
         self.w = float(w)
         if self.w <= 0:
@@ -156,10 +155,6 @@ class RoundedCost(CostOracle):
         self.C = math.ceil(2.0 / gamma ** 2) + 2
         self.scale_back = gamma ** 2 * w / 2.0
         self.clamped = 0
-
-    @property
-    def counter(self):
-        return self.base.counter
 
     def _round(self, vals):
         _reject_negative(vals)
@@ -186,17 +181,12 @@ def round_costs(cost: CostOracle, gamma: float, w: float) -> RoundedCost:
 # Dummy padding
 # ---------------------------------------------------------------------------
 
-class _PaddedCost(CostOracle):
+class _PaddedCost(_AdapterCost):
     """Dummy-real edges cost 1; dummy-dummy pairs are non-edges (+inf)."""
 
     def __init__(self, base: CostOracle, n_real: int, n_padded: int):
-        super().__init__(n_padded)
-        self.base = base
+        super().__init__(base, n_padded)
         self.n_real = n_real
-
-    @property
-    def counter(self):
-        return self.base.counter
 
     def _block(self, rows, cols, counted):
         out = np.empty((len(rows), len(cols)), dtype=np.float64)

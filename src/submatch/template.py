@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (
     UNMATCHED, BipartiteInstance, CostOracle, EmptyMatching, MatchingOracle,
-    MembershipOracle, PotentialOracle, ScaledCost, ZeroPotential,
+    MembershipOracle, PotentialOracle, ScaledCost, ZeroPotential, _AdapterCost,
 )
 from .mcm import Backend
 
@@ -377,20 +377,15 @@ def sample_and_estimate(matching: MatchingOracle, gamma: float, C: int, n: int,
 # The template driver
 # ---------------------------------------------------------------------------
 
-class _ValidatingCost(CostOracle):
+class _ValidatingCost(_AdapterCost):
     """Checks integrality and the [1, C] range at first access.
 
     The +inf non-edge sentinel passes through untouched.
     """
 
     def __init__(self, base: CostOracle, C: int):
-        super().__init__(base.n)
-        self.base = base
+        super().__init__(base)
         self.C = C
-
-    @property
-    def counter(self):
-        return self.base.counter
 
     def _check(self, vals):
         finite = np.isfinite(vals)

@@ -5,8 +5,8 @@ import pytest
 
 from submatch import baseline
 from submatch.core import (
-    UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, SetMembership,
-    ZeroPotential, index, side, v0, v1,
+    UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, MatrixCost,
+    SetMembership, ZeroPotential, index, side, v0, v1,
 )
 from submatch.mcm import (
     Backend, MaskView, SubroutineParams, ThresholdView, backend_query_budget,
@@ -484,3 +484,336 @@ def test_exact_length_paths_lists_equal_numpy_reference():
             lengths += [len(path) for path in got]
     # the random states hold many augmenting paths of every tested length
     assert all(lengths.count(2 * h + 2) >= 10 for h in (1, 2, 3))
+
+
+def _reference_drop_matched(mask, rows, cols, mate0):
+    """The dict loop _drop_matched replaced, kept verbatim."""
+    colpos = {int(j): t for t, j in enumerate(cols)}
+    for r, i in enumerate(rows):
+        m = mate0[i]
+        if m != UNMATCHED:
+            t = colpos.get(int(m))
+            if t is not None:
+                mask[r, t] = False
+
+
+def test_drop_matched_equals_dict_loop_reference():
+    from submatch.mcm import _drop_matched
+    rng = np.random.default_rng(8)
+    dropped = outside = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 30))
+        rows = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+        cols = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+        mate0 = np.where(rng.random(n) < rng.uniform(0.0, 1.0), rng.permutation(n), UNMATCHED)
+        mask = rng.random((len(rows), len(cols))) < 0.8
+        got, ref = mask.copy(), mask.copy()
+        _drop_matched(got, rows, cols, mate0)
+        _reference_drop_matched(ref, rows, cols, mate0)
+        assert np.array_equal(got, ref)
+        dropped += int((mask & ~ref).sum())
+        outside += int(np.isin(mate0[rows], cols, invert=True).sum())
+    # many matched pairs are cleared, and many rows are free or have a mate outside cols
+    assert dropped >= 50 and outside >= 50
+
+
+# -- sampled backend against its re-reading, rng.choice originals ------------------
+
+class _SingleReadLog(MatrixCost):
+    """Matrix cost logging its one-element pair reads; in the sampled
+    augmentation those are exactly the matched-edge tightness reads."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.singles = []
+
+    def _pairs(self, is_, js, counted):
+        if len(is_) == 1:
+            self.singles.append((int(is_[0]), int(js[0])))
+        return super()._pairs(is_, js, counted)
+
+
+def _pinned_rng(backend, seed):
+    """Hand every call of ``backend`` one generator the test can inspect."""
+    rng = np.random.default_rng(seed)
+    backend._rng = lambda: rng
+    return rng
+
+
+def _reference_sampled_augment(self, phi, m_in, k, bar, cost, before):
+    """The sampled augmentation that re-read matched edges, kept verbatim."""
+    from submatch.mcm import _augment_overlay
+    n = cost.n
+    rng = self._rng()
+    budget = self.query_budget(n)
+    phi0 = phi.eval_many(v0(np.arange(n, dtype=np.int64)))
+    phi1 = phi.eval_many(v1(np.arange(n, dtype=np.int64)))
+    mate0 = m_in.mate_of_v0()
+    mate1 = m_in.mate_of_v1()
+    free0_all = np.nonzero(mate0 == UNMATCHED)[0]
+    probes = max(16, int(round(n ** (1.0 - min(self.epsilon, 0.2)))))
+
+    def tight_nm(i, js):
+        vals = cost.pairs(np.full(len(js), i), js)
+        return (phi0[i] + phi1[js] == vals + 1) & (mate0[i] != js)
+
+    for half_len in range((k + 1) // 2):
+        used0 = np.zeros(n, dtype=bool)
+        used1 = np.zeros(n, dtype=bool)
+        paths = []
+        order = rng.permutation(free0_all)
+        for start in order:
+            if budget - (cost.counter.count - before) < probes * (half_len + 1) + 4:
+                break
+            if used0[start]:
+                continue
+            path = _reference_sample_one_path(
+                self, int(start), half_len, used0, used1, mate1, phi0, phi1,
+                mate0, cost, rng, probes, tight_nm)
+            if path is not None:
+                paths.append(path)
+                for t, x in enumerate(path):
+                    (used0 if t % 2 == 0 else used1)[x] = True
+        if len(paths) >= bar and len(paths) >= 1:
+            return _augment_overlay(m_in, paths)
+    return None
+
+
+def _reference_sample_one_path(self, start, half_len, used0, used1, mate1,
+                               phi0, phi1, mate0, cost, rng, probes, tight_nm):
+    seq = [start]
+    onpath0 = {start}
+    onpath1 = set()
+    i = start
+    for hop in range(half_len + 1):
+        js = rng.integers(0, cost.n, size=probes)
+        ok = tight_nm(i, js)
+        cand = None
+        last = hop == half_len
+        for j in js[ok]:
+            j = int(j)
+            if used1[j] or j in onpath1:
+                continue
+            i2 = int(mate1[j])
+            if last:
+                if i2 == UNMATCHED:
+                    cand = (j, None)
+                    break
+                continue
+            if i2 == UNMATCHED or used0[i2] or i2 in onpath0:
+                continue
+            val = cost.pairs([i2], [j])[0]
+            if phi0[i2] + phi1[j] != val:
+                continue  # matched edge not tight, cannot walk back
+            cand = (j, i2)
+            break
+        if cand is None:
+            return None
+        j, i2 = cand
+        seq.append(j)
+        onpath1.add(j)
+        if i2 is None:
+            return seq
+        seq.append(i2)
+        onpath0.add(i2)
+        i = i2
+    return None
+
+
+def _reference_sampled_greedy(self, view, subset, epsilon):
+    """The rng.choice version of Backend._sampled_greedy, kept verbatim."""
+    n = view.n
+    rng = self._rng()
+    if subset is None:
+        rows = np.arange(n, dtype=np.int64)
+        cols = np.arange(n, dtype=np.int64)
+    else:
+        rows, cols = subset
+    budget = self.query_budget(n)
+    before = view.counter.count
+    mate0 = np.full(n, -1, dtype=np.int64)
+    mate1 = np.full(n, -1, dtype=np.int64)
+
+    def remaining():
+        return budget - (view.counter.count - before)
+
+    stall = 0
+    while remaining() > len(rows) and stall < 10:
+        free_r = rows[mate0[rows] == -1]
+        if len(free_r) == 0:
+            break
+        batch = min(len(free_r) * 2, max(remaining() // 2, 1), 400_000)
+        is_ = rng.choice(free_r, size=batch)
+        js = rng.choice(cols, size=batch)
+        hits = view.edge_pairs(is_, js)
+        progressed = False
+        for i, j in zip(is_[hits], js[hits]):
+            if mate0[i] == -1 and mate1[j] == -1:
+                mate0[i] = j
+                mate1[j] = i
+                progressed = True
+        stall = 0 if progressed else stall + 1
+    free_r = rows[mate0[rows] == -1]
+    trials = 0
+    while remaining() > 4 and trials < 2 * len(free_r):
+        trials += 1
+        if len(free_r) == 0:
+            break
+        i = int(rng.choice(free_r))
+        j = int(rng.choice(cols))
+        if not bool(view.edge_pairs([i], [j])[0]):
+            continue
+        if mate1[j] == -1:
+            if mate0[i] == -1:
+                mate0[i] = j
+                mate1[j] = i
+                free_r = rows[mate0[rows] == -1]
+            continue
+        i2 = int(mate1[j])
+        j2 = int(rng.choice(cols))
+        if mate1[j2] == -1 and bool(view.edge_pairs([i2], [j2])[0]):
+            mate0[i] = j
+            mate1[j] = i
+            mate0[i2] = j2
+            mate1[j2] = i2
+            free_r = rows[mate0[rows] == -1]
+    size = int(np.count_nonzero(mate0 >= 0))
+    return size, mate0, mate1
+
+
+def _reference_sampled_greedy_subset(self, cost, rows, cols, target, base_mate0,
+                                     epsilon, sub_budget):
+    """The rng.choice version of Backend._sampled_greedy_subset, kept verbatim."""
+    n = cost.n
+    rng = self._rng()
+    before = cost.counter.count
+    mate0 = np.full(n, -1, dtype=np.int64)
+    mate1 = np.full(n, -1, dtype=np.int64)
+    stall = 0
+    while cost.counter.count - before < sub_budget - len(rows) and stall < 8:
+        free_r = rows[mate0[rows] == -1]
+        if len(free_r) == 0:
+            break
+        room = sub_budget - (cost.counter.count - before)
+        batch = min(len(free_r) * 2, max(room // 2, 1), 400_000)
+        is_ = rng.choice(free_r, size=batch)
+        js = rng.choice(cols, size=batch)
+        vals = cost.pairs(is_, js)
+        hits = (vals == target) & (base_mate0[is_] != js)
+        progressed = False
+        for i, j in zip(is_[hits], js[hits]):
+            if mate0[i] == -1 and mate1[j] == -1:
+                mate0[i] = j
+                mate1[j] = i
+                progressed = True
+        stall = 0 if progressed else stall + 1
+    return int(np.count_nonzero(mate0 >= 0)), mate0, mate1
+
+
+def _augment_state(seed):
+    """A partial matching whose free vertices are joined only through
+    matched ones, with tight and non-tight matched edges mixed."""
+    rng = np.random.default_rng([6, seed])
+    n = int(rng.integers(12, 40))
+    costs = rng.integers(1, 4, (n, n)).astype(float)
+    p0, p1 = rng.integers(1, 4, n), rng.integers(0, 2, n)
+    perm = rng.permutation(n)
+    keep = rng.random(n) < rng.uniform(0.4, 0.9)
+    pairs = [(i, int(perm[i])) for i in range(n) if keep[i]]
+    for i, j in pairs:
+        if rng.random() < 0.6:
+            costs[i, j] = p0[i] + p1[j]  # tight matched edge
+
+    def not_eligible(rows, cols):
+        costs[np.ix_(rows, cols)] = p0[rows][:, None] + p1[cols][None, :] + 1
+
+    f0, f1 = np.nonzero(~keep)[0], np.setdiff1d(np.arange(n), perm[keep])
+    not_eligible(f0, f1)
+    if seed % 2:
+        # free rows reach only the mates of half the matched rows and only
+        # the other half reach free columns: no path is shorter than 5
+        a, b = np.nonzero(keep)[0][::2], np.nonzero(keep)[0][1::2]
+        not_eligible(f0, perm[b])
+        not_eligible(a, f1)
+    k = int(rng.choice([3, 5, 7]))
+    gamma = int(rng.integers(1, 4)) * k / n  # bar of 1 to 3 paths
+    return costs, FixedPotential(p0, p1), ArrayMatching.from_pairs(n, pairs), k, gamma
+
+
+def test_sampled_augment_memo_equals_rereading_reference():
+    lengths = []
+    nontight_rereads = 0
+    for seed in range(24):
+        costs, phi, m, k, gamma = _augment_state(seed)
+        n = len(costs)
+        b = Backend.sampled(seed=seed, epsilon=0.1)
+        rng = _pinned_rng(b, seed)
+        cost = _SingleReadLog(costs)
+        got = b.augment_eligible(phi, m, k, gamma, 0.1, cost)
+        rb = Backend.sampled(seed=seed, epsilon=0.1)
+        ref_rng = _pinned_rng(rb, seed)
+        ref_cost = _SingleReadLog(costs)
+        ref = _reference_sampled_augment(rb, phi, m, k, gamma * n / k, ref_cost, 0)
+
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert got.augmenting_paths == ref.augmenting_paths
+            assert got.mate_of_v0().tolist() == ref.mate_of_v0().tolist()
+            assert got.mate_of_v1().tolist() == ref.mate_of_v1().tolist()
+            lengths += [len(path) for path in got.augmenting_paths]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # each matched edge is read once, at its first lookup; the memo
+        # serves exactly the reference's repeated lookups
+        rec = b.call_log[-1]
+        repeats = len(ref_cost.singles) - len(set(ref_cost.singles))
+        assert cost.singles == list(dict.fromkeys(ref_cost.singles))
+        assert rec["memo_hits"] == repeats
+        assert rec["queries"] == cost.counter.count == ref_cost.counter.count - repeats
+        assert rec["queries"] <= ref_cost.counter.count
+        for (i, j) in set(ref_cost.singles):
+            if phi.p0[i] + phi.p1[j] != costs[i, j]:
+                nontight_rereads += ref_cost.singles.count((i, j)) - 1
+    # paths through one and two matched edges are compared, and the memo
+    # is hit repeatedly on matched edges that are not tight
+    assert lengths.count(4) >= 10 and lengths.count(6) >= 5
+    assert nontight_rereads >= 10
+
+
+def test_sampled_greedy_direct_draws_equal_choice_reference():
+    for seed in range(24):
+        rng = np.random.default_rng([7, seed])
+        n = int(rng.integers(2, 60))
+        mask = rng.random((n, n)) < rng.uniform(0.02, 0.6)
+        subset = None
+        if seed % 3:
+            subset = (rng.permutation(n)[:int(rng.integers(1, n + 1))],
+                      rng.permutation(n)[:int(rng.integers(1, n + 1))])
+        outs = []
+        for greedy in (Backend._sampled_greedy, _reference_sampled_greedy):
+            b = Backend.sampled(seed=seed, epsilon=0.1)
+            r = _pinned_rng(b, seed)
+            view = MaskView(mask)
+            size, m0, m1 = greedy(b, view, subset, 0.1)
+            outs.append((size, m0.tolist(), m1.tolist(), view.counter.count,
+                         r.bit_generator.state))
+        assert outs[0] == outs[1]
+
+
+def test_sampled_greedy_subset_direct_draws_equal_choice_reference():
+    for seed in range(24):
+        rng = np.random.default_rng([9, seed])
+        n = int(rng.integers(2, 60))
+        costs = rng.integers(0, 4, (n, n)).astype(float)
+        rows = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        cols = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        base_mate0 = np.where(rng.random(n) < 0.5, rng.permutation(n), UNMATCHED)
+        sub_budget = int(rng.integers(n, 4 * n * n))
+        outs = []
+        for greedy in (Backend._sampled_greedy_subset, _reference_sampled_greedy_subset):
+            b = Backend.sampled(seed=seed, epsilon=0.1)
+            r = _pinned_rng(b, seed)
+            cost = MatrixCost(costs)
+            size, m0, m1 = greedy(b, cost, rows, cols, 2.0, base_mate0, 0.1, sub_budget)
+            outs.append((size, m0.tolist(), m1.tolist(), cost.counter.count,
+                         r.bit_generator.state))
+        assert outs[0] == outs[1]
