@@ -3,7 +3,7 @@ outliers, and of Earth Mover's Distance, over arbitrary cost matrices."""
 
 from .core import (
     BipartiteInstance, CostOracle, MatchingOracle, PotentialOracle,
-    MembershipOracle, EligibilityView, read_instance, write_instance,
+    MembershipOracle, read_instance, write_instance,
 )
 from .mcm import Backend, SubroutineParams, backend_query_budget
 from .template import TemplateParams, run_template
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteInstance", "CostOracle", "MatchingOracle", "PotentialOracle",
-    "MembershipOracle", "EligibilityView", "read_instance", "write_instance",
+    "MembershipOracle", "read_instance", "write_instance",
     "Backend", "SubroutineParams", "backend_query_budget",
     "TemplateParams", "run_template",
     "ReductionConfig", "estimate_min_weight_matching", "max_matching_under_budget",

@@ -27,7 +27,6 @@ __all__ = [
     "MatchingOracle", "EmptyMatching", "ArrayMatching", "OverlayMatching",
     "PotentialOracle", "ZeroPotential",
     "MembershipOracle", "SetMembership", "FreeV0Membership",
-    "EligibilityView", "is_one_feasible", "is_eligible",
 ]
 
 UNMATCHED = -1  # array encoding of "no mate"
@@ -159,9 +158,6 @@ class CostOracle:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         return self._block(rows, cols, False)
-
-    def peek_value(self, i: int, j: int) -> float:
-        return float(self._block(np.array([i]), np.array([j]), False)[0, 0])
 
     def peek_dense(self) -> np.ndarray:
         idx = np.arange(self.n)
@@ -402,8 +398,6 @@ class MatchingOracle:
     the whole layer chain every time.
     """
 
-    #: rough query-time budget class, for accounting/reporting
-    time_class = "exact-array"
     #: layered subclasses set this to memoize resolved mates
     cache_mates = False
 
@@ -499,7 +493,6 @@ class OverlayMatching(MatchingOracle):
     mate changed are stored explicitly.
     """
 
-    time_class = "lazy-overlay"
     cache_mates = True
 
     def __init__(self, base: MatchingOracle, changed: dict[int, int]):
@@ -619,56 +612,3 @@ class FreeV0Membership(MembershipOracle):
         if is0.any():
             out[is0] = self.matching.mates(us[is0]) == UNMATCHED
         return out
-
-
-# ---------------------------------------------------------------------------
-# Eligibility
-# ---------------------------------------------------------------------------
-
-def is_one_feasible(u: int, v: int, phi: PotentialOracle, matching: MatchingOracle,
-                    cost: CostOracle) -> bool:
-    """1-feasibility of the edge (u, v), u on side 0 and v on side 1.
-
-    phi(u) + phi(v) <= c(u, v) + 1 always, with equality at c(u, v) required
-    on matched edges.
-    """
-    if side(u) != 0 or side(v) != 1:
-        raise ValueError("u must be a V0 vertex and v a V1 vertex")
-    c = cost.value(index(u), index(v))
-    s = phi.eval(u) + phi.eval(v)
-    if matching.mate(u) == v:
-        return s == c
-    return s <= c + 1
-
-
-class EligibilityView:
-    """Tight-edge predicate over (cost, potential, matching).
-
-    A non-matched edge is eligible iff phi(u) + phi(v) == c(u, v) + 1; a
-    matched edge is eligible iff phi(u) + phi(v) == c(u, v).  In forward
-    mode only non-matched eligible edges (oriented V0 -> V1) are exposed.
-    """
-
-    def __init__(self, cost: CostOracle, phi: PotentialOracle,
-                 matching: MatchingOracle, mode: str = "eligibility"):
-        if mode not in ("eligibility", "forward"):
-            raise ValueError("mode must be 'eligibility' or 'forward'")
-        self.cost = cost
-        self.phi = phi
-        self.matching = matching
-        self.mode = mode
-
-    def eligible(self, u: int, v: int) -> bool:
-        if side(u) == side(v):
-            raise ValueError("u and v must be on opposite sides")
-        if side(u) == 1:
-            u, v = v, u
-        c = self.cost.value(index(u), index(v))
-        s = self.phi.eval(u) + self.phi.eval(v)
-        if self.matching.mate(u) == v:
-            return False if self.mode == "forward" else s == c
-        return s == c + 1
-
-
-def is_eligible(u: int, v: int, view: EligibilityView) -> bool:
-    return view.eligible(u, v)

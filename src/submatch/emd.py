@@ -62,16 +62,29 @@ class DistributionSource:
         raise NotImplementedError
 
 
+def _metric_table(metric_table) -> np.ndarray:
+    """The table as float64, or ValueError naming its first value outside
+    [0, 1] (NaN included: it fails both comparisons)."""
+    table = np.asarray(metric_table, dtype=np.float64)
+    bad = np.argwhere(~((table >= 0) & (table <= 1)))
+    if len(bad):
+        at = tuple(int(x) for x in bad[0])
+        raise ValueError(f"metric values must lie in [0, 1]; entry {at} is {table[at]}")
+    return table
+
+
 class DiscreteDistribution(DistributionSource):
     """In-memory {point id -> mass} distribution over a metric table."""
 
     def __init__(self, masses, metric_table):
         masses = np.asarray(masses, dtype=np.float64)
-        if abs(masses.sum() - 1.0) > 1e-9 or np.any(masses < 0):
-            raise ValueError("masses must be nonnegative and sum to 1")
-        table = np.asarray(metric_table, dtype=np.float64)
-        if np.any(table < 0) or np.any(table > 1):
-            raise ValueError("metric values must lie in [0, 1]")
+        bad = np.nonzero(~(np.isfinite(masses) & (masses >= 0)))[0]
+        if len(bad):
+            raise ValueError(f"masses must be finite and nonnegative; "
+                             f"mass {int(bad[0])} is {masses[bad[0]]}")
+        if abs(masses.sum() - 1.0) > 1e-9:
+            raise ValueError(f"masses must sum to 1, not {masses.sum()}")
+        table = _metric_table(metric_table)
         super().__init__(support_bound=int(np.count_nonzero(masses)))
         self.masses = masses
         self.table = table
@@ -99,9 +112,7 @@ class StreamSource(DistributionSource):
         super().__init__(support_bound)
         self._ids = np.loadtxt(Path(ids_path), dtype=np.int64, ndmin=1)
         self._pos = 0
-        self.table = np.asarray(metric_table, dtype=np.float64)
-        if np.any(self.table < 0) or np.any(self.table > 1):
-            raise ValueError("metric values must lie in [0, 1]")
+        self.table = _metric_table(metric_table)
 
     def draw_many(self, rng, size):
         if self._pos + size > len(self._ids):

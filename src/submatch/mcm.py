@@ -6,9 +6,11 @@ bounded-length augmentation over eligible edges (plus the potential-aware
 forward variant that buckets edges by potential values).  The exact
 backend satisfies every contract deterministically: it reads the cost
 matrix once into memory (:meth:`Backend.prepare_cost`), builds each
-call's graph from it and runs Hopcroft-Karp; the sampled backend is a
-best-effort randomized implementation under a hard per-call query budget
-and exists to demonstrate empirical sublinearity.
+call's graph from it and runs Hopcroft-Karp; its augmentation keeps one
+eligibility snapshot for a whole Step 1, and its bounded-length path search
+prunes dead ends proven independent of the current path.  The sampled
+backend is a best-effort randomized implementation under a hard per-call
+query budget and exists to demonstrate empirical sublinearity.
 """
 
 from __future__ import annotations
@@ -248,15 +250,17 @@ def _members_on_side(A: MembershipOracle | None, n: int, side_: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 class _Eligibility:
-    """Dense snapshot of the eligibility graph for one subroutine call."""
+    """Dense snapshot of the eligibility graph under a fixed potential and
+    cost; :meth:`augment` keeps it current as the matching grows."""
 
     def __init__(self, cost: CostOracle, phi: PotentialOracle, matching: MatchingOracle):
         n = cost.n
         self.n = n
         self.phi0 = phi.eval_many(v0(np.arange(n, dtype=np.int64)))
         self.phi1 = phi.eval_many(v1(np.arange(n, dtype=np.int64)))
-        self.mate0 = matching.mate_of_v0()
-        self.mate1 = matching.mate_of_v1()
+        # own copies: augment() writes into them, never into the oracle's arrays
+        self.mate0 = matching.mate_of_v0().copy()
+        self.mate1 = matching.mate_of_v1().copy()
         c = cost.block(np.arange(n), np.arange(n))
         self.nonmatched = (self.phi0[:, None] + self.phi1[None, :]) == c + 1
         matched_rows = np.nonzero(self.mate0 != UNMATCHED)[0]
@@ -274,6 +278,25 @@ class _Eligibility:
         if self._adj is None:
             self._adj = _mask_to_adj(self.nonmatched)
         return self._adj
+
+    def augment(self, paths: list[list[int]]):
+        """Flip node-disjoint eligible augmenting paths, in place.
+
+        The result equals a snapshot rebuilt against the augmented matching.
+        Each new matched pair (i_t, j_{t+1}) was eligible at c + 1, so it
+        leaves ``nonmatched`` and ``adj`` and is not tight at c; the path's
+        old matched edges were tight at c, so they never become eligible
+        non-matched edges.
+        """
+        for path in paths:
+            for t in range(0, len(path) - 1, 2):
+                i, j = path[t], path[t + 1]
+                self.nonmatched[i, j] = False
+                self.matched_tight[i] = False
+                self.mate0[i] = j
+                self.mate1[j] = i
+                if self._adj is not None:
+                    self._adj[i].remove(j)
 
 
 def _free_edge_paths(elig: _Eligibility) -> list[list[int]]:
@@ -302,6 +325,12 @@ def _find_exact_length_paths(elig: _Eligibility, half_len: int) -> list[list[int
     exhaustive bounded-depth DFS with lowest-id-first neighbor order.  Once
     all starts are processed no further disjoint path of this exact length
     exists, which is the maximality the template needs.
+
+    A vertex whose subtree at a given depth fails without any candidate
+    rejected for lying on the current path is a dead end at that depth for
+    the rest of the call: the graph is fixed and the used sets only grow,
+    so no later prefix or start can succeed through it, and it is skipped.
+    The pruning leaves the returned paths and their order unchanged.
     """
     if half_len == 0:
         return _free_edge_paths(elig)
@@ -313,16 +342,19 @@ def _find_exact_length_paths(elig: _Eligibility, half_len: int) -> list[list[int
     adj = elig.adj
     mate1 = elig.mate1.tolist()
     mtight = elig.matched_tight.tolist()
+    dead = [[False] * n for _ in range(half_len + 2)]  # dead[depth][i]
     paths = []
     for start in range(n):
         if not free0[start] or used0[start]:
             continue
-        # pointer-stack DFS; the path alternates i, j, i, j, ...
+        # pointer-stack DFS; the path alternates i, j, i, j, ...  A side-1
+        # vertex on the path is matched to the side-0 vertex after it: it is
+        # not free, and as a way on it fails its mate's on-path test.
         onpath0 = {start}
-        onpath1 = set()
         seq = [start]
         nodes = [start]
         ptrs = [0]
+        clean = [True]  # no on-path rejection in the frame's subtree yet
         found = None
         while ptrs:
             i = nodes[-1]
@@ -334,7 +366,7 @@ def _find_exact_length_paths(elig: _Eligibility, half_len: int) -> list[list[int
             while p < len(cand):
                 j = cand[p]
                 p += 1
-                if used1[j] or j in onpath1:
+                if used1[j]:
                     continue
                 if last:
                     if free1[j]:
@@ -342,14 +374,17 @@ def _find_exact_length_paths(elig: _Eligibility, half_len: int) -> list[list[int
                         break
                     continue
                 i2 = mate1[j]
-                if i2 == UNMATCHED or used0[i2] or i2 in onpath0 or not mtight[i2]:
+                if i2 == UNMATCHED or used0[i2] or not mtight[i2] or dead[hops + 1][i2]:
+                    continue
+                if i2 in onpath0:
+                    clean[-1] = False
                     continue
                 ptrs[-1] = p
-                onpath1.add(j)
                 onpath0.add(i2)
                 seq.extend([j, i2])
                 nodes.append(i2)
                 ptrs.append(0)
+                clean.append(True)
                 advanced = True
                 break
             if found is not None:
@@ -357,11 +392,14 @@ def _find_exact_length_paths(elig: _Eligibility, half_len: int) -> list[list[int
             if not advanced:
                 ptrs.pop()
                 nodes.pop()
+                ok = clean.pop()
+                if ok:
+                    dead[hops][i] = True
+                elif clean:
+                    clean[-1] = False
                 if len(seq) > 1:
                     onpath0.discard(seq.pop())
-                    onpath1.discard(seq.pop())
-                else:
-                    seq.pop()
+                seq.pop()
         if found is not None:
             paths.append(found)
             for t, x in enumerate(found):
@@ -397,7 +435,9 @@ class Backend:
     spawns a child RNG so runs are reproducible call-for-call.  Sampled
     calls are budget-capped and every call's query usage is logged and
     asserted against :func:`backend_query_budget`.  A sampled augmentation
-    call reads each matched edge's tightness at most once.
+    call reads each matched edge's tightness at most once.  An exact
+    augmentation round that succeeds hands its updated eligibility snapshot
+    to the next round of the same Step 1 (see :meth:`augment_eligible`).
     """
 
     def __init__(self, variant: str = "exact", seed: int = 0, epsilon: float = 0.1):
@@ -408,6 +448,9 @@ class Backend:
         self.epsilon = float(epsilon)
         self._seq = np.random.SeedSequence(self.seed)
         self.call_log: list[dict] = []
+        # (phi, returned overlay, cost, _Eligibility) of the last successful
+        # exact augmentation round; matched by identity, never by id()
+        self._snapshot = None
 
     @classmethod
     def exact(cls, seed: int = 0) -> "Backend":
@@ -550,19 +593,32 @@ class Backend:
         (and at least one, so a successful call always makes progress).
         Sampled calls log ``memo_hits``: matched-edge tightness lookups
         served from the call's memo instead of a read.
+
+        Exact calls build one dense eligibility snapshot per Step 1: a
+        round whose phi and cost are the previous successful round's and
+        whose matching is the overlay that round returned continues from
+        that round's snapshot, updated in place along its paths; any other
+        round builds a new one.  At most one snapshot is held at a time.
         """
         n = cost.n
         before = cost.counter.count
         bar = gamma * n / k
         out, memo_hits = None, 0
+        held, self._snapshot = self._snapshot, None
         if not np.any(m_in.mate_of_v0() == UNMATCHED):
             pass  # no free side-0 vertices, hence no augmenting paths
         elif self.variant == "exact":
-            elig = _Eligibility(cost, phi, m_in)
+            if (held is not None and held[0] is phi and held[1] is m_in
+                    and held[2] is cost):
+                elig = held[3]
+            else:
+                elig = _Eligibility(cost, phi, m_in)
             for half_len in range((k + 1) // 2):
                 paths = _find_exact_length_paths(elig, half_len)
                 if len(paths) >= bar and len(paths) >= 1:
                     out = _augment_overlay(m_in, paths)
+                    elig.augment(paths)
+                    self._snapshot = (phi, out, cost, elig)
                     break
         else:
             out, memo_hits = self._sampled_augment(phi, m_in, k, bar, cost, before)

@@ -213,7 +213,6 @@ class _PaddedCost(_AdapterCost):
 class FilteredMatching(MatchingOracle):
     """Unpadded view of a padded matching: any pair touching a dummy is dropped."""
 
-    time_class = "lazy-overlay"
     cache_mates = True
 
     def __init__(self, base: MatchingOracle, n_real: int):

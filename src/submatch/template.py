@@ -229,7 +229,6 @@ class ThresholdedMatching(MatchingOracle):
     matching, so the boundary value is kept.
     """
 
-    time_class = "lazy-overlay"
     cache_mates = True
 
     def __init__(self, base: MatchingOracle, w: float, cost: CostOracle,

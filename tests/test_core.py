@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from submatch.core import (
-    UNMATCHED, ArrayMatching, BipartiteInstance, EligibilityView, EmptyMatching,
+    UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching,
     FreeV0Membership, MaterializedCost, MatrixCost, OverlayMatching, ScaledCost, SetMembership,
-    ThresholdedCostView, ZeroPotential, decode, index, is_eligible,
-    is_one_feasible, read_instance, side, v0, v1, write_instance,
+    ThresholdedCostView, ZeroPotential, decode, index, read_instance, side, v0, v1,
+    write_instance,
 )
 
 
@@ -168,73 +168,3 @@ def test_free_v0_membership():
     assert not mem.contains(v1(1))  # side-1 vertices are never in F0
 
 
-# -- 1-feasibility and eligibility ---------------------------------------------
-
-def _setting(phi0, phi1, cost, pairs):
-    n = len(phi0)
-
-    class _Phi(ZeroPotential):
-        def _eval_missing(self, us):
-            vals = []
-            for u in us:
-                vals.append(phi0[index(u)] if side(u) == 0 else phi1[index(u)])
-            return np.array(vals, dtype=np.int64)
-
-    inst = BipartiteInstance.from_matrix(np.array(cost, dtype=np.float64))
-    phi = _Phi(n, range_bound=2 * n + 1)
-    matching = ArrayMatching.from_pairs(n, pairs)
-    return inst, phi, matching
-
-
-def test_is_one_feasible_examples():
-    # phi == 0, empty matching, c = 1: 0 <= 2
-    inst, phi, m = _setting([0, 0], [0, 0], [[1.0, 1.0], [1.0, 1.0]], [])
-    assert is_one_feasible(v0(0), v1(0), phi, m, inst.cost)
-    # phi(u)=2, phi(v)=1, c=1, non-matched: 3 > 2
-    inst, phi, m = _setting([2, 0], [1, 0], [[1.0, 9.0], [9.0, 9.0]], [])
-    assert not is_one_feasible(v0(0), v1(0), phi, m, inst.cost)
-    # phi(u)=1, phi(v)=1, c=2, matched: equality branch
-    inst, phi, m = _setting([1, 0], [1, 0], [[2.0, 9.0], [9.0, 2.0]], [(0, 0)])
-    assert is_one_feasible(v0(0), v1(0), phi, m, inst.cost)
-
-
-def test_eligibility_examples():
-    # phi(u)=1, phi(v)=0, c=0, non-matched: 1 + 0 == 0 + 1
-    inst, phi, m = _setting([1, 0], [0, 0], [[0.0, 9.0], [9.0, 9.0]], [])
-    view = EligibilityView(inst.cost, phi, m)
-    assert is_eligible(v0(0), v1(0), view)
-    # matched edge tight at c: eligible in eligibility mode, not forward
-    inst, phi, m = _setting([1, 0], [0, 0], [[1.0, 9.0], [9.0, 9.0]], [(0, 0)])
-    assert is_eligible(v0(0), v1(0), EligibilityView(inst.cost, phi, m))
-    assert not is_eligible(v0(0), v1(0),
-                           EligibilityView(inst.cost, phi, m, mode="forward"))
-    # phi == 0, c = 5: 0 != 6
-    inst, phi, m = _setting([0, 0], [0, 0], [[5.0, 5.0], [5.0, 5.0]], [])
-    assert not is_eligible(v0(0), v1(0), EligibilityView(inst.cost, phi, m))
-
-
-def test_eligibility_needs_opposite_sides():
-    inst, phi, m = _setting([0], [0], [[1.0]], [])
-    view = EligibilityView(inst.cost, phi, m)
-    with pytest.raises(ValueError):
-        view.eligible(v0(0), v0(0))
-
-
-def test_matched_eligible_edges_are_one_feasible():
-    rng = np.random.default_rng(7)
-    n = 6
-    cost = rng.integers(1, 5, size=(n, n)).astype(float)
-    pairs = [(i, (i + 1) % n) for i in range(4)]
-    phi0 = rng.integers(-2, 3, n)
-    phi1 = np.array([int(cost[i, j] - phi0[i]) for i, j in pairs] + [0, 0])
-    perm = np.empty(n, dtype=int)
-    for i, j in pairs:
-        perm[j] = phi1[pairs.index((i, j))]
-    phi1_full = np.zeros(n, dtype=int)
-    for t, (i, j) in enumerate(pairs):
-        phi1_full[j] = phi1[t]
-    inst, phi, m = _setting(list(phi0), list(phi1_full), cost, pairs)
-    view = EligibilityView(inst.cost, phi, m)
-    for i, j in pairs:
-        assert is_eligible(v0(i), v1(j), view)  # tight by construction
-        assert is_one_feasible(v0(i), v1(j), phi, m, inst.cost)

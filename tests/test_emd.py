@@ -139,6 +139,33 @@ def test_metric_range_validation():
         DiscreteDistribution([0.7, 0.7], np.zeros((2, 2)))
 
 
+def test_nan_or_infinite_mass_is_rejected_at_construction():
+    table = np.zeros((3, 3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"mass 1 is {bad}"):
+            DiscreteDistribution([0.5, bad, 0.5], table)
+
+
+def test_nan_metric_entry_is_rejected_at_construction():
+    m = 20
+    masses = np.full(m, 1.0 / m)
+    table = np.random.default_rng(0).random((m, m))
+    table[3, 5] = np.nan
+    with pytest.raises(ValueError, match=r"entry \(3, 5\) is nan"):
+        DiscreteDistribution(masses, table)
+    table[3, 5] = np.inf
+    with pytest.raises(ValueError, match=r"entry \(3, 5\) is inf"):
+        DiscreteDistribution(masses, table)
+
+
+def test_stream_source_rejects_nan_metric_entry(tmp_path):
+    ids = tmp_path / "draws.txt"
+    ids.write_text("0\n1\n")
+    table = np.array([[0.0, 1.0], [np.nan, 0.0]])
+    with pytest.raises(ValueError, match=r"entry \(1, 0\) is nan"):
+        StreamSource(ids, table, support_bound=2)
+
+
 def test_stream_source_reads_and_exhausts(tmp_path):
     ids = tmp_path / "draws.txt"
     ids.write_text("\n".join(["0", "1", "0", "1", "1"]))

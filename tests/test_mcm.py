@@ -466,24 +466,140 @@ def test_hopcroft_karp_lists_equal_numpy_reference(shape, density):
         assert m0.dtype == m1.dtype == np.int64
 
 
+def _random_state(rng):
+    """Costs, potential and matching of a random (not 1-feasible) state."""
+    n = int(rng.integers(6, 40))
+    costs = rng.integers(1, 4, (n, n)).astype(float)
+    phi = FixedPotential(rng.integers(0, 4, n), rng.integers(0, 2, n))
+    perm = rng.permutation(n)
+    keep = rng.random(n) < rng.uniform(0.2, 0.9)
+    matching = ArrayMatching.from_pairs(n, [(i, int(perm[i])) for i in range(n) if keep[i]])
+    return BipartiteInstance.from_matrix(costs).cost, phi, matching
+
+
+def _cycle_state(rng):
+    """A random state with planted eligible alternating cycles.
+
+    Each gadget has a free start s, matched pairs (y, jy), (x, jx), (z, jz),
+    a free jf and the non-matched eligible edges s-jy, s-jz (jy < jz),
+    y-jx, y-jf, x-jy and z-jx, so y-jx-x-jy-y is a cycle.  With half_len 3
+    the DFS first reaches x at depth 3 through s, jy, y; x's one way on
+    leads back to y on the path, so x fails there.  Through s, jz, z it
+    reaches x at depth 3 again and finds s jz z jx x jy y jf.  Returns the
+    state and the path each gadget must yield.
+    """
+    cost, phi, matching = _random_state(rng)
+    g = int(rng.integers(1, 4))
+    n = cost.n + 4 * g
+    side0 = rng.permutation(n)[:4 * g].reshape(g, 4)
+    side1 = rng.permutation(n)[:4 * g].reshape(g, 4)
+    in0 = np.isin(np.arange(n), side0)
+    in1 = np.isin(np.arange(n), side1)
+    # the random state on the other vertices; gadget rows and columns get
+    # potentials 2 and 0 and cost 9 (neither eligible nor tight) by default
+    phi0, phi1 = np.full(n, 2), np.zeros(n, dtype=int)
+    phi0[~in0] = phi.p0
+    phi1[~in1] = phi.p1
+    costs = np.full((n, n), 9.0)
+    costs[np.ix_(~in0, ~in1)] = cost.peek_dense()
+    r0, r1 = np.nonzero(~in0)[0], np.nonzero(~in1)[0]
+    pairs = [(int(r0[i]), int(r1[j])) for i, j in matching.edges()]
+    planted = []
+    for (s, y, x, z), cols in zip(side0, side1):
+        jy, jz = sorted(cols[[0, 2]])
+        jx, jf = cols[1], cols[3]
+        pairs += [(y, jy), (x, jx), (z, jz)]
+        for i, j in [(y, jy), (x, jx), (z, jz)]:
+            costs[i, j] = 2.0  # tight at c
+        for i, j in [(s, jy), (s, jz), (y, jx), (y, jf), (x, jy), (z, jx)]:
+            costs[i, j] = 1.0  # eligible at c + 1
+        planted.append([int(v) for v in (s, jz, z, jx, x, jy, y, jf)])
+    state = (BipartiteInstance.from_matrix(costs).cost, FixedPotential(phi0, phi1),
+             ArrayMatching.from_pairs(n, pairs))
+    return state, planted
+
+
 def test_exact_length_paths_lists_equal_numpy_reference():
     from submatch.mcm import _Eligibility, _find_exact_length_paths
     rng = np.random.default_rng(4)
     lengths = []
     for trial in range(60):
-        n = int(rng.integers(6, 40))
-        costs = rng.integers(1, 4, (n, n)).astype(float)
-        phi = FixedPotential(rng.integers(0, 4, n), rng.integers(0, 2, n))
-        perm = rng.permutation(n)
-        keep = rng.random(n) < rng.uniform(0.2, 0.9)
-        matching = ArrayMatching.from_pairs(n, [(i, int(perm[i])) for i in range(n) if keep[i]])
-        elig = _Eligibility(BipartiteInstance.from_matrix(costs).cost, phi, matching)
+        elig = _Eligibility(*_random_state(rng))
         for half_len in (1, 2, 3):
             got = _find_exact_length_paths(elig, half_len)
             assert got == _reference_exact_length_paths(elig, half_len)
             lengths += [len(path) for path in got]
     # the random states hold many augmenting paths of every tested length
     assert all(lengths.count(2 * h + 2) >= 10 for h in (1, 2, 3))
+    # an on-path rejection makes a vertex fail from one prefix and succeed
+    # from another: the dead-end memo must not record such a failure
+    for trial in range(20):
+        state, planted = _cycle_state(rng)
+        elig = _Eligibility(*state)
+        for half_len in (1, 2, 3):
+            got = _find_exact_length_paths(elig, half_len)
+            assert got == _reference_exact_length_paths(elig, half_len)
+        assert all(path in got for path in planted)
+
+
+def test_eligibility_augment_equals_rebuild():
+    from submatch.mcm import _augment_overlay, _Eligibility, _find_exact_length_paths
+    rng = np.random.default_rng(12)
+    rounds = with_adj = 0
+    for trial in range(40):
+        cost, phi, matching = _random_state(rng)
+        mates = (matching._mate0.copy(), matching._mate1.copy())
+        elig = _Eligibility(cost, phi, matching)
+        m = matching
+        for _ in range(10):
+            for half_len in rng.permutation(3):
+                paths = _find_exact_length_paths(elig, int(half_len))
+                if paths:
+                    break
+            if not paths:
+                break
+            paths = paths[:int(rng.integers(1, len(paths) + 1))]  # any subset will do
+            with_adj += elig._adj is not None
+            m = _augment_overlay(m, paths)
+            elig.augment(paths)
+            fresh = _Eligibility(cost, phi, m)
+            assert np.array_equal(elig.nonmatched, fresh.nonmatched)
+            assert np.array_equal(elig.matched_tight, fresh.matched_tight)
+            assert np.array_equal(elig.mate0, fresh.mate0)
+            assert np.array_equal(elig.mate1, fresh.mate1)
+            assert elig.adj == fresh.adj
+            rounds += 1
+        # the snapshot owns its mate arrays; the oracle's stay as they were
+        assert np.array_equal(matching._mate0, mates[0])
+        assert np.array_equal(matching._mate1, mates[1])
+    # many rounds, some with the adjacency lists already built and some not
+    assert rounds >= 100 and 50 <= with_adj <= rounds - 10
+
+
+def test_exact_step1_builds_one_snapshot(monkeypatch):
+    from submatch import mcm, template
+    from submatch.generators import uniform_instance
+    from submatch.pipeline import ReductionConfig, estimate_min_weight_matching
+    built, started = [], []
+    init, step1 = mcm._Eligibility.__init__, template.step1
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counting_step1(phi_in, m_in, *args):
+        started.append(bool(np.any(m_in.mate_of_v0() == UNMATCHED)))
+        return step1(phi_in, m_in, *args)
+
+    monkeypatch.setattr(mcm._Eligibility, "__init__", counting_init)
+    monkeypatch.setattr(template, "step1", counting_step1)
+    backend = Backend.exact(seed=3)
+    res = estimate_min_weight_matching(uniform_instance(200, 3),
+                                       ReductionConfig(0.85, 1.0, 0.1), backend, seed=3)
+    assert res.estimate == 5.0427474186475445  # the pinned answer
+    calls = sum(rec["op"] == "augment_eligible" for rec in backend.call_log)
+    assert len(built) == sum(started) < calls
+    assert backend._snapshot is None  # the last round of a Step 1 fails
 
 
 def _reference_drop_matched(mask, rows, cols, mate0):
