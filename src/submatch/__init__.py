@@ -5,7 +5,7 @@ from .core import (
     BipartiteInstance, CostOracle, MatchingOracle, PotentialOracle,
     MembershipOracle, read_instance, write_instance,
 )
-from .mcm import Backend, SubroutineParams, backend_query_budget
+from .mcm import Backend, backend_query_budget
 from .template import TemplateParams, run_template
 from .pipeline import (
     ReductionConfig, estimate_min_weight_matching, max_matching_under_budget,
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BipartiteInstance", "CostOracle", "MatchingOracle", "PotentialOracle",
     "MembershipOracle", "read_instance", "write_instance",
-    "Backend", "SubroutineParams", "backend_query_budget",
+    "Backend", "backend_query_budget",
     "TemplateParams", "run_template",
     "ReductionConfig", "estimate_min_weight_matching", "max_matching_under_budget",
     "DiscreteDistribution", "estimate_emd", "sample_complexity",

@@ -6,6 +6,8 @@ root), matching oracles (``mate`` queries), potential oracles (integer
 dual values with a declared range bound) and membership oracles (vertex
 set predicates).  Oracles are immutable after construction; derived
 oracles hold references to the oracles they are built from, never copies.
+Because answers never change, every layered oracle keeps them in a
+:class:`_Memo` and computes each vertex at most once.
 
 Vertices carry a side bit: the V0 vertex with index ``i`` is encoded as
 ``2*i`` and the V1 vertex with index ``j`` as ``2*j + 1``.
@@ -26,7 +28,7 @@ __all__ = [
     "BipartiteInstance", "write_instance", "read_instance", "query_count",
     "MatchingOracle", "EmptyMatching", "ArrayMatching", "OverlayMatching",
     "PotentialOracle", "ZeroPotential",
-    "MembershipOracle", "SetMembership", "FreeV0Membership",
+    "MembershipOracle", "SetMembership",
 ]
 
 UNMATCHED = -1  # array encoding of "no mate"
@@ -386,6 +388,29 @@ def read_instance(path) -> BipartiteInstance:
 # Matching oracles
 # ---------------------------------------------------------------------------
 
+class _Memo:
+    """Per-vertex answers of one oracle, each computed at most once.
+
+    Oracles are immutable, so an answer never goes stale.  Every memoized
+    oracle query is ``get(us, compute)``: ``compute`` sees only the
+    distinct ids not answered before, and each id reaches it once.
+    """
+
+    __slots__ = ("_vals", "_have")
+
+    def __init__(self, n: int, dtype):
+        self._vals = np.zeros(2 * n, dtype=dtype)
+        self._have = np.zeros(2 * n, dtype=bool)
+
+    def get(self, us: np.ndarray, compute: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        missing = us[~self._have[us]]
+        if len(missing):
+            missing = np.unique(missing)
+            self._vals[missing] = compute(missing)
+            self._have[missing] = True
+        return self._vals[us]
+
+
 class MatchingOracle:
     """Implicit matching answering ``mate(u) -> v or None`` on global ids.
 
@@ -393,20 +418,19 @@ class MatchingOracle:
     symmetry ``mate(mate(u)) == u``, bipartiteness (mates live on the
     opposite side) and determinism.
 
-    Oracles are immutable, so layered implementations (overlays, filters,
-    thresholds) memoize their answers; without the memo a query would walk
-    the whole layer chain every time.
+    Layered implementations (overlays, filters, thresholds) set
+    ``cache_mates`` and keep their answers in a :class:`_Memo`, the same
+    memo potential and membership oracles use; without it a query would
+    walk the whole layer chain every time.  Array-backed matchings answer
+    directly.
     """
 
     #: layered subclasses set this to memoize resolved mates
     cache_mates = False
 
-    def __init__(self, n: int, size_hint: int | None = None):
+    def __init__(self, n: int):
         self.n = int(n)
-        self.size_hint = size_hint
-        if self.cache_mates:
-            self._mcache = np.zeros(2 * self.n, dtype=np.int64)
-            self._mhave = np.zeros(2 * self.n, dtype=bool)
+        self._memo = _Memo(self.n, np.int64) if self.cache_mates else None
 
     def _mates_impl(self, us: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -414,14 +438,9 @@ class MatchingOracle:
     def mates(self, us) -> np.ndarray:
         """Vectorized mate query; UNMATCHED encodes "no mate"."""
         us = np.asarray(us, dtype=np.int64)
-        if not self.cache_mates:
+        if self._memo is None:
             return self._mates_impl(us)
-        missing = us[~self._mhave[us]]
-        if len(missing):
-            missing = np.unique(missing)
-            self._mcache[missing] = self._mates_impl(missing)
-            self._mhave[missing] = True
-        return self._mcache[us]
+        return self._memo.get(us, self._mates_impl)
 
     def mate(self, u: int):
         m = int(self.mates(np.array([u], dtype=np.int64))[0])
@@ -447,9 +466,6 @@ class MatchingOracle:
 
 
 class EmptyMatching(MatchingOracle):
-    def __init__(self, n: int):
-        super().__init__(n, size_hint=0)
-
     def _mates_impl(self, us):
         return np.full(len(us), UNMATCHED, dtype=np.int64)
 
@@ -462,7 +478,7 @@ class ArrayMatching(MatchingOracle):
         mate1 = np.asarray(mate1, dtype=np.int64)
         if len(mate0) != len(mate1):
             raise ValueError("side arrays must have equal length")
-        super().__init__(len(mate0), size_hint=int(np.count_nonzero(mate0 >= 0)))
+        super().__init__(len(mate0))
         self._mate0 = mate0
         self._mate1 = mate1
 
@@ -503,10 +519,6 @@ class OverlayMatching(MatchingOracle):
         order = np.argsort(keys)
         self._keys = keys[order]
         self._vals = np.fromiter(changed.values(), dtype=np.int64, count=len(changed))[order]
-        base_hint = base.size_hint if base.size_hint is not None else base.size()
-        gained = sum(1 for u, m in changed.items() if m != UNMATCHED)
-        lost = sum(1 for u, m in changed.items() if m == UNMATCHED)
-        self.size_hint = base_hint + (gained - lost) // 2
 
     def _mates_impl(self, us):
         out = self.base.mates(us)
@@ -525,28 +537,22 @@ class PotentialOracle:
     """Integer dual potential with a declared range bound.
 
     ``range_bound`` is an upper bound on the number of distinct values the
-    oracle may take.  Evaluations are cached: the oracle DAG built across
-    template iterations is immutable, so the cache is sound and keeps the
-    layered evaluation cost linear instead of exponential in depth.
+    oracle may take.  Evaluations go through a :class:`_Memo`: the oracle
+    DAG built across template iterations is immutable, so the memo is sound
+    and keeps the layered evaluation cost linear instead of exponential in
+    depth.
     """
 
     def __init__(self, n: int, range_bound: int):
         self.n = int(n)
         self.range_bound = int(range_bound)
-        self._cache = np.zeros(2 * n, dtype=np.int64)
-        self._have = np.zeros(2 * n, dtype=bool)
+        self._memo = _Memo(self.n, np.int64)
 
     def _eval_missing(self, us: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def eval_many(self, us) -> np.ndarray:
-        us = np.asarray(us, dtype=np.int64)
-        missing = us[~self._have[us]]
-        if len(missing):
-            missing = np.unique(missing)
-            self._cache[missing] = self._eval_missing(missing)
-            self._have[missing] = True
-        return self._cache[us]
+        return self._memo.get(np.asarray(us, dtype=np.int64), self._eval_missing)
 
     def eval(self, u: int) -> int:
         return int(self.eval_many(np.array([u], dtype=np.int64))[0])
@@ -567,24 +573,17 @@ class ZeroPotential(PotentialOracle):
 
 
 class MembershipOracle:
-    """Deterministic vertex-set predicate on global ids (cached)."""
+    """Deterministic vertex-set predicate on global ids (memoized)."""
 
     def __init__(self, n: int):
         self.n = int(n)
-        self._cache = np.zeros(2 * n, dtype=bool)
-        self._have = np.zeros(2 * n, dtype=bool)
+        self._memo = _Memo(self.n, bool)
 
     def _contains_missing(self, us: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def contains_many(self, us) -> np.ndarray:
-        us = np.asarray(us, dtype=np.int64)
-        missing = us[~self._have[us]]
-        if len(missing):
-            missing = np.unique(missing)
-            self._cache[missing] = self._contains_missing(missing)
-            self._have[missing] = True
-        return self._cache[us]
+        return self._memo.get(np.asarray(us, dtype=np.int64), self._contains_missing)
 
     def contains(self, u: int) -> bool:
         return bool(self.contains_many(np.array([u], dtype=np.int64))[0])
@@ -597,18 +596,3 @@ class SetMembership(MembershipOracle):
 
     def _contains_missing(self, us):
         return np.fromiter((u in self._members for u in us), dtype=bool, count=len(us))
-
-
-class FreeV0Membership(MembershipOracle):
-    """The set F0 of matching-free side-0 vertices."""
-
-    def __init__(self, matching: MatchingOracle):
-        super().__init__(matching.n)
-        self.matching = matching
-
-    def _contains_missing(self, us):
-        is0 = (us & 1) == 0
-        out = np.zeros(len(us), dtype=bool)
-        if is0.any():
-            out[is0] = self.matching.mates(us[is0]) == UNMATCHED
-        return out

@@ -63,9 +63,11 @@ class DistributionSource:
 
 
 def _metric_table(metric_table) -> np.ndarray:
-    """The table as float64, or ValueError naming its first value outside
-    [0, 1] (NaN included: it fails both comparisons)."""
+    """The table as float64, or ValueError if it is not square or names its
+    first value outside [0, 1] (NaN included: it fails both comparisons)."""
     table = np.asarray(metric_table, dtype=np.float64)
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise ValueError(f"metric table must be square, not of shape {table.shape}")
     bad = np.argwhere(~((table >= 0) & (table <= 1)))
     if len(bad):
         at = tuple(int(x) for x in bad[0])
@@ -85,6 +87,9 @@ class DiscreteDistribution(DistributionSource):
         if abs(masses.sum() - 1.0) > 1e-9:
             raise ValueError(f"masses must sum to 1, not {masses.sum()}")
         table = _metric_table(metric_table)
+        if len(table) != len(masses):
+            raise ValueError(f"metric table has {len(table)} rows for {len(masses)} "
+                             "masses; it needs one row per mass")
         super().__init__(support_bound=int(np.count_nonzero(masses)))
         self.masses = masses
         self.table = table
@@ -104,8 +109,9 @@ class StreamSource(DistributionSource):
     """Draws read sequentially from a file of point ids.
 
     The id file holds one integer per line; the metric is a cost-matrix
-    file in the standard instance format.  Exhausting the file raises,
-    and the failure propagates to the caller.
+    file in the standard instance format.  An id outside the table is
+    rejected at construction.  Exhausting the file raises, and the failure
+    propagates to the caller.
     """
 
     def __init__(self, ids_path, metric_table, support_bound: int):
@@ -113,6 +119,10 @@ class StreamSource(DistributionSource):
         self._ids = np.loadtxt(Path(ids_path), dtype=np.int64, ndmin=1)
         self._pos = 0
         self.table = _metric_table(metric_table)
+        bad = np.nonzero((self._ids < 0) | (self._ids >= len(self.table)))[0]
+        if len(bad):
+            raise ValueError(f"point ids must lie in [0, {len(self.table)}); "
+                             f"draw {int(bad[0])} of the stream is {int(self._ids[bad[0]])}")
 
     def draw_many(self, rng, size):
         if self._pos + size > len(self._ids):

@@ -16,7 +16,6 @@ query budget and exists to demonstrate empirical sublinearity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,29 +25,9 @@ from .core import (
 )
 
 __all__ = [
-    "SubroutineParams", "Backend", "backend_query_budget", "delta_out",
+    "Backend", "backend_query_budget", "delta_out",
     "delta_out_forward", "GraphView", "MaskView", "ThresholdView",
 ]
-
-
-@dataclass(frozen=True)
-class SubroutineParams:
-    """Knobs shared by the matching subroutines."""
-
-    epsilon: float = 0.1   # query/time knob, (0, 0.2]
-    delta_in: float = 0.1  # matching-density threshold
-    gamma: float = 0.1
-    k: int = 3             # odd-path length bound
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon <= 0.2:
-            raise ValueError("epsilon must be in (0, 0.2]")
-        if not 0.0 < self.delta_in < 1.0:
-            raise ValueError("delta_in must be in (0, 1)")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
 
 def delta_out(delta_in: float) -> float:
@@ -61,19 +40,21 @@ def delta_out_forward(delta_in: float, range_bound: int) -> float:
     return delta_in ** 5 / (2000.0 * range_bound ** 10)
 
 
-def backend_query_budget(params: SubroutineParams, n: int, variant: str = "sampled") -> int:
+def backend_query_budget(epsilon: float, n: int, variant: str = "sampled") -> int:
     """Maximum cost/edge queries one subroutine call may spend.
 
-    The exact backend's cap is the full matrix, n^2.  Its calls read a
-    matrix that :meth:`Backend.prepare_cost` materialized once per
-    estimate, so in practice they log zero reads.  The sampled backend is
-    capped at O(n^(2-eps) log n) and the cap is asserted per call.
+    ``epsilon`` is the backend's query knob; :meth:`Backend.query_budget`
+    passes its own, clamped to 0.2.  The exact backend's cap is the full
+    matrix, n^2.  Its calls read a matrix that :meth:`Backend.prepare_cost`
+    materialized once per estimate, so in practice they log zero reads.
+    The sampled backend is capped at 4 n^(2-epsilon) ln n and the cap is
+    asserted per call.
     """
     if n <= 0:
         return 0
     if variant == "exact":
         return n * n
-    return math.ceil(4.0 * n ** (2.0 - params.epsilon) * math.log(max(n, 2)))
+    return math.ceil(4.0 * n ** (2.0 - epsilon) * math.log(max(n, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +415,10 @@ class Backend:
     All randomness of the sampled backend derives from the seed; each call
     spawns a child RNG so runs are reproducible call-for-call.  Sampled
     calls are budget-capped and every call's query usage is logged and
-    asserted against :func:`backend_query_budget`.  A sampled augmentation
+    asserted against :func:`backend_query_budget`.  ``epsilon`` is the
+    backend's one query knob: it must be positive, values above 0.2 act as
+    0.2, and it sets every call's budget and probe count, so the
+    subroutines take no epsilon of their own.  A sampled augmentation
     call reads each matched edge's tightness at most once.  An exact
     augmentation round that succeeds hands its updated eligibility snapshot
     to the next round of the same Step 1 (see :meth:`augment_eligible`).
@@ -446,6 +430,8 @@ class Backend:
         self.variant = variant
         self.seed = int(seed)
         self.epsilon = float(epsilon)
+        if not self.epsilon > 0.0:  # NaN fails this test too
+            raise ValueError(f"epsilon must be positive, not {epsilon}")
         self._seq = np.random.SeedSequence(self.seed)
         self.call_log: list[dict] = []
         # (phi, returned overlay, cost, _Eligibility) of the last successful
@@ -476,8 +462,7 @@ class Backend:
         return np.random.default_rng(child)
 
     def query_budget(self, n: int) -> int:
-        params = SubroutineParams(epsilon=min(self.epsilon, 0.2))
-        return backend_query_budget(params, n, self.variant)
+        return backend_query_budget(min(self.epsilon, 0.2), n, self.variant)
 
     def _log(self, op: str, counter, before: int, n: int, **extra):
         used = counter.count - before
@@ -489,7 +474,7 @@ class Backend:
                 f"sampled backend exceeded its query budget in {op}: {used} > {budget}")
 
     # -- approx_match -------------------------------------------------------
-    def approx_match(self, view: GraphView, epsilon: float):
+    def approx_match(self, view: GraphView):
         """Estimate the max-matching size of the view; returns (size, oracle)."""
         before = view.counter.count
         if self.variant == "exact":
@@ -498,13 +483,13 @@ class Backend:
             size, mate0, mate1 = _hopcroft_karp(_mask_to_adj(mask), n, n)
             self._log("approx_match", view.counter, before, n)
             return size, ArrayMatching(mate0, mate1)
-        size, mate0, mate1 = self._sampled_greedy(view, None, epsilon)
+        size, mate0, mate1 = self._sampled_greedy(view, None)
         self._log("approx_match", view.counter, before, view.n)
         return size, ArrayMatching(mate0, mate1)
 
     # -- large_match --------------------------------------------------------
     def large_match(self, view: GraphView, A: MembershipOracle | None,
-                    epsilon: float, delta_in: float):
+                    delta_in: float):
         """Matching oracle inside G[A] of density >= delta_out, or None.
 
         Exact backend: None exactly when mu(G[A]) < delta_in * n.
@@ -523,7 +508,7 @@ class Backend:
             if mu < delta_in * n:
                 return None
             return _global_matching(n, rows, cols, sub_mate0)
-        size, mate0, mate1 = self._sampled_greedy(view, (rows, cols), epsilon)
+        size, mate0, mate1 = self._sampled_greedy(view, (rows, cols))
         self._log("large_match", view.counter, before, n)
         if size >= delta_out(delta_in) * n and size > 0:
             return ArrayMatching(mate0, mate1)
@@ -531,8 +516,8 @@ class Backend:
 
     # -- large_matching_forward ---------------------------------------------
     def large_matching_forward(self, phi: PotentialOracle, A: MembershipOracle | None,
-                               delta_in: float, epsilon: float,
-                               matching: MatchingOracle, cost: CostOracle):
+                               delta_in: float, matching: MatchingOracle,
+                               cost: CostOracle):
         """Large matching in the forward graph restricted to A, or None.
 
         Iterates potential-value pairs (i, j), restricting to
@@ -574,7 +559,7 @@ class Backend:
                     if remaining <= 0:
                         break
                     size, m0, m1 = self._sampled_greedy_subset(
-                        cost, rows, cols, target, mate0, epsilon, remaining)
+                        cost, rows, cols, target, mate0, remaining)
                     if size >= delta_out_forward(delta_in, R) * n and size > 0:
                         result = ArrayMatching(m0, m1)
                         break
@@ -585,7 +570,7 @@ class Backend:
 
     # -- augment_eligible ----------------------------------------------------
     def augment_eligible(self, phi: PotentialOracle, m_in: MatchingOracle,
-                         k: int, gamma: float, epsilon: float, cost: CostOracle):
+                         k: int, gamma: float, cost: CostOracle):
         """Augment along node-disjoint eligible paths of length <= k, or None.
 
         Tries each exact odd length 2k'+1 <= k in turn and succeeds on the
@@ -627,7 +612,7 @@ class Backend:
         return out
 
     # -- sampled internals ---------------------------------------------------
-    def _sampled_greedy(self, view: GraphView, subset, epsilon: float):
+    def _sampled_greedy(self, view: GraphView, subset):
         """Greedy matching from random edge probes plus one length-3
         augmentation pass, all under the per-call budget."""
         n = view.n
@@ -639,28 +624,12 @@ class Backend:
             rows, cols = subset
         budget = self.query_budget(n)
         before = view.counter.count
-        mate0 = np.full(n, -1, dtype=np.int64)
-        mate1 = np.full(n, -1, dtype=np.int64)
+        mate0, mate1 = _probe_greedy(rng, n, rows, cols, view.edge_pairs,
+                                     view.counter, budget, 10)
 
         def remaining():
             return budget - (view.counter.count - before)
 
-        stall = 0
-        while remaining() > len(rows) and stall < 10:
-            free_r = rows[mate0[rows] == -1]
-            if len(free_r) == 0:
-                break
-            batch = min(len(free_r) * 2, max(remaining() // 2, 1), 400_000)
-            is_ = free_r[rng.integers(0, len(free_r), size=batch)]
-            js = cols[rng.integers(0, len(cols), size=batch)]
-            hits = view.edge_pairs(is_, js)
-            progressed = False
-            for i, j in zip(is_[hits], js[hits]):
-                if mate0[i] == -1 and mate1[j] == -1:
-                    mate0[i] = j
-                    mate1[j] = i
-                    progressed = True
-            stall = 0 if progressed else stall + 1
         # one pass of random length-3 augmentations
         free_r = rows[mate0[rows] == -1]
         trials = 0
@@ -689,32 +658,13 @@ class Backend:
         size = int(np.count_nonzero(mate0 >= 0))
         return size, mate0, mate1
 
-    def _sampled_greedy_subset(self, cost, rows, cols, target, base_mate0,
-                               epsilon, sub_budget):
+    def _sampled_greedy_subset(self, cost, rows, cols, target, base_mate0, sub_budget):
         """Greedy matching on a potential bucket under a budget slice."""
-        n = cost.n
-        rng = self._rng()
-        before = cost.counter.count
-        mate0 = np.full(n, -1, dtype=np.int64)
-        mate1 = np.full(n, -1, dtype=np.int64)
-        stall = 0
-        while cost.counter.count - before < sub_budget - len(rows) and stall < 8:
-            free_r = rows[mate0[rows] == -1]
-            if len(free_r) == 0:
-                break
-            room = sub_budget - (cost.counter.count - before)
-            batch = min(len(free_r) * 2, max(room // 2, 1), 400_000)
-            is_ = free_r[rng.integers(0, len(free_r), size=batch)]
-            js = cols[rng.integers(0, len(cols), size=batch)]
-            vals = cost.pairs(is_, js)
-            hits = (vals == target) & (base_mate0[is_] != js)
-            progressed = False
-            for i, j in zip(is_[hits], js[hits]):
-                if mate0[i] == -1 and mate1[j] == -1:
-                    mate0[i] = j
-                    mate1[j] = i
-                    progressed = True
-            stall = 0 if progressed else stall + 1
+        def edges(is_, js):
+            return (cost.pairs(is_, js) == target) & (base_mate0[is_] != js)
+
+        mate0, mate1 = _probe_greedy(self._rng(), cost.n, rows, cols, edges,
+                                     cost.counter, sub_budget, 8)
         return int(np.count_nonzero(mate0 >= 0)), mate0, mate1
 
     def _sampled_augment(self, phi, m_in, k, bar, cost, before):
@@ -812,6 +762,38 @@ class Backend:
             onpath0.add(i2)
             i = i2
         return None
+
+
+def _probe_greedy(rng, n, rows, cols, edges, counter, budget, stall_limit):
+    """Greedy matching on rows x cols from batches of random probes.
+
+    Each batch draws up to 2 probes per free row, ``edges(is_, js)``
+    tests them and every hit whose ends are both still free is matched.
+    Probing stops when no row is free, when the reads counted on
+    ``counter`` since the call began leave ``len(rows)`` or fewer of
+    ``budget``, or after ``stall_limit`` batches in a row that matched
+    nothing.  Returns (mate0, mate1) as length-n index arrays.
+    """
+    before = counter.count
+    mate0 = np.full(n, -1, dtype=np.int64)
+    mate1 = np.full(n, -1, dtype=np.int64)
+    stall = 0
+    while (room := budget - (counter.count - before)) > len(rows) and stall < stall_limit:
+        free_r = rows[mate0[rows] == -1]
+        if len(free_r) == 0:
+            break
+        batch = min(len(free_r) * 2, max(room // 2, 1), 400_000)
+        is_ = free_r[rng.integers(0, len(free_r), size=batch)]
+        js = cols[rng.integers(0, len(cols), size=batch)]
+        hits = edges(is_, js)
+        progressed = False
+        for i, j in zip(is_[hits], js[hits]):
+            if mate0[i] == -1 and mate1[j] == -1:
+                mate0[i] = j
+                mate1[j] = i
+                progressed = True
+        stall = 0 if progressed else stall + 1
+    return mate0, mate1
 
 
 def _drop_matched(mask: np.ndarray, rows: np.ndarray, cols: np.ndarray,

@@ -118,7 +118,7 @@ def find_characteristic_cost(instance: BipartiteInstance, config: ReductionConfi
         nonlocal probes
         probes += 1
         view = ThresholdView(instance.cost, g * float(ladder[idx]))
-        size, _ = backend.approx_match(view, g)
+        size, _ = backend.approx_match(view)
         return size < bar
 
     lo, hi = 0, s - 1

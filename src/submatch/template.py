@@ -12,8 +12,8 @@ extrapolated to the whole matching.
 Nothing here is ever materialized: matchings, potentials and forest
 memberships are oracles layered over the oracles of the previous
 iteration, exactly mirroring the per-iteration recipes of the sublinear
-construction.  Evaluations are cached so the layered evaluation stays
-linear in depth.
+construction.  Every oracle answer is memoized (``core._Memo``) so the
+layered evaluation stays linear in depth.
 """
 
 from __future__ import annotations
@@ -270,8 +270,7 @@ def step1(phi_in: PotentialOracle, m_in: MatchingOracle, params: TemplateParams,
     m = m_in
     rounds = 0
     while True:
-        nxt = backend.augment_eligible(phi_in, m, params.k, params.xi,
-                                       backend.epsilon, cost)
+        nxt = backend.augment_eligible(phi_in, m, params.k, params.xi, cost)
         if nxt is None:
             break
         m = nxt
@@ -295,8 +294,7 @@ def step2(phi_in: PotentialOracle, m_in: MatchingOracle, params: TemplateParams,
     max_layers = params.k // 2
     while layers < max_layers:
         A = StepAMembership(forest)
-        m_t = backend.large_matching_forward(phi_in, A, params.delta,
-                                             backend.epsilon, m_in, cost)
+        m_t = backend.large_matching_forward(phi_in, A, params.delta, m_in, cost)
         if m_t is None:
             break
         grown = ForestMembership(n, "fwd", prev=forest, matching=m_t)
@@ -410,7 +408,6 @@ class TemplateResult:
     alpha_w: float
     states: list[IterationState]
     trace: list[dict] = field(default_factory=list)
-    used_baseline: bool = False
 
 
 def _diagnostics(t, state, cost, instance, params):
@@ -448,12 +445,12 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
     lazy cost adapter used by the estimator, whose output is scaled back,
     so the returned estimate is in the instance's own cost units.
 
-    For degenerate sizes n < 1/gamma the asymptotic machinery is
-    meaningless and the exact baseline answers directly.
+    There is no small-n fallback: the template runs at every size.  The
+    pipeline answers n < 1/gamma with the exact baseline before it gets
+    here (``pipeline._degenerate_estimate``), and the padded instance it
+    hands over is larger still.
     """
     n = instance.n
-    if n < 1.0 / params.gamma:
-        return _degenerate_exact(instance, params)
     cost = backend.prepare_cost(_ValidatingCost(instance.cost, params.C))
     matching: MatchingOracle = EmptyMatching(n)
     phi: PotentialOracle = ZeroPotential(n, params.range_bound)
@@ -482,26 +479,3 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
         w = float(round(w))  # costs are integers; undo rescale float fuzz
     thresholded = ThresholdedMatching(matching, w, cost, alpha_w)
     return TemplateResult(c_hat, thresholded, w, alpha_w, states, trace)
-
-
-def _degenerate_exact(instance: BipartiteInstance, params: TemplateParams) -> TemplateResult:
-    from .baseline import exact_min_weight_k_matching
-    from .core import ArrayMatching
-    n = instance.n
-    dense = instance.cost.dense()
-    size, _, _ = _max_size(dense)
-    res = exact_min_weight_k_matching(dense, size)
-    pairs = [(i, j) for i, j in res.witness if np.isfinite(dense[i, j])]
-    base = ArrayMatching.from_pairs(n, pairs)
-    value = float(sum(dense[i, j] for i, j in pairs))
-    thresholded = ThresholdedMatching(base, float("inf"), instance.cost, 0.0)
-    zero = ZeroPotential(n, params.range_bound)
-    states = [IterationState(0, base, zero)]
-    return TemplateResult(value, thresholded, float("inf"), 0.0, states,
-                          used_baseline=True)
-
-
-def _max_size(dense: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    from .mcm import _hopcroft_karp, _mask_to_adj
-    mask = np.isfinite(dense)
-    return _hopcroft_karp(_mask_to_adj(mask), mask.shape[0], mask.shape[1])

@@ -4,10 +4,11 @@ from hypothesis import given, strategies as st
 
 from submatch.core import (
     UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching,
-    FreeV0Membership, MaterializedCost, MatrixCost, OverlayMatching, ScaledCost, SetMembership,
+    MaterializedCost, MatrixCost, OverlayMatching, ScaledCost, SetMembership,
     ThresholdedCostView, ZeroPotential, decode, index, read_instance, side, v0, v1,
     write_instance,
 )
+from submatch.template import StepAMembership, Step2Potential
 
 
 @given(st.integers(0, 10 ** 9), st.sampled_from([0, 1]))
@@ -160,11 +161,48 @@ def test_zero_potential_and_membership():
     assert not mem.contains(v0(3))
 
 
-def test_free_v0_membership():
-    m = ArrayMatching.from_pairs(3, [(0, 1)])
-    mem = FreeV0Membership(m)
-    assert not mem.contains(v0(0))
-    assert mem.contains(v0(1)) and mem.contains(v0(2))
-    assert not mem.contains(v1(1))  # side-1 vertices are never in F0
+class CountingOverlay(OverlayMatching):
+    seen: list
+
+    def _mates_impl(self, us):
+        self.seen += us.tolist()
+        return super()._mates_impl(us)
+
+
+class CountingStep2Potential(Step2Potential):
+    seen: list
+
+    def _eval_missing(self, us):
+        self.seen += us.tolist()
+        return super()._eval_missing(us)
+
+
+class CountingStepAMembership(StepAMembership):
+    seen: list
+
+    def _contains_missing(self, us):
+        self.seen += us.tolist()
+        return super()._contains_missing(us)
+
+
+def test_layered_oracles_compute_each_vertex_once():
+    n = 6
+    base = ArrayMatching.from_pairs(n, [(0, 0), (1, 1), (2, 3)])
+    members = SetMembership(n, [v0(1), v1(2), v0(5), v1(3)])
+    cases = [
+        (CountingOverlay(base, {v0(4): v1(5), v1(5): v0(4)}), "mates",
+         OverlayMatching._mates_impl),
+        (CountingStep2Potential(ZeroPotential(n), members, 3), "eval_many",
+         Step2Potential._eval_missing),
+        (CountingStepAMembership(members), "contains_many",
+         StepAMembership._contains_missing),
+    ]
+    batches = [[3, 0, 3, 7, 0], [7, 8, 3, 11, 11], [11, 11], list(range(2 * n)), [8, 0]]
+    for oracle, query, hook in cases:
+        oracle.seen = []
+        for batch in batches:
+            us = np.array(batch, dtype=np.int64)
+            assert getattr(oracle, query)(us).tolist() == hook(oracle, us).tolist()
+        assert sorted(oracle.seen) == list(range(2 * n))  # each id once
 
 

@@ -166,6 +166,20 @@ def test_stream_source_rejects_nan_metric_entry(tmp_path):
         StreamSource(ids, table, support_bound=2)
 
 
+def test_table_must_be_square_with_one_row_per_mass():
+    with pytest.raises(ValueError, match="10 rows for 20 masses"):
+        DiscreteDistribution(np.full(20, 1 / 20), np.zeros((10, 10)))
+    with pytest.raises(ValueError, match="must be square"):
+        DiscreteDistribution([0.5, 0.5], np.zeros((2, 3)))
+
+
+def test_stream_source_rejects_ids_outside_the_table(tmp_path):
+    ids = tmp_path / "draws.txt"
+    ids.write_text("\n".join(["0", "1", "2", "-1"]))
+    with pytest.raises(ValueError, match=r"\[0, 2\); draw 2 of the stream is 2"):
+        StreamSource(ids, np.array([[0.0, 1.0], [1.0, 0.0]]), support_bound=2)
+
+
 def test_stream_source_reads_and_exhausts(tmp_path):
     ids = tmp_path / "draws.txt"
     ids.write_text("\n".join(["0", "1", "0", "1", "1"]))

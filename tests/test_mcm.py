@@ -9,7 +9,7 @@ from submatch.core import (
     SetMembership, ZeroPotential, index, side, v0, v1,
 )
 from submatch.mcm import (
-    Backend, MaskView, SubroutineParams, ThresholdView, backend_query_budget,
+    Backend, MaskView, ThresholdView, backend_query_budget,
     delta_out,
 )
 
@@ -46,29 +46,37 @@ def assert_valid_matching(m, n, view=None, members=None):
 # -- budgets -------------------------------------------------------------------
 
 def test_backend_query_budget_examples():
-    p = SubroutineParams(epsilon=0.2)
-    assert backend_query_budget(p, 100, "exact") == 10_000
-    assert backend_query_budget(p, 0, "sampled") == 0
-    assert backend_query_budget(p, 0, "exact") == 0
-    cap = backend_query_budget(SubroutineParams(epsilon=0.2), 10_000, "sampled")
+    assert backend_query_budget(0.2, 100, "exact") == 10_000
+    assert backend_query_budget(0.2, 0, "sampled") == 0
+    assert backend_query_budget(0.2, 0, "exact") == 0
+    cap = backend_query_budget(0.2, 10_000, "sampled")
     assert cap <= 40 * 10_000 ** 1.8 * math.log(10_000)
+
+
+def test_backend_rejects_nonpositive_epsilon_and_clamps_large_ones():
+    for variant in ("exact", "sampled"):
+        for bad in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                Backend(variant, seed=0, epsilon=bad)
+        assert (Backend(variant, epsilon=0.5).query_budget(1000)
+                == backend_query_budget(0.2, 1000, variant))
 
 
 # -- approx_match ---------------------------------------------------------------
 
 def test_approx_match_empty_graph():
-    size, m = Backend.exact().approx_match(MaskView(np.zeros((5, 5), bool)), 0.1)
+    size, m = Backend.exact().approx_match(MaskView(np.zeros((5, 5), bool)))
     assert size == 0 and m.size() == 0
 
 
 def test_approx_match_perfect_matching_graph():
-    size, m = Backend.exact().approx_match(MaskView(np.eye(8, dtype=bool)), 0.1)
+    size, m = Backend.exact().approx_match(MaskView(np.eye(8, dtype=bool)))
     assert size == 8
     assert_valid_matching(m, 8, MaskView(np.eye(8, dtype=bool)))
 
 
 def test_approx_match_complete_graph():
-    size, _ = Backend.exact().approx_match(MaskView(np.ones((5, 5), bool)), 0.2)
+    size, _ = Backend.exact().approx_match(MaskView(np.ones((5, 5), bool)))
     assert size == 5
 
 
@@ -77,7 +85,7 @@ def test_approx_match_exact_equals_hopcroft_karp_oracle():
     for _ in range(15):
         n = int(rng.integers(2, 24))
         mask = rng.random((n, n)) < 0.3
-        size, m = Backend.exact().approx_match(MaskView(mask), 0.1)
+        size, m = Backend.exact().approx_match(MaskView(mask))
         edges = [(i, j) for i in range(n) for j in range(n) if mask[i, j]]
         ref, _, _ = baseline.max_bipartite_matching(n, n, edges)
         assert size == ref
@@ -90,14 +98,14 @@ def test_approx_match_exact_equals_hopcroft_karp_oracle():
 def test_large_match_bottom_cases():
     b = Backend.exact()
     empty_graph = MaskView(np.zeros((6, 6), bool))
-    assert b.large_match(empty_graph, None, 0.1, 0.1) is None
+    assert b.large_match(empty_graph, None, 0.1) is None
     full = MaskView(np.ones((6, 6), bool))
-    assert b.large_match(full, SetMembership(6, []), 0.1, 0.1) is None
+    assert b.large_match(full, SetMembership(6, []), 0.1) is None
 
 
 def test_large_match_perfect_subgraph():
     n = 20
-    m = Backend.exact().large_match(MaskView(np.eye(n, dtype=bool)), None, 0.1, 0.5)
+    m = Backend.exact().large_match(MaskView(np.eye(n, dtype=bool)), None, 0.5)
     assert m is not None
     assert m.size() == n  # exact backend returns the full matching
     assert m.size() >= delta_out(0.5) * n
@@ -114,7 +122,7 @@ def test_large_match_exact_completeness():
         members = SetMembership(n, [v0(i) for i in np.nonzero(a0)[0]]
                                 + [v1(j) for j in np.nonzero(a1)[0]])
         delta_in = float(rng.uniform(0.05, 0.6))
-        got = Backend.exact().large_match(MaskView(mask), members, 0.1, delta_in)
+        got = Backend.exact().large_match(MaskView(mask), members, delta_in)
         edges = [(i, j) for i in range(n) for j in range(n)
                  if mask[i, j] and a0[i] and a1[j]]
         mu = baseline.max_bipartite_matching(n, n, edges)[0]
@@ -133,7 +141,7 @@ def test_forward_bottom_when_no_tight_edges():
     inst = BipartiteInstance.from_matrix(np.full((n, n), 5.0))
     phi = FixedPotential(np.zeros(n), np.zeros(n))
     got = Backend.exact().large_matching_forward(
-        phi, None, 0.3, 0.1, EmptyMatching(n), inst.cost)
+        phi, None, 0.3, EmptyMatching(n), inst.cost)
     assert got is None
 
 
@@ -142,7 +150,7 @@ def test_forward_all_tight_returns_full_matching():
     inst = BipartiteInstance.from_matrix(np.zeros((n, n)))
     phi = FixedPotential(np.ones(n), np.zeros(n), range_bound=3)
     got = Backend.exact().large_matching_forward(
-        phi, None, 0.3, 0.1, EmptyMatching(n), inst.cost)
+        phi, None, 0.3, EmptyMatching(n), inst.cost)
     assert got is not None
     assert got.size() == n
     bar = 0.3 ** 5 / (2000 * 3 ** 10) * n
@@ -155,7 +163,7 @@ def test_forward_bottom_when_one_side_missing():
     phi = FixedPotential(np.ones(n), np.zeros(n))
     only_v0 = SetMembership(n, [v0(i) for i in range(n)])
     got = Backend.exact().large_matching_forward(
-        phi, only_v0, 0.3, 0.1, EmptyMatching(n), inst.cost)
+        phi, only_v0, 0.3, EmptyMatching(n), inst.cost)
     assert got is None
 
 
@@ -167,7 +175,7 @@ def test_forward_excludes_matched_edges():
     phi = FixedPotential([2, 2, 2, 2], [0, 0, 0, 0])
     matching = ArrayMatching.from_pairs(n, [(i, i) for i in range(n)])
     got = Backend.exact().large_matching_forward(
-        phi, None, 0.2, 0.1, matching, inst.cost)
+        phi, None, 0.2, matching, inst.cost)
     assert got is None
 
 
@@ -178,7 +186,7 @@ def test_augment_bottom_when_matching_perfect():
     inst = BipartiteInstance.from_matrix(np.ones((n, n)))
     matching = ArrayMatching.from_pairs(n, [(i, i) for i in range(n)])
     phi = FixedPotential(np.ones(n), np.zeros(n))
-    got = Backend.exact().augment_eligible(phi, matching, 3, 0.3, 0.1, inst.cost)
+    got = Backend.exact().augment_eligible(phi, matching, 3, 0.3, inst.cost)
     assert got is None
 
 
@@ -187,7 +195,7 @@ def test_augment_matches_all_free_edges():
     n = 10
     inst = BipartiteInstance.from_matrix(np.ones((n, n)))
     phi = FixedPotential(np.full(n, 2), np.zeros(n))
-    got = Backend.exact().augment_eligible(phi, EmptyMatching(n), 1, 0.3, 0.1, inst.cost)
+    got = Backend.exact().augment_eligible(phi, EmptyMatching(n), 1, 0.3, inst.cost)
     assert got is not None
     assert len(got.augmenting_paths) >= 3
     assert got.size() == n  # maximal set of length-1 paths on a complete graph
@@ -200,7 +208,7 @@ def test_augment_bottom_when_below_bar():
     costs[0, 0] = 1.0
     inst = BipartiteInstance.from_matrix(costs)
     phi = FixedPotential(np.full(n, 2), np.zeros(n))
-    got = Backend.exact().augment_eligible(phi, EmptyMatching(n), 1, 0.5, 0.1, inst.cost)
+    got = Backend.exact().augment_eligible(phi, EmptyMatching(n), 1, 0.5, inst.cost)
     assert got is None
 
 
@@ -215,7 +223,7 @@ def test_augment_length_three_path():
     inst = BipartiteInstance.from_matrix(costs)
     phi = FixedPotential([2, 2, 0, 0], [0, 0, 0, 0])
     matching = ArrayMatching.from_pairs(n, [(1, 1)])
-    got = Backend.exact().augment_eligible(phi, matching, 3, 0.2, 0.1, inst.cost)
+    got = Backend.exact().augment_eligible(phi, matching, 3, 0.2, inst.cost)
     assert got is not None
     assert got.augmenting_paths == [[0, 1, 1, 2]]
     assert got.mate(v0(0)) == v1(1)
@@ -243,7 +251,7 @@ def test_augment_output_is_symmetric_difference_of_disjoint_paths():
         matching = ArrayMatching.from_pairs(n, pairs)
         phi = FixedPotential(phi0, phi1)
         k = 5
-        got = Backend.exact().augment_eligible(phi, matching, k, 0.05, 0.1, inst2.cost)
+        got = Backend.exact().augment_eligible(phi, matching, k, 0.05, inst2.cost)
         if got is None:
             continue
         # the symmetric difference must decompose into the reported paths
@@ -273,7 +281,7 @@ def test_sampled_backend_respects_budget_and_returns_valid_matchings():
     mask = rng.random((n, n)) < 0.5
     view = MaskView(mask)
     b = Backend.sampled(seed=7, epsilon=0.2)
-    size, m = b.approx_match(view, 0.2)
+    size, m = b.approx_match(view)
     assert_valid_matching(m, n, MaskView(mask))
     assert size == m.size()
     for rec in b.call_log:
@@ -284,7 +292,7 @@ def test_sampled_large_match_finds_dense_matching():
     n = 64
     view = MaskView(np.ones((n, n), bool))
     b = Backend.sampled(seed=1, epsilon=0.1)
-    m = b.large_match(view, None, 0.1, 0.5)
+    m = b.large_match(view, None, 0.5)
     assert m is not None
     assert m.size() >= delta_out(0.5) * n
     assert_valid_matching(m, n, MaskView(np.ones((n, n), bool)))
@@ -295,7 +303,7 @@ def test_sampled_augment_valid_and_budgeted():
     inst = BipartiteInstance.from_matrix(np.ones((n, n)))
     phi = FixedPotential(np.full(n, 2), np.zeros(n))
     b = Backend.sampled(seed=2, epsilon=0.1)
-    got = b.augment_eligible(phi, EmptyMatching(n), 3, 0.1, 0.1, inst.cost)
+    got = b.augment_eligible(phi, EmptyMatching(n), 3, 0.1, inst.cost)
     assert got is not None
     assert got.size() >= 1
     m0 = got.mate_of_v0()
@@ -311,7 +319,7 @@ def test_sampled_reproducible():
     runs = []
     for _ in range(2):
         b = Backend.sampled(seed=11, epsilon=0.15)
-        size, m = b.approx_match(MaskView(mask), 0.15)
+        size, m = b.approx_match(MaskView(mask))
         runs.append((size, tuple(m.mate_of_v0())))
     assert runs[0] == runs[1]
 
@@ -736,7 +744,7 @@ def _reference_sample_one_path(self, start, half_len, used0, used1, mate1,
     return None
 
 
-def _reference_sampled_greedy(self, view, subset, epsilon):
+def _reference_sampled_greedy(self, view, subset):
     """The rng.choice version of Backend._sampled_greedy, kept verbatim."""
     n = view.n
     rng = self._rng()
@@ -798,7 +806,7 @@ def _reference_sampled_greedy(self, view, subset, epsilon):
 
 
 def _reference_sampled_greedy_subset(self, cost, rows, cols, target, base_mate0,
-                                     epsilon, sub_budget):
+                                     sub_budget):
     """The rng.choice version of Backend._sampled_greedy_subset, kept verbatim."""
     n = cost.n
     rng = self._rng()
@@ -865,7 +873,7 @@ def test_sampled_augment_memo_equals_rereading_reference():
         b = Backend.sampled(seed=seed, epsilon=0.1)
         rng = _pinned_rng(b, seed)
         cost = _SingleReadLog(costs)
-        got = b.augment_eligible(phi, m, k, gamma, 0.1, cost)
+        got = b.augment_eligible(phi, m, k, gamma, cost)
         rb = Backend.sampled(seed=seed, epsilon=0.1)
         ref_rng = _pinned_rng(rb, seed)
         ref_cost = _SingleReadLog(costs)
@@ -909,7 +917,7 @@ def test_sampled_greedy_direct_draws_equal_choice_reference():
             b = Backend.sampled(seed=seed, epsilon=0.1)
             r = _pinned_rng(b, seed)
             view = MaskView(mask)
-            size, m0, m1 = greedy(b, view, subset, 0.1)
+            size, m0, m1 = greedy(b, view, subset)
             outs.append((size, m0.tolist(), m1.tolist(), view.counter.count,
                          r.bit_generator.state))
         assert outs[0] == outs[1]
@@ -929,7 +937,7 @@ def test_sampled_greedy_subset_direct_draws_equal_choice_reference():
             b = Backend.sampled(seed=seed, epsilon=0.1)
             r = _pinned_rng(b, seed)
             cost = MatrixCost(costs)
-            size, m0, m1 = greedy(b, cost, rows, cols, 2.0, base_mate0, 0.1, sub_budget)
+            size, m0, m1 = greedy(b, cost, rows, cols, 2.0, base_mate0, sub_budget)
             outs.append((size, m0.tolist(), m1.tolist(), cost.counter.count,
                          r.bit_generator.state))
         assert outs[0] == outs[1]

@@ -321,19 +321,6 @@ def test_run_template_empty_eligibility_keeps_empty_matching():
     assert res.matching.size() == 0
 
 
-def test_run_template_degenerate_small_n_uses_baseline():
-    n = 4
-    costs = np.array([[1.0, 100.0], [100.0, 1.0]])
-    inst = BipartiteInstance.from_matrix(np.kron(np.eye(2), costs) + 1)
-    params = make_params(gamma=0.05, C=200, T=2, k=3)
-    res = run_template(inst, params, Backend.exact(), seed=0)
-    assert res.used_baseline
-    from submatch.baseline import exact_min_weight_k_matching
-    dense = inst.cost.peek_dense()
-    assert res.estimate == pytest.approx(
-        exact_min_weight_k_matching(dense, n).value)
-
-
 def test_run_template_rejects_malformed_costs():
     n = 30
     costs = np.full((n, n), 2.5)  # not integral
