@@ -401,8 +401,10 @@ def max_matching_under_budget(instance: BipartiteInstance, B: float, gamma: floa
     suffices; per-grid-point seeds depend only on the grid index, which
     makes the search monotone in B for a fixed master seed.
     """
-    if B < 0:
-        raise ValueError("budget must be nonnegative")
+    if not B >= 0:  # also rejects NaN; B = inf is a valid budget
+        raise ValueError(f"budget B must be nonnegative, got {B!r}")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must be in (0, 1), got {gamma!r}")
     n = instance.n
     step = gamma / 4.0
     m = int(math.floor(1.0 / step))

@@ -42,10 +42,15 @@ SAMPLE_SIZE_CONSTANT = 48
 
 #: cap on |S|: sampling with replacement from at most n distinct edges
 #: saturates statistically long before this point (every edge has been
-#: seen ~|S|/n times), so larger sample sizes only cost random draws; the
-#: estimator keeps per-vertex counts, but a draw chunk still holds up to
-#: 2|S| int32 indices.
+#: seen ~|S|/n times), so larger sample sizes only cost random draws.  The
+#: estimator keeps per-vertex counts and draws in pieces of at most
+#: ``_DRAW_PIECE`` indices, so its memory does not grow with |S| beyond the
+#: kept prefix it sums.
 SAMPLE_SIZE_CAP = 2_000_000
+
+#: most indices drawn per ``rng.integers`` call by the sampling estimator
+#: (1 MB of int32).
+_DRAW_PIECE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -324,6 +329,13 @@ def sample_and_estimate(matching: MatchingOracle, gamma: float, C: int, n: int,
     Returns (c_hat, w, alpha_w) where w is the cheapest discarded value and
     alpha_w the exact fraction of matching edges costing > w.
 
+    The sample is the first |S| matched draws of one stream of uniform
+    side-0 indices.  The stream is drawn in pieces of
+    min(max(2 (|S| - got), 64), ``_DRAW_PIECE``) indices and drawing stops
+    at the |S|-th hit; numpy's bounded integer draws are the same whether
+    taken in one call or in successive pieces, so how the stream is cut
+    into pieces does not change the sample.
+
     The sample is kept as per-vertex draw counts, never as an |S|-long
     array: each distinct drawn edge's cost is read once, the distinct
     costs are sorted, and the kept prefix is rebuilt by repeating each cost
@@ -334,21 +346,26 @@ def sample_and_estimate(matching: MatchingOracle, gamma: float, C: int, n: int,
     s = sample_size(gamma, C, n)
     m0 = matching.mate_of_v0()
     matched = m0 != UNMATCHED
+    if not matched.any():
+        raise ValueError("cannot sample from an empty matching")
+    unmatched = np.flatnonzero(~matched)
     counts = np.zeros(n, dtype=np.int64)
     got = 0
-    misses = 0
     while got < s:
-        chunk = rng.integers(0, n, size=max(2 * (s - got), 64), dtype=np.int32)
-        hit = matched[chunk]
-        hits = int(hit.sum())
-        take = min(hits, s - got)
-        counts += np.bincount(chunk[hit][:take], minlength=n)
-        got += take
-        misses += len(chunk) - hits
-        if got == 0 and misses > 64 * max(n, 64):
-            if matching.size() == 0:
-                raise ValueError("cannot sample from an empty matching")
-            misses = 0
+        need = s - got
+        piece = rng.integers(0, n, size=min(max(2 * need, 64), _DRAW_PIECE),
+                             dtype=np.int32)
+        piece_counts = np.bincount(piece, minlength=n)
+        piece_counts[unmatched] = 0
+        hits = int(piece_counts.sum())
+        if hits > need:
+            # the |S|-th hit lies inside this piece: count up to it only
+            end = np.flatnonzero(matched[piece])[need - 1] + 1
+            piece_counts = np.bincount(piece[:end], minlength=n)
+            piece_counts[unmatched] = 0
+            hits = need
+        counts += piece_counts
+        got += hits
     # read each distinct drawn edge's cost once, in ascending vertex order
     drawn = np.nonzero(counts)[0]
     costs_u = cost.pairs(drawn, m0[drawn])
@@ -361,12 +378,8 @@ def sample_and_estimate(matching: MatchingOracle, gamma: float, C: int, n: int,
     w = float(sorted_costs[np.searchsorted(cum, keep, side="right")]) if d > 0 else float("inf")
     c_hat = (n / s) * float(kept.sum())
     # realized discard fraction under the keep-ties-at-w rule, by exact scan
-    rows = np.nonzero(m0 != UNMATCHED)[0]
-    if len(rows):
-        all_costs = cost.pairs(rows, m0[rows])
-        alpha_w = float(np.count_nonzero(all_costs > w)) / n
-    else:
-        alpha_w = 0.0
+    rows = np.flatnonzero(matched)
+    alpha_w = float(np.count_nonzero(cost.pairs(rows, m0[rows]) > w)) / n
     return c_hat, w, alpha_w
 
 

@@ -315,6 +315,26 @@ def test_knapsack_rejects_negative_budget():
         max_matching_under_budget(inst, -1.0, 0.2, Backend.exact(), seed=0)
 
 
+@pytest.mark.parametrize("B, gamma, named", [
+    (float("nan"), 0.2, "budget B"),
+    (1.0, 0.0, "gamma"),
+    (1.0, -0.1, "gamma"),
+    (1.0, float("nan"), "gamma"),
+], ids=["nan-budget", "zero-gamma", "negative-gamma", "nan-gamma"])
+def test_knapsack_rejects_malformed_argument(B, gamma, named):
+    inst = uniform_instance(40, 3)
+    with pytest.raises(ValueError, match=named):
+        max_matching_under_budget(inst, B, gamma, Backend.exact(seed=0), seed=0)
+    assert inst.query_count == 0  # rejected before any cost is read
+
+
+def test_knapsack_infinite_budget_fits_everything():
+    n = 40
+    inst = uniform_instance(n, 3)
+    assert max_matching_under_budget(inst, float("inf"), 0.2,
+                                     Backend.exact(seed=0), seed=0) == n
+
+
 def test_degenerate_baseline_reads_full_matrix():
     # the exact fallback reads every cost entry exactly once
     n = 10

@@ -1,15 +1,19 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from submatch import template
 from submatch.core import (
     UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, ScaledCost,
     ZeroPotential, v0, v1,
 )
 from submatch.mcm import Backend
 from submatch.template import (
-    TemplateParams, run_template, sample_and_estimate, sample_size, step1, step2,
+    SAMPLE_SIZE_CAP, TemplateParams, run_template, sample_and_estimate,
+    sample_size, step1, step2,
 )
 from tests.test_mcm import FixedPotential
 
@@ -290,6 +294,111 @@ def test_sample_and_estimate_trim_boundary_between_cost_blocks():
                       BipartiteInstance.from_matrix(costs).cost)
             for estimator in (sample_and_estimate, _sort_based_sample_and_estimate)]
     assert outs[0] == outs[1] == ((n / s) * keep, 2.0, 0.0)
+
+
+def _chunked_sample_and_estimate(matching, gamma, C, n, seed, cost, chunk_log=None):
+    """The estimator as it was before drawing in pieces: each chunk of
+    max(2 (|S| - got), 64) indices is drawn whole and its hits past |S| are
+    dropped.  Appends (hits, taken, last draw hit) per chunk to chunk_log."""
+    rng = np.random.default_rng(seed)
+    s = sample_size(gamma, C, n)
+    m0 = matching.mate_of_v0()
+    matched = m0 != UNMATCHED
+    counts = np.zeros(n, dtype=np.int64)
+    got = 0
+    while got < s:
+        chunk = rng.integers(0, n, size=max(2 * (s - got), 64), dtype=np.int32)
+        hit = matched[chunk]
+        hits = int(hit.sum())
+        take = min(hits, s - got)
+        counts += np.bincount(chunk[hit][:take], minlength=n)
+        got += take
+        if chunk_log is not None:
+            chunk_log.append((hits, take, bool(hit[-1])))
+    drawn = np.nonzero(counts)[0]
+    costs_u = cost.pairs(drawn, m0[drawn])
+    order = np.argsort(costs_u, kind="stable")
+    sorted_costs = costs_u[order]
+    cum = np.cumsum(counts[drawn][order])
+    d = min(math.ceil(3 * gamma * s), s)
+    keep = s - d
+    kept = np.repeat(sorted_costs, np.diff(np.minimum(cum, keep), prepend=0))
+    w = float(sorted_costs[np.searchsorted(cum, keep, side="right")]) if d > 0 else float("inf")
+    c_hat = (n / s) * float(kept.sum())
+    rows = np.nonzero(matched)[0]
+    alpha_w = float(np.count_nonzero(cost.pairs(rows, m0[rows]) > w)) / n
+    return c_hat, w, alpha_w
+
+
+def test_bounded_int32_draws_are_prefix_consistent():
+    # sample_and_estimate draws its index stream in pieces; its answers at
+    # a seed are fixed only if split draws reproduce one long draw
+    for n in (1 << 10, 690, (1 << 20) + 7):
+        for a in (1, 333, 1 << 18):
+            b = 1001
+            whole = np.random.default_rng(n + a).integers(0, n, size=a + b, dtype=np.int32)
+            rng = np.random.default_rng(n + a)
+            split = np.concatenate([rng.integers(0, n, size=a, dtype=np.int32),
+                                    rng.integers(0, n, size=b, dtype=np.int32)])
+            assert np.array_equal(whole, split), (
+                f"numpy's bounded int32 draws at n={n} differ when split after "
+                f"{a}; sample_and_estimate depends on them being the same")
+
+
+@pytest.mark.parametrize("case", ["one-edge", "below-min-chunk", "later-piece",
+                                  "hit-ends-chunk"])
+def test_sample_and_estimate_equals_chunked_reference(case, monkeypatch):
+    n, gamma, C, seed = 300, 0.3, 1, 3
+    if case == "one-edge":
+        matching = ArrayMatching.from_pairs(n, [(17, 42)])
+    elif case == "below-min-chunk":
+        monkeypatch.setattr(template, "SAMPLE_SIZE_CAP", 40)
+        matching = _sparse_matching(n, 0.1, seed)
+    elif case == "later-piece":
+        gamma, C, seed = 0.1, 4, 0
+        matching = _sparse_matching(n, 0.5, seed)
+    else:
+        seed = 63  # pinned: the |S|-th hit is the last draw of the second chunk
+        matching = _sparse_matching(n, 0.5, 0)
+    s = sample_size(gamma, C, n)
+    costs = np.random.default_rng(7).integers(1, C + 1, size=(n, n)).astype(np.float64)
+    chunk_log = []
+    results = []
+    for estimator in (sample_and_estimate,
+                      functools.partial(_chunked_sample_and_estimate, chunk_log=chunk_log)):
+        inst = BipartiteInstance.from_matrix(costs)
+        cost = ScaledCost(inst.cost, 1.0 / gamma)
+        out = estimator(matching, gamma, C, n, seed, cost)
+        results.append((out, inst.query_count))
+    assert results[0] == results[1]
+    # each case reaches the edge it is named for
+    if case == "one-edge":
+        assert len(chunk_log) > 100
+    elif case == "below-min-chunk":
+        assert s < 64 and len(chunk_log) > 1
+    elif case == "later-piece":
+        # more hits taken from the last chunk than a piece holds draws
+        assert chunk_log[-1][1] > template._DRAW_PIECE
+    else:
+        hits, taken, last_hit = chunk_log[-1]
+        assert len(chunk_log) > 1 and hits == taken and last_hit
+
+
+def test_sample_and_estimate_memory_does_not_grow_with_draws():
+    # at the |S| cap a whole 2|S|-long draw chunk alone would take 16 MB;
+    # the kept prefix the sum is taken over is about 11 MB
+    n, gamma, C = 600, 0.1, 10
+    assert sample_size(gamma, C, n) == SAMPLE_SIZE_CAP
+    costs = np.random.default_rng(4).integers(1, C + 1, size=(n, n)).astype(np.float64)
+    inst = BipartiteInstance.from_matrix(costs)
+    matching = _full_matching(n, 4)
+    tracemalloc.start()
+    try:
+        sample_and_estimate(matching, gamma, C, n, 0, inst.cost)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6, f"sample_and_estimate peaked at {peak / 1e6:.1f} MB"
 
 
 # -- full template runs --------------------------------------------------------------
