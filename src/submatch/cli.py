@@ -20,7 +20,7 @@ import numpy as np
 from . import baseline
 from .core import BipartiteInstance, read_instance, write_instance
 from .emd import DiscreteDistribution, StreamSource, estimate_emd_detailed, empirical_sample_size
-from .generators import make_instance
+from .generators import GENERATORS, make_instance
 from .mcm import Backend
 from .pipeline import ReductionConfig, estimate_min_weight_matching, max_matching_under_budget
 
@@ -44,13 +44,16 @@ def _load_instance(args) -> BipartiteInstance:
     if args.instance:
         return read_instance(args.instance)
     if args.generator:
-        params = {}
-        if args.generator == "euclidean":
-            params["dim"] = args.dim
-        if args.generator == "one-two-metric":
-            params["p"] = args.p
-        return make_instance(args.generator, args.n, _seed(args), **params)
+        return make_instance(args.generator, args.n, _seed(args), **_generator_params(args))
     raise SystemExit("either --instance or --generator/--n is required")
+
+
+def _generator_params(args) -> dict:
+    if args.generator == "euclidean":
+        return {"dim": args.dim}
+    if args.generator == "one-two-metric":
+        return {"p": args.p}
+    return {}
 
 
 def _write_json(path, payload):
@@ -63,12 +66,7 @@ def _write_json(path, payload):
 
 
 def cmd_gen(args) -> int:
-    params = {}
-    if args.generator == "euclidean":
-        params["dim"] = args.dim
-    if args.generator == "one-two-metric":
-        params["p"] = args.p
-    inst = make_instance(args.generator, args.n, _seed(args), **params)
+    inst = make_instance(args.generator, args.n, _seed(args), **_generator_params(args))
     write_instance(inst, args.out, binary=args.binary)
     print(f"wrote {args.generator} instance n={args.n} seed={_seed(args)} -> {args.out}")
     return EXIT_OK
@@ -79,8 +77,7 @@ def cmd_estimate_mwm(args) -> int:
     config = ReductionConfig(args.alpha, args.beta, args.gamma)
     backend = _backend(args)
     res = estimate_min_weight_matching(
-        inst, config, backend, seed=_seed(args), T=args.T, k=args.k,
-        parameter_mode=args.params)
+        inst, config, backend, seed=_seed(args), T=args.T, k=args.k)
     payload = dict(res.report)
     code = EXIT_OK
     if args.exact:
@@ -99,8 +96,6 @@ def cmd_estimate_mwm(args) -> int:
 
 def cmd_estimate_emd(args) -> int:
     metric = read_instance(args.metric).cost.peek_dense()
-    if metric.min() < 0.0 or metric.max() > 1.0:
-        raise ValueError("metric file must have values in [0, 1]")
 
     def load_source(spec):
         kind, _, path = spec.partition(":")
@@ -197,7 +192,6 @@ def _add_common(p, budget=False):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=0.1,
                    help="sampled-backend query/time knob")
-    p.add_argument("--params", choices=["paper", "practical"], default="practical")
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", default=None)
@@ -205,8 +199,7 @@ def _add_common(p, budget=False):
 
 def _add_instance_args(p):
     p.add_argument("--instance", default=None, help="instance file (text or SUBM1)")
-    p.add_argument("--generator", choices=["uniform", "euclidean", "one-two-metric",
-                                           "permutation"], default=None)
+    p.add_argument("--generator", choices=list(GENERATORS), default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--p", type=float, default=0.5)
@@ -219,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a deterministic instance file")
-    p.add_argument("--generator", choices=["uniform", "euclidean", "one-two-metric",
-                                           "permutation"], required=True)
+    p.add_argument("--generator", choices=list(GENERATORS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--p", type=float, default=0.5)
@@ -251,8 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-queries", help="query-count sweep over n")
     p.add_argument("--ns", required=True, help="comma-separated n grid")
-    p.add_argument("--generator", choices=["uniform", "euclidean", "one-two-metric",
-                                           "permutation"], default="uniform")
+    p.add_argument("--generator", choices=list(GENERATORS), default="uniform")
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--exact-cap", type=int, default=256,
                    help="compute exact baseline error for n up to this cap")

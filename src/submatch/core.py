@@ -96,7 +96,8 @@ class QueryCounter:
 class CostOracle:
     """Query access to an ``n x n`` nonnegative cost matrix.
 
-    Subclasses implement ``_block(rows, cols, counted)``.  Counting happens
+    Subclasses implement ``_block(rows, cols, counted)`` and
+    ``_pairs(is_, js, counted)``.  Counting happens
     at the root oracle only; adapters forward the ``counted`` flag so each
     matrix access is counted exactly once no matter how many adapters are
     stacked on top.  ``peek_*`` variants bypass the counter and exist for
@@ -116,19 +117,7 @@ class CostOracle:
         raise NotImplementedError
 
     def _pairs(self, is_: np.ndarray, js: np.ndarray, counted: bool) -> np.ndarray:
-        # grouped fallback: one thin block query per distinct row
-        out = np.empty(len(is_), dtype=np.float64)
-        order = np.argsort(is_, kind="stable")
-        si, sj = is_[order], js[order]
-        start = 0
-        while start < len(si):
-            stop = start
-            while stop < len(si) and si[stop] == si[start]:
-                stop += 1
-            vals = self._block(si[start:start + 1], sj[start:stop], counted)[0]
-            out[order[start:stop]] = vals
-            start = stop
-        return out
+        raise NotImplementedError
 
     @property
     def counter(self) -> QueryCounter:
@@ -205,15 +194,15 @@ class MatrixCost(_RootCost):
 
 
 class FunctionCost(_RootCost):
-    """Cost oracle backed by a vectorized block callback.
+    """Cost oracle backed by two vectorized callbacks.
 
-    ``fn(rows, cols)`` must return the outer-product block; an optional
-    ``pair_fn(is_, js)`` answers element-wise queries without forming the
-    block.  It is the generator's job to make both deterministic.
+    ``fn(rows, cols)`` returns the outer-product block and
+    ``pair_fn(is_, js)`` the element-wise costs, without forming the block.
+    It is the generator's job to make both deterministic and consistent.
     """
 
     def __init__(self, n: int, fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 pair_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None):
+                 pair_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         super().__init__(n)
         self._fn = fn
         self._pair_fn = pair_fn
@@ -224,8 +213,6 @@ class FunctionCost(_RootCost):
         return np.asarray(self._fn(rows, cols), dtype=np.float64)
 
     def _pairs(self, is_, js, counted):
-        if self._pair_fn is None:
-            return super()._pairs(is_, js, counted)
         if counted:
             self._counter.add(len(is_))
         return np.asarray(self._pair_fn(is_, js), dtype=np.float64)
@@ -327,10 +314,6 @@ class BipartiteInstance:
         cost = MatrixCost(np.asarray(matrix, dtype=np.float64))
         return cls(cost.n, cost)
 
-    @classmethod
-    def from_function(cls, n, fn) -> "BipartiteInstance":
-        return cls(n, FunctionCost(n, fn))
-
     @property
     def query_count(self) -> int:
         return self.cost.counter.count
@@ -365,23 +348,46 @@ def write_instance(instance_or_matrix, path, binary: bool = False):
                 fh.write("\n")
 
 
+def _malformed(what: str) -> ValueError:
+    return ValueError(f"malformed instance file: {what}")
+
+
 def read_instance(path) -> BipartiteInstance:
-    """Read an instance file (format auto-detected from the magic bytes)."""
+    """Read an instance file (format auto-detected from the magic bytes).
+
+    A file whose payload does not hold exactly the n x n costs its header
+    announces raises ``ValueError("malformed instance file: ...")``.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(len(BINARY_MAGIC))
         if head == BINARY_MAGIC:
-            (n,) = struct.unpack("<Q", fh.read(8))
-            data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-            matrix = data.reshape(n, n).astype(np.float64)
+            size = fh.read(8)
+            if len(size) != 8:
+                raise _malformed("the header ends before n")
+            (n,) = struct.unpack("<Q", size)
+            payload = fh.read()
+            if len(payload) != 8 * n * n:
+                raise _malformed(f"n={n} needs {8 * n * n} bytes of costs, "
+                                 f"found {len(payload)}")
+            matrix = np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(np.float64)
             return BipartiteInstance.from_matrix(matrix)
     with open(path, "r") as fh:
-        n = int(fh.readline().strip())
-        rows = [np.array(fh.readline().split(), dtype=np.float64) for _ in range(n)]
-    matrix = np.vstack(rows)
-    if matrix.shape != (n, n):
-        raise ValueError(f"malformed instance file: expected {n}x{n} matrix")
-    return BipartiteInstance.from_matrix(matrix)
+        n = int(fh.readline())
+        rows = []
+        for i in range(n):
+            line = fh.readline()
+            if not line:
+                raise _malformed(f"expected {n} rows of costs, found {i}")
+            row = line.split()
+            if len(row) != n:
+                raise _malformed(f"row {i} has {len(row)} costs, expected {n}")
+            rows.append(np.array(row, dtype=np.float64))
+        if fh.read().strip():
+            raise _malformed(f"more than {n} rows of costs")
+    if not rows:
+        raise _malformed(f"the size must be positive, not {n}")
+    return BipartiteInstance.from_matrix(np.vstack(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ __all__ = [
     "DEFAULT_T", "DEFAULT_K",
 ]
 
-#: practical-mode defaults when the caller does not pin (T, k); chosen so
+#: defaults when the caller does not pin (T, k); chosen so
 #: the usable dual range T covers the rounded cost levels C = T - 1 with a
 #: resolution fine enough for desk-scale accuracy at tolerable runtime
 DEFAULT_T = 42
@@ -53,15 +53,12 @@ class ReductionConfig:
     alpha: float
     beta: float
     gamma: float
-    xi_pad: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < self.beta <= 1.0:
             raise ValueError("need 0 <= alpha < beta <= 1")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be in (0, 1)")
-        if self.xi_pad is not None and not 0.0 < self.xi_pad <= (self.beta - self.alpha) / 2:
-            raise ValueError("xi_pad must be in (0, (beta - alpha) / 2]")
 
     @property
     def gamma_effective(self) -> float:
@@ -69,8 +66,6 @@ class ReductionConfig:
 
     @property
     def padding_slack(self) -> float:
-        if self.xi_pad is not None:
-            return self.xi_pad
         # beta = 1, alpha = 1 - gamma is the EMD case: gamma/2 with margin
         return min(self.gamma / 2.0, (self.beta - self.alpha) / 2.0)
 
@@ -247,7 +242,7 @@ def pad_dummies(instance: BipartiteInstance, beta: float, xi_pad: float) -> Padd
     realized integer dummy count d as 2 d - xi_pad * n, so rounding d up
     never desynchronizes the correction.
     """
-    if xi_pad <= 0:
+    if not xi_pad > 0:  # also rejects NaN
         raise ValueError("xi_pad must be positive")
     n = instance.n
     d = max(1, math.ceil((1.0 - beta + xi_pad) * n))
@@ -280,16 +275,12 @@ def _matched_fraction(matching: MatchingOracle, n: int, rng) -> float:
 def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionConfig,
                                  backend: Backend, seed=0,
                                  T: int | None = None, k: int | None = None,
-                                 parameter_mode: str = "practical",
                                  collect_trace: bool = False) -> PipelineResult:
     """Estimate the min cost of a size-beta*n matching down to size-alpha*n.
 
-    Practical mode (the default) couples the rounding resolution to the
-    iteration budget: with T template iterations the potentials span T
-    levels, so costs are rounded to C = T - 1 integer values (the rounding
-    gamma is back-derived from C).  Paper mode uses the paper formulas for
-    every constant; those are astronomically large except for tiny gamma-C
-    combinations, so it exists for inspection and micro-instances.
+    The rounding resolution is coupled to the iteration budget: with T
+    template iterations the potentials span T levels, so costs are rounded
+    to C = T - 1 integer values (the rounding gamma is back-derived from C).
     """
     n = instance.n
     g = config.gamma_effective
@@ -308,22 +299,13 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
 
     t1 = time.perf_counter()
     thresholded = ThresholdedCostView(instance.cost, w_bar)
-    if parameter_mode == "paper":
-        rounding_gamma = g
-        rounded = round_costs(thresholded, rounding_gamma, w_bar)
-        tparams = TemplateParams.paper(g, rounded.C)
-        if tparams.T * n * n > 10 ** 9:
-            raise ValueError(
-                f"paper-mode constants (T={tparams.T}, k={tparams.k}) are not "
-                f"runnable at n={n}; use practical mode")
-    else:
-        T = DEFAULT_T if T is None else T
-        k = DEFAULT_K if k is None else k
-        if T < 4:
-            raise ValueError("practical mode needs T >= 4")
-        rounding_gamma = math.sqrt(2.0 / (T - 3))  # so C = ceil(2/g^2)+2 = T-1
-        rounded = round_costs(thresholded, rounding_gamma, w_bar)
-        tparams = TemplateParams.practical(g, rounded.C, T, k)
+    T = DEFAULT_T if T is None else T
+    k = DEFAULT_K if k is None else k
+    if T < 4:
+        raise ValueError("T must be >= 4")
+    rounding_gamma = math.sqrt(2.0 / (T - 3))  # so C = ceil(2/g^2)+2 = T-1
+    rounded = round_costs(thresholded, rounding_gamma, w_bar)
+    tparams = TemplateParams.practical(g, rounded.C, T, k)
     padded = pad_dummies(BipartiteInstance(n, rounded), config.beta,
                          config.padding_slack)
     timings["reductions"] = time.perf_counter() - t1

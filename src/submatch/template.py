@@ -55,21 +55,17 @@ _DRAW_PIECE = 1 << 18
 
 @dataclass(frozen=True)
 class TemplateParams:
-    """Template knobs.
+    """Template knobs: small (T, k) set by the caller.
 
-    ``paper`` mode derives every constant from (gamma, C) exactly as the
-    analysis does; those values are astronomically large and exist to be
-    inspected, not run.  ``practical`` mode takes small user-set (T, k) and
-    derives the slack parameters as xi = delta = gamma / T.
+    The paper's constants (T = C / gamma^3, k = 6000 (2T+1)^10 / delta^5)
+    are far too large to run, so T and k are practical values and the
+    slack parameters are derived as xi = delta = gamma / T.
     """
 
     gamma: float
     C: int
     T: int
     k: int
-    xi: float
-    delta: float
-    parameter_mode: str = "practical"
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -78,8 +74,14 @@ class TemplateParams:
             raise ValueError("C and T must be positive")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not (0.0 < self.xi <= 1.0 and 0.0 < self.delta <= 1.0):
-            raise ValueError("xi and delta must be in (0, 1]")
+
+    @property
+    def xi(self) -> float:
+        return self.gamma / self.T
+
+    @property
+    def delta(self) -> float:
+        return self.gamma / self.T
 
     @property
     def range_bound(self) -> int:
@@ -88,22 +90,8 @@ class TemplateParams:
         return 2 * self.T + 1
 
     @classmethod
-    def practical(cls, gamma: float, C: int, T: int, k: int,
-                  xi: float | None = None, delta: float | None = None) -> "TemplateParams":
-        xi = gamma / T if xi is None else xi
-        delta = gamma / T if delta is None else delta
-        return cls(gamma, C, T, k, xi, delta, "practical")
-
-    @classmethod
-    def paper(cls, gamma: float, C: int) -> "TemplateParams":
-        T = math.ceil(C / gamma ** 3)
-        delta = gamma / T
-        k = math.ceil(6000 * (2 * T + 1) ** 10 / delta ** 5)
-        try:
-            xi = gamma / (T * k * math.pow(2.0, k))
-        except OverflowError:
-            xi = 0.0  # true value is far below the float subnormal range
-        return cls(gamma, C, T, k, max(xi, 5e-324), delta, "paper")
+    def practical(cls, gamma: float, C: int, T: int, k: int) -> "TemplateParams":
+        return cls(gamma, C, T, k)
 
 
 @dataclass

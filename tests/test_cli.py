@@ -151,3 +151,29 @@ def test_error_exit_code(tmp_path):
     code = run_cli("estimate-mwm", "--instance", tmp_path / "missing.txt",
                    "--alpha", 0.8, "--beta", 1.0)
     assert code == 1
+
+
+def test_malformed_instance_file_exits_1(tmp_path, capsys):
+    inst_path = tmp_path / "i.txt"
+    inst_path.write_text("3\n1 2 3\n1 2\n1 2 3\n")
+    code = run_cli("estimate-mwm", "--instance", inst_path, "--alpha", 0.8,
+                   "--beta", 1.0)
+    assert code == 1
+    assert "malformed instance file: row 1 has 2 costs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [1.5, float("nan")])
+def test_estimate_emd_rejects_metric_outside_unit_interval(tmp_path, capsys, bad):
+    n = 4
+    metric = np.full((n, n), 0.5)
+    metric[2, 1] = bad
+    metric_path = tmp_path / "metric.txt"
+    write_instance(metric, metric_path)
+    mu_path = tmp_path / "mu.txt"
+    np.savetxt(mu_path, np.full(n, 1.0 / n))
+    code = run_cli("estimate-emd", "--mu", f"discrete:{mu_path}",
+                   "--nu", f"discrete:{mu_path}", "--metric", metric_path,
+                   "--n", n, "--gamma", 0.25, "--seed", 3)
+    assert code == 1
+    assert (f"metric values must lie in [0, 1]; entry (2, 1) is {bad}"
+            in capsys.readouterr().err)

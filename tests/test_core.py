@@ -101,6 +101,31 @@ def test_instance_file_roundtrip(tmp_path, binary):
     assert np.allclose(back.cost.peek_dense(), m)
 
 
+@pytest.mark.parametrize("keep, message", [
+    (-8, "n=4 needs 128 bytes of costs, found 120"),
+    (9, "the header ends before n"),
+], ids=["short-payload", "short-header"])
+def test_binary_file_cut_short_is_malformed(tmp_path, keep, message):
+    path = tmp_path / "x.bin"
+    write_instance(np.ones((4, 4)), path, binary=True)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match=f"malformed instance file: {message}"):
+        read_instance(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("4\n1 2 3 4\n1 2 3 4\n1 2 3 4\n", "expected 4 rows of costs, found 3"),
+    ("4\n1 2 3 4\n1 2 3\n1 2 3 4\n1 2 3 4\n", "row 1 has 3 costs, expected 4"),
+    ("2\n1 2\n1 2\n1 2\n", "more than 2 rows of costs"),
+    ("0\n", "the size must be positive, not 0"),
+], ids=["missing-row", "short-row", "extra-row", "zero-size"])
+def test_text_file_with_wrong_row_count_or_length_is_malformed(tmp_path, body, message):
+    path = tmp_path / "x.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"malformed instance file: {message}"):
+        read_instance(path)
+
+
 def test_binary_format_layout(tmp_path):
     m = np.array([[1.5, 2.0], [0.25, 3.0]])
     path = tmp_path / "x.bin"

@@ -18,8 +18,8 @@ from submatch.template import (
 from tests.test_mcm import FixedPotential
 
 
-def make_params(gamma=0.2, C=1, T=4, k=3, **kw):
-    return TemplateParams.practical(gamma=gamma, C=C, T=T, k=k, **kw)
+def make_params(gamma=0.2, C=1, T=4, k=3):
+    return TemplateParams.practical(gamma=gamma, C=C, T=T, k=k)
 
 
 def test_params_validation_and_practical_defaults():
@@ -30,14 +30,6 @@ def test_params_validation_and_practical_defaults():
         TemplateParams.practical(gamma=1.5, C=1, T=1, k=1)
     with pytest.raises(ValueError):
         TemplateParams.practical(gamma=0.1, C=0, T=1, k=1)
-
-
-def test_paper_mode_formulas():
-    p = TemplateParams.paper(gamma=0.5, C=2)
-    assert p.T == math.ceil(2 / 0.5 ** 3)  # 16
-    assert p.delta == pytest.approx(0.5 / p.T)
-    assert p.k == math.ceil(6000 * (2 * p.T + 1) ** 10 / p.delta ** 5)
-    assert p.parameter_mode == "paper"
 
 
 # -- step 1 ---------------------------------------------------------------------
