@@ -27,7 +27,7 @@ value, pair, res = estimate_emd_detailed(mu, nu, n, gamma,
 
 print(f"support bound n = {n}, gamma = {gamma}")
 print(f"drew m = {pair.m} points per source "
-      f"(declared budget {sample_complexity(n, gamma)} draws total, "
+      f"(declared budget {sample_complexity(n)} draws total, "
       f"used {mu.draw_count + nu.draw_count})")
 print(f"EMD estimate = {value:.4f}")
 

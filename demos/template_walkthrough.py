@@ -22,7 +22,8 @@ print(f"instance: n={n}, integer costs in [1, {params.C}]")
 print(f"params:   T={params.T} iterations, path length <= {params.k}, "
       f"slacks xi=delta={params.xi:.3f}\n")
 
-res = run_template(inst, params, Backend.exact(seed=1), seed=1)
+res = run_template(inst, params, Backend.exact(seed=1), seed=1, collect_trace=True)
+assert len(res.trace) == params.T
 
 print("iteration trace (free0 = unmatched side-0 vertices):")
 for rec in res.trace:

@@ -44,8 +44,10 @@ def _check_cap(n: int):
 
 
 def _scale_costs(costs: np.ndarray) -> np.ndarray:
+    if np.any(np.isnan(costs)):
+        raise ValueError("malformed cost: a cost is NaN")
     finite = ~np.isinf(costs)
-    if np.any(costs[finite] < 0) or np.any(np.isnan(costs)):
+    if np.any(costs[finite] < 0):
         raise ValueError("costs must be nonnegative")
     if np.any(costs[finite] > 1e9):
         raise ValueError("costs above 1e9 overflow the integer scaling")

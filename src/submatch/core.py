@@ -97,16 +97,17 @@ class CostOracle:
     """Query access to an ``n x n`` nonnegative cost matrix.
 
     Subclasses implement ``_block(rows, cols, counted)`` and
-    ``_pairs(is_, js, counted)``.  Counting happens
-    at the root oracle only; adapters forward the ``counted`` flag so each
-    matrix access is counted exactly once no matter how many adapters are
-    stacked on top.  ``peek_*`` variants bypass the counter and exist for
-    diagnostics and test harnesses only.  A :class:`MaterializedCost`
+    ``_pairs(is_, js, counted)``.  Counting happens at the root oracle
+    only; adapters (:class:`_AdapterCost`) forward the ``counted`` flag so
+    each matrix access is counted exactly once no matter how many adapters
+    are stacked on top.  ``peek_*`` variants bypass the counter and exist
+    for diagnostics and test harnesses only.  A :class:`MaterializedCost`
     counts its base's n^2 entries once, when it is built, and serves every
     later read from memory without counting again.
 
     A value of ``+inf`` is a sentinel meaning "non-edge"; all matching
-    machinery treats it as an absent edge.
+    machinery treats it as an absent edge.  A graph is a cost oracle plus a
+    limit, its edges the pairs of cost <= limit.
     """
 
     def __init__(self, n: int):
@@ -219,7 +220,12 @@ class FunctionCost(_RootCost):
 
 
 class _AdapterCost(CostOracle):
-    """Base for cost adapters layered over another oracle."""
+    """Base for the lazy cost adapters every reduction is built from.
+
+    An elementwise adapter defines only ``_map(vals)``, applied to each
+    block or pair read of the base; adapters that change shape or storage
+    (padding, materialization) override ``_block`` and ``_pairs``.
+    """
 
     def __init__(self, base: CostOracle, n: int | None = None):
         super().__init__(base.n if n is None else n)
@@ -229,6 +235,15 @@ class _AdapterCost(CostOracle):
     def counter(self) -> QueryCounter:
         return self.base.counter
 
+    def _map(self, vals: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _block(self, rows, cols, counted):
+        return self._map(self.base._block(rows, cols, counted))
+
+    def _pairs(self, is_, js, counted):
+        return self._map(self.base._pairs(is_, js, counted))
+
 
 class ScaledCost(_AdapterCost):
     """Lazy multiplicative rescale ``c <- factor * c``."""
@@ -237,11 +252,8 @@ class ScaledCost(_AdapterCost):
         super().__init__(base)
         self.factor = float(factor)
 
-    def _block(self, rows, cols, counted):
-        return self.base._block(rows, cols, counted) * self.factor
-
-    def _pairs(self, is_, js, counted):
-        return self.base._pairs(is_, js, counted) * self.factor
+    def _map(self, vals):
+        return vals * self.factor
 
 
 class ThresholdedCostView(_AdapterCost):
@@ -254,16 +266,10 @@ class ThresholdedCostView(_AdapterCost):
         super().__init__(base)
         self.limit = float(limit)
 
-    def _threshold(self, vals):
+    def _map(self, vals):
         if np.isnan(vals).any():
             raise ValueError("malformed cost: a cost read is NaN")
         return np.where(vals <= self.limit, vals, np.inf)
-
-    def _block(self, rows, cols, counted):
-        return self._threshold(self.base._block(rows, cols, counted))
-
-    def _pairs(self, is_, js, counted):
-        return self._threshold(self.base._pairs(is_, js, counted))
 
 
 class MaterializedCost(_AdapterCost):
@@ -373,7 +379,11 @@ def read_instance(path) -> BipartiteInstance:
             matrix = np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(np.float64)
             return BipartiteInstance.from_matrix(matrix)
     with open(path, "r") as fh:
-        n = int(fh.readline())
+        header = fh.readline().strip()
+        try:
+            n = int(header)
+        except ValueError:
+            raise _malformed(f"the header must be the integer n, not {header!r}") from None
         rows = []
         for i in range(n):
             line = fh.readline()
@@ -382,7 +392,11 @@ def read_instance(path) -> BipartiteInstance:
             row = line.split()
             if len(row) != n:
                 raise _malformed(f"row {i} has {len(row)} costs, expected {n}")
-            rows.append(np.array(row, dtype=np.float64))
+            try:
+                vals = np.array(row, dtype=np.float64)
+            except ValueError as err:
+                raise _malformed(f"row {i}: {err}") from None
+            rows.append(vals)
         if fh.read().strip():
             raise _malformed(f"more than {n} rows of costs")
     if not rows:

@@ -32,7 +32,7 @@ def empirical_sample_size(n: int) -> int:
     return math.ceil(SAMPLE_CONSTANT * n * math.log(max(n, 2)))
 
 
-def sample_complexity(n: int, gamma: float) -> int:
+def sample_complexity(n: int) -> int:
     """Total draws consumed by estimate_emd: m from each source."""
     return 2 * empirical_sample_size(n)
 
@@ -154,7 +154,7 @@ class EmpiricalPair:
 
 
 def sample_empirical(mu: DistributionSource, nu: DistributionSource, n: int,
-                     gamma: float, seed=0) -> EmpiricalPair:
+                     seed=0) -> EmpiricalPair:
     """Draw m = ceil(4 n ln n) points from each source (duplicates kept)."""
     if n < 1:
         raise ValueError("support bound must be at least 1")
@@ -183,7 +183,7 @@ def estimate_emd_detailed(mu: DistributionSource, nu: DistributionSource, n: int
         raise ValueError("gamma must be in (0, 1)")
     seq = as_seed_sequence(seed)
     s_draw, s_est = seq.spawn(2)
-    pair = sample_empirical(mu, nu, n, gamma, seed=s_draw)
+    pair = sample_empirical(mu, nu, n, seed=s_draw)
     g = gamma / 5.0  # the final union bound spends gamma across five slacks
     config = ReductionConfig(alpha=1.0 - g, beta=1.0, gamma=g)
     res = estimate_min_weight_matching(pair.instance, config, backend,

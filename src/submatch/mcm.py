@@ -3,8 +3,10 @@
 The template algorithm only ever talks to three subroutines: approximate
 matching size, large-matching extraction inside a vertex set, and
 bounded-length augmentation over eligible edges (plus the potential-aware
-forward variant that buckets edges by potential values).  The exact
-backend satisfies every contract deterministically: it reads the cost
+forward variant that buckets edges by potential values).  There is no
+separate graph type: a graph is a cost oracle plus a limit, its edges the
+pairs of cost <= limit, and every subroutine reads the costs itself.  The
+exact backend satisfies every contract deterministically: it reads the cost
 matrix once into memory (:meth:`Backend.prepare_cost`), builds each
 call's graph from it and runs Hopcroft-Karp; its augmentation keeps one
 eligibility snapshot for a whole Step 1, and its bounded-length path search
@@ -24,10 +26,7 @@ from .core import (
     MembershipOracle, OverlayMatching, PotentialOracle, v0, v1,
 )
 
-__all__ = [
-    "Backend", "backend_query_budget", "delta_out",
-    "delta_out_forward", "GraphView", "MaskView", "ThresholdView",
-]
+__all__ = ["Backend", "backend_query_budget", "delta_out", "delta_out_forward"]
 
 
 def delta_out(delta_in: float) -> float:
@@ -55,73 +54,6 @@ def backend_query_budget(epsilon: float, n: int, variant: str = "sampled") -> in
     if variant == "exact":
         return n * n
     return math.ceil(4.0 * n ** (2.0 - epsilon) * math.log(max(n, 2)))
-
-
-# ---------------------------------------------------------------------------
-# Graph views
-# ---------------------------------------------------------------------------
-
-class GraphView:
-    """Edge predicate over V0 x V1, block- and pair-queryable."""
-
-    n: int
-
-    def edge_block(self, rows, cols) -> np.ndarray:
-        raise NotImplementedError
-
-    def edge_pairs(self, is_, js) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def counter(self):
-        raise NotImplementedError
-
-
-class MaskView(GraphView):
-    """Explicit boolean adjacency (tests and small instances)."""
-
-    def __init__(self, mask: np.ndarray):
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
-            raise ValueError("mask must be square")
-        self.n = mask.shape[0]
-        self._mask = mask
-        from .core import QueryCounter
-        self._counter = QueryCounter()
-
-    def edge_block(self, rows, cols):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        self._counter.add(len(rows) * len(cols))
-        return self._mask[np.ix_(rows, cols)]
-
-    def edge_pairs(self, is_, js):
-        is_ = np.asarray(is_, dtype=np.int64)
-        self._counter.add(len(is_))
-        return self._mask[is_, np.asarray(js, dtype=np.int64)]
-
-    @property
-    def counter(self):
-        return self._counter
-
-
-class ThresholdView(GraphView):
-    """Edges of cost <= limit (infinite sentinels never qualify)."""
-
-    def __init__(self, cost: CostOracle, limit: float):
-        self.n = cost.n
-        self.cost = cost
-        self.limit = float(limit)
-
-    def edge_block(self, rows, cols):
-        return self.cost.block(rows, cols) <= self.limit
-
-    def edge_pairs(self, is_, js):
-        return self.cost.pairs(is_, js) <= self.limit
-
-    @property
-    def counter(self):
-        return self.cost.counter
 
 
 # ---------------------------------------------------------------------------
@@ -474,45 +406,44 @@ class Backend:
                 f"sampled backend exceeded its query budget in {op}: {used} > {budget}")
 
     # -- approx_match -------------------------------------------------------
-    def approx_match(self, view: GraphView):
-        """Estimate the max-matching size of the view; returns (size, oracle)."""
-        before = view.counter.count
+    def approx_match(self, cost: CostOracle, limit: float):
+        """Estimate the max-matching size of the graph of edges with
+        cost <= limit; returns (size, oracle)."""
+        n = cost.n
+        before = cost.counter.count
         if self.variant == "exact":
-            n = view.n
-            mask = view.edge_block(np.arange(n), np.arange(n))
+            mask = cost.block(np.arange(n), np.arange(n)) <= limit
             size, mate0, mate1 = _hopcroft_karp(_mask_to_adj(mask), n, n)
-            self._log("approx_match", view.counter, before, n)
-            return size, ArrayMatching(mate0, mate1)
-        size, mate0, mate1 = self._sampled_greedy(view, None)
-        self._log("approx_match", view.counter, before, view.n)
+        else:
+            size, mate0, mate1 = self._sampled_greedy(cost, limit, None)
+        self._log("approx_match", cost.counter, before, n)
         return size, ArrayMatching(mate0, mate1)
 
     # -- large_match --------------------------------------------------------
-    def large_match(self, view: GraphView, A: MembershipOracle | None,
+    def large_match(self, cost: CostOracle, limit: float, A: MembershipOracle | None,
                     delta_in: float):
-        """Matching oracle inside G[A] of density >= delta_out, or None.
+        """Matching oracle inside G[A] of density >= delta_out, or None,
+        where G holds the edges of cost <= limit.
 
         Exact backend: None exactly when mu(G[A]) < delta_in * n.
         """
-        n = view.n
-        before = view.counter.count
+        n = cost.n
+        before = cost.counter.count
         rows = _members_on_side(A, n, 0)
         cols = _members_on_side(A, n, 1)
         if len(rows) == 0 or len(cols) == 0:
-            self._log("large_match", view.counter, before, n)
+            self._log("large_match", cost.counter, before, n)
             return None
         if self.variant == "exact":
-            mask = view.edge_block(rows, cols)
+            mask = cost.block(rows, cols) <= limit
             mu, sub_mate0, _ = _hopcroft_karp(_mask_to_adj(mask), len(rows), len(cols))
-            self._log("large_match", view.counter, before, n)
-            if mu < delta_in * n:
-                return None
-            return _global_matching(n, rows, cols, sub_mate0)
-        size, mate0, mate1 = self._sampled_greedy(view, (rows, cols))
-        self._log("large_match", view.counter, before, n)
-        if size >= delta_out(delta_in) * n and size > 0:
-            return ArrayMatching(mate0, mate1)
-        return None
+            out = None if mu < delta_in * n else _global_matching(n, rows, cols, sub_mate0)
+        else:
+            size, mate0, mate1 = self._sampled_greedy(cost, limit, (rows, cols))
+            large = size >= delta_out(delta_in) * n and size > 0
+            out = ArrayMatching(mate0, mate1) if large else None
+        self._log("large_match", cost.counter, before, n)
+        return out
 
     # -- large_matching_forward ---------------------------------------------
     def large_matching_forward(self, phi: PotentialOracle, A: MembershipOracle | None,
@@ -612,10 +543,10 @@ class Backend:
         return out
 
     # -- sampled internals ---------------------------------------------------
-    def _sampled_greedy(self, view: GraphView, subset):
+    def _sampled_greedy(self, cost: CostOracle, limit: float, subset):
         """Greedy matching from random edge probes plus one length-3
         augmentation pass, all under the per-call budget."""
-        n = view.n
+        n = cost.n
         rng = self._rng()
         if subset is None:
             rows = np.arange(n, dtype=np.int64)
@@ -623,12 +554,15 @@ class Backend:
         else:
             rows, cols = subset
         budget = self.query_budget(n)
-        before = view.counter.count
-        mate0, mate1 = _probe_greedy(rng, n, rows, cols, view.edge_pairs,
-                                     view.counter, budget, 10)
+        before = cost.counter.count
+
+        def edges(is_, js):
+            return cost.pairs(is_, js) <= limit
+
+        mate0, mate1 = _probe_greedy(rng, n, rows, cols, edges, cost.counter, budget, 10)
 
         def remaining():
-            return budget - (view.counter.count - before)
+            return budget - (cost.counter.count - before)
 
         # one pass of random length-3 augmentations
         free_r = rows[mate0[rows] == -1]
@@ -639,7 +573,7 @@ class Backend:
                 break
             i = int(free_r[rng.integers(0, len(free_r))])
             j = int(cols[rng.integers(0, len(cols))])
-            if not bool(view.edge_pairs([i], [j])[0]):
+            if not bool(edges([i], [j])[0]):
                 continue
             if mate1[j] == -1:
                 if mate0[i] == -1:
@@ -649,7 +583,7 @@ class Backend:
                 continue
             i2 = int(mate1[j])
             j2 = int(cols[rng.integers(0, len(cols))])
-            if mate1[j2] == -1 and bool(view.edge_pairs([i2], [j2])[0]):
+            if mate1[j2] == -1 and bool(edges([i2], [j2])[0]):
                 mate0[i] = j
                 mate1[j] = i
                 mate0[i2] = j2

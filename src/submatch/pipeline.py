@@ -22,7 +22,7 @@ from .core import (
     UNMATCHED, BipartiteInstance, CostOracle, MatchingOracle,
     ThresholdedCostView, _AdapterCost, as_seed_sequence, seed_label,
 )
-from .mcm import Backend, ThresholdView
+from .mcm import Backend
 from .template import TemplateParams, run_template
 
 __all__ = [
@@ -112,8 +112,7 @@ def find_characteristic_cost(instance: BipartiteInstance, config: ReductionConfi
     def sparse(idx: int) -> bool:
         nonlocal probes
         probes += 1
-        view = ThresholdView(instance.cost, g * float(ladder[idx]))
-        size, _ = backend.approx_match(view)
+        size, _ = backend.approx_match(instance.cost, g * float(ladder[idx]))
         return size < bar
 
     lo, hi = 0, s - 1
@@ -151,7 +150,7 @@ class RoundedCost(_AdapterCost):
         self.scale_back = gamma ** 2 * w / 2.0
         self.clamped = 0
 
-    def _round(self, vals):
+    def _map(self, vals):
         _reject_negative(vals)
         finite = np.isfinite(vals)
         over = finite & (vals > self.w)
@@ -160,12 +159,6 @@ class RoundedCost(_AdapterCost):
             vals = np.where(over, self.w, vals)
         return np.where(finite, np.ceil(2.0 * vals / (self.gamma ** 2 * self.w)) + 1.0,
                         np.inf)
-
-    def _block(self, rows, cols, counted):
-        return self._round(self.base._block(rows, cols, counted))
-
-    def _pairs(self, is_, js, counted):
-        return self._round(self.base._pairs(is_, js, counted))
 
 
 def round_costs(cost: CostOracle, gamma: float, w: float) -> RoundedCost:

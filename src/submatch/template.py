@@ -385,7 +385,7 @@ class _ValidatingCost(_AdapterCost):
         super().__init__(base)
         self.C = C
 
-    def _check(self, vals):
+    def _map(self, vals):
         finite = np.isfinite(vals)
         bad = finite & ((vals < 1) | (vals > self.C) | (vals != np.rint(vals)))
         if bad.any():
@@ -393,12 +393,6 @@ class _ValidatingCost(_AdapterCost):
             raise ValueError(
                 f"malformed cost: {first!r} is not an integer in [1, {self.C}]")
         return vals
-
-    def _block(self, rows, cols, counted):
-        return self._check(self.base._block(rows, cols, counted))
-
-    def _pairs(self, is_, js, counted):
-        return self._check(self.base._pairs(is_, js, counted))
 
 
 @dataclass
@@ -437,7 +431,7 @@ def _diagnostics(t, state, cost, instance, params):
 
 
 def run_template(instance: BipartiteInstance, params: TemplateParams,
-                 backend: Backend, seed=0, collect_trace: bool = True) -> TemplateResult:
+                 backend: Backend, seed=0, collect_trace: bool = False) -> TemplateResult:
     """Run T iterations of Step 1 / Step 2 and the trimmed sampling estimate.
 
     Costs must be integers in [1, params.C] (checked when read; the exact
@@ -445,6 +439,9 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
     non-edge.  The internal rescale c <- c/gamma is folded into a
     lazy cost adapter used by the estimator, whose output is scaled back,
     so the returned estimate is in the instance's own cost units.
+
+    ``collect_trace`` fills ``result.trace`` with one diagnostic record per
+    iteration, each a dense read plus a vertex cover, so it is off by default.
 
     There is no small-n fallback: the template runs at every size.  The
     pipeline answers n < 1/gamma with the exact baseline before it gets

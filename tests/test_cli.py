@@ -162,6 +162,15 @@ def test_malformed_instance_file_exits_1(tmp_path, capsys):
     assert "malformed instance file: row 1 has 2 costs" in capsys.readouterr().err
 
 
+def test_non_numeric_instance_file_exits_1(tmp_path, capsys):
+    inst_path = tmp_path / "i.txt"
+    inst_path.write_text("2\n1 2\n1 x\n")
+    code = run_cli("estimate-mwm", "--instance", inst_path, "--alpha", 0.8,
+                   "--beta", 1.0)
+    assert code == 1
+    assert "malformed instance file: row 1: could not convert" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [1.5, float("nan")])
 def test_estimate_emd_rejects_metric_outside_unit_interval(tmp_path, capsys, bad):
     n = 4

@@ -118,7 +118,10 @@ def test_binary_file_cut_short_is_malformed(tmp_path, keep, message):
     ("4\n1 2 3 4\n1 2 3\n1 2 3 4\n1 2 3 4\n", "row 1 has 3 costs, expected 4"),
     ("2\n1 2\n1 2\n1 2\n", "more than 2 rows of costs"),
     ("0\n", "the size must be positive, not 0"),
-], ids=["missing-row", "short-row", "extra-row", "zero-size"])
+    ("two\n1 2\n1 2\n", "the header must be the integer n, not 'two'"),
+    ("2\n1 2\n1 x\n", "row 1: could not convert string to float: 'x'"),
+], ids=["missing-row", "short-row", "extra-row", "zero-size", "non-integer-header",
+        "non-numeric-cost"])
 def test_text_file_with_wrong_row_count_or_length_is_malformed(tmp_path, body, message):
     path = tmp_path / "x.txt"
     path.write_text(body)

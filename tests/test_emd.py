@@ -14,15 +14,15 @@ from submatch.mcm import Backend
 def test_sample_size_formula():
     assert empirical_sample_size(1) == 3            # ceil(4 ln 2)
     assert empirical_sample_size(100) == 1843       # ceil(400 ln 100)
-    assert sample_complexity(100, 0.1) == 3686
-    assert sample_complexity(1, 0.5) == 6
+    assert sample_complexity(100) == 3686
+    assert sample_complexity(1) == 6
 
 
 def test_point_mass_sampling():
     table = np.zeros((1, 1))
     mu = DiscreteDistribution([1.0], table)
     nu = DiscreteDistribution([1.0], table)
-    pair = sample_empirical(mu, nu, 1, 0.2, seed=0)
+    pair = sample_empirical(mu, nu, 1, seed=0)
     assert pair.m == 3
     assert np.all(pair.ids_mu == 0) and np.all(pair.ids_nu == 0)
 
@@ -33,15 +33,15 @@ def test_draw_counter_matches_reported_complexity():
     table = rng.random((n, n))
     mu = DiscreteDistribution(np.full(n, 1 / n), table)
     nu = DiscreteDistribution(np.full(n, 1 / n), table)
-    sample_empirical(mu, nu, n, 0.2, seed=1)
-    assert mu.draw_count + nu.draw_count == sample_complexity(n, 0.2)
+    sample_empirical(mu, nu, n, seed=1)
+    assert mu.draw_count + nu.draw_count == sample_complexity(n)
 
 
 def test_duplicates_stay_distinct_vertices():
     table = np.array([[0.0, 0.5], [0.5, 0.0]])
     mu = DiscreteDistribution([0.5, 0.5], table)
     nu = DiscreteDistribution([0.5, 0.5], table)
-    pair = sample_empirical(mu, nu, 2, 0.2, seed=2)
+    pair = sample_empirical(mu, nu, 2, seed=2)
     assert pair.m == empirical_sample_size(2)
     assert pair.instance.n == pair.m  # one vertex per draw, duplicates kept
 
@@ -59,7 +59,7 @@ def test_multiplicity_concentration_uniform_support():
     for t in range(trials):
         mu = DiscreteDistribution(masses, table)
         nu = DiscreteDistribution(masses, table)
-        pair = sample_empirical(mu, nu, n, 0.2, seed=t)
+        pair = sample_empirical(mu, nu, n, seed=t)
         counts = np.bincount(pair.ids_mu, minlength=n)
         m = pair.m
         rates.append(np.mean(np.abs(counts - m / n) <= m / n / 4))

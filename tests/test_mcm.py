@@ -8,10 +8,7 @@ from submatch.core import (
     UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, MatrixCost,
     SetMembership, ZeroPotential, index, side, v0, v1,
 )
-from submatch.mcm import (
-    Backend, MaskView, ThresholdView, backend_query_budget,
-    delta_out,
-)
+from submatch.mcm import Backend, backend_query_budget, delta_out
 
 
 class FixedPotential(ZeroPotential):
@@ -30,15 +27,20 @@ class FixedPotential(ZeroPotential):
         return out
 
 
-def assert_valid_matching(m, n, view=None, members=None):
+def mask_cost(mask):
+    """Cost oracle whose graph at limit 0.0 is the boolean adjacency ``mask``."""
+    return MatrixCost(np.where(mask, 0.0, 1.0))
+
+
+def assert_valid_matching(m, n, cost=None, members=None):
     m0 = m.mate_of_v0()
     m1 = m.mate_of_v1()
     for i in range(n):
         if m0[i] != UNMATCHED:
             assert m1[m0[i]] == i  # symmetry
             assert m.mate(v0(i)) == v1(m0[i])  # bipartite encoding
-            if view is not None:
-                assert view.edge_pairs([i], [m0[i]])[0]
+            if cost is not None:
+                assert cost.pairs([i], [m0[i]])[0] <= 0.0
             if members is not None:
                 assert members.contains(v0(i)) and members.contains(v1(int(m0[i])))
 
@@ -65,18 +67,18 @@ def test_backend_rejects_nonpositive_epsilon_and_clamps_large_ones():
 # -- approx_match ---------------------------------------------------------------
 
 def test_approx_match_empty_graph():
-    size, m = Backend.exact().approx_match(MaskView(np.zeros((5, 5), bool)))
+    size, m = Backend.exact().approx_match(mask_cost(np.zeros((5, 5), bool)), 0.0)
     assert size == 0 and m.size() == 0
 
 
 def test_approx_match_perfect_matching_graph():
-    size, m = Backend.exact().approx_match(MaskView(np.eye(8, dtype=bool)))
+    size, m = Backend.exact().approx_match(mask_cost(np.eye(8, dtype=bool)), 0.0)
     assert size == 8
-    assert_valid_matching(m, 8, MaskView(np.eye(8, dtype=bool)))
+    assert_valid_matching(m, 8, mask_cost(np.eye(8, dtype=bool)))
 
 
 def test_approx_match_complete_graph():
-    size, _ = Backend.exact().approx_match(MaskView(np.ones((5, 5), bool)))
+    size, _ = Backend.exact().approx_match(mask_cost(np.ones((5, 5), bool)), 0.0)
     assert size == 5
 
 
@@ -85,27 +87,27 @@ def test_approx_match_exact_equals_hopcroft_karp_oracle():
     for _ in range(15):
         n = int(rng.integers(2, 24))
         mask = rng.random((n, n)) < 0.3
-        size, m = Backend.exact().approx_match(MaskView(mask))
+        size, m = Backend.exact().approx_match(mask_cost(mask), 0.0)
         edges = [(i, j) for i in range(n) for j in range(n) if mask[i, j]]
         ref, _, _ = baseline.max_bipartite_matching(n, n, edges)
         assert size == ref
         assert m.size() == size
-        assert_valid_matching(m, n, MaskView(mask))
+        assert_valid_matching(m, n, mask_cost(mask))
 
 
 # -- large_match -----------------------------------------------------------------
 
 def test_large_match_bottom_cases():
     b = Backend.exact()
-    empty_graph = MaskView(np.zeros((6, 6), bool))
-    assert b.large_match(empty_graph, None, 0.1) is None
-    full = MaskView(np.ones((6, 6), bool))
-    assert b.large_match(full, SetMembership(6, []), 0.1) is None
+    empty_graph = mask_cost(np.zeros((6, 6), bool))
+    assert b.large_match(empty_graph, 0.0, None, 0.1) is None
+    full = mask_cost(np.ones((6, 6), bool))
+    assert b.large_match(full, 0.0, SetMembership(6, []), 0.1) is None
 
 
 def test_large_match_perfect_subgraph():
     n = 20
-    m = Backend.exact().large_match(MaskView(np.eye(n, dtype=bool)), None, 0.5)
+    m = Backend.exact().large_match(mask_cost(np.eye(n, dtype=bool)), 0.0, None, 0.5)
     assert m is not None
     assert m.size() == n  # exact backend returns the full matching
     assert m.size() >= delta_out(0.5) * n
@@ -122,7 +124,7 @@ def test_large_match_exact_completeness():
         members = SetMembership(n, [v0(i) for i in np.nonzero(a0)[0]]
                                 + [v1(j) for j in np.nonzero(a1)[0]])
         delta_in = float(rng.uniform(0.05, 0.6))
-        got = Backend.exact().large_match(MaskView(mask), members, delta_in)
+        got = Backend.exact().large_match(mask_cost(mask), 0.0, members, delta_in)
         edges = [(i, j) for i in range(n) for j in range(n)
                  if mask[i, j] and a0[i] and a1[j]]
         mu = baseline.max_bipartite_matching(n, n, edges)[0]
@@ -131,7 +133,7 @@ def test_large_match_exact_completeness():
         else:
             assert got is not None
             assert got.size() == mu
-            assert_valid_matching(got, n, MaskView(mask), members)
+            assert_valid_matching(got, n, mask_cost(mask), members)
 
 
 # -- large_matching_forward -------------------------------------------------------
@@ -279,10 +281,9 @@ def test_sampled_backend_respects_budget_and_returns_valid_matchings():
     rng = np.random.default_rng(3)
     n = 64
     mask = rng.random((n, n)) < 0.5
-    view = MaskView(mask)
     b = Backend.sampled(seed=7, epsilon=0.2)
-    size, m = b.approx_match(view)
-    assert_valid_matching(m, n, MaskView(mask))
+    size, m = b.approx_match(mask_cost(mask), 0.0)
+    assert_valid_matching(m, n, mask_cost(mask))
     assert size == m.size()
     for rec in b.call_log:
         assert rec["queries"] <= rec["budget"]
@@ -290,12 +291,11 @@ def test_sampled_backend_respects_budget_and_returns_valid_matchings():
 
 def test_sampled_large_match_finds_dense_matching():
     n = 64
-    view = MaskView(np.ones((n, n), bool))
     b = Backend.sampled(seed=1, epsilon=0.1)
-    m = b.large_match(view, None, 0.5)
+    m = b.large_match(mask_cost(np.ones((n, n), bool)), 0.0, None, 0.5)
     assert m is not None
     assert m.size() >= delta_out(0.5) * n
-    assert_valid_matching(m, n, MaskView(np.ones((n, n), bool)))
+    assert_valid_matching(m, n, mask_cost(np.ones((n, n), bool)))
 
 
 def test_sampled_augment_valid_and_budgeted():
@@ -319,7 +319,7 @@ def test_sampled_reproducible():
     runs = []
     for _ in range(2):
         b = Backend.sampled(seed=11, epsilon=0.15)
-        size, m = b.approx_match(MaskView(mask))
+        size, m = b.approx_match(mask_cost(mask), 0.0)
         runs.append((size, tuple(m.mate_of_v0())))
     assert runs[0] == runs[1]
 
@@ -744,9 +744,9 @@ def _reference_sample_one_path(self, start, half_len, used0, used1, mate1,
     return None
 
 
-def _reference_sampled_greedy(self, view, subset):
+def _reference_sampled_greedy(self, cost, limit, subset):
     """The rng.choice version of Backend._sampled_greedy, kept verbatim."""
-    n = view.n
+    n = cost.n
     rng = self._rng()
     if subset is None:
         rows = np.arange(n, dtype=np.int64)
@@ -754,12 +754,12 @@ def _reference_sampled_greedy(self, view, subset):
     else:
         rows, cols = subset
     budget = self.query_budget(n)
-    before = view.counter.count
+    before = cost.counter.count
     mate0 = np.full(n, -1, dtype=np.int64)
     mate1 = np.full(n, -1, dtype=np.int64)
 
     def remaining():
-        return budget - (view.counter.count - before)
+        return budget - (cost.counter.count - before)
 
     stall = 0
     while remaining() > len(rows) and stall < 10:
@@ -769,7 +769,7 @@ def _reference_sampled_greedy(self, view, subset):
         batch = min(len(free_r) * 2, max(remaining() // 2, 1), 400_000)
         is_ = rng.choice(free_r, size=batch)
         js = rng.choice(cols, size=batch)
-        hits = view.edge_pairs(is_, js)
+        hits = cost.pairs(is_, js) <= limit
         progressed = False
         for i, j in zip(is_[hits], js[hits]):
             if mate0[i] == -1 and mate1[j] == -1:
@@ -785,7 +785,7 @@ def _reference_sampled_greedy(self, view, subset):
             break
         i = int(rng.choice(free_r))
         j = int(rng.choice(cols))
-        if not bool(view.edge_pairs([i], [j])[0]):
+        if not cost.pairs([i], [j])[0] <= limit:
             continue
         if mate1[j] == -1:
             if mate0[i] == -1:
@@ -795,7 +795,7 @@ def _reference_sampled_greedy(self, view, subset):
             continue
         i2 = int(mate1[j])
         j2 = int(rng.choice(cols))
-        if mate1[j2] == -1 and bool(view.edge_pairs([i2], [j2])[0]):
+        if mate1[j2] == -1 and cost.pairs([i2], [j2])[0] <= limit:
             mate0[i] = j
             mate1[j] = i
             mate0[i2] = j2
@@ -916,9 +916,9 @@ def test_sampled_greedy_direct_draws_equal_choice_reference():
         for greedy in (Backend._sampled_greedy, _reference_sampled_greedy):
             b = Backend.sampled(seed=seed, epsilon=0.1)
             r = _pinned_rng(b, seed)
-            view = MaskView(mask)
-            size, m0, m1 = greedy(b, view, subset)
-            outs.append((size, m0.tolist(), m1.tolist(), view.counter.count,
+            cost = mask_cost(mask)
+            size, m0, m1 = greedy(b, cost, 0.0, subset)
+            outs.append((size, m0.tolist(), m1.tolist(), cost.counter.count,
                          r.bit_generator.state))
         assert outs[0] == outs[1]
 

@@ -118,7 +118,7 @@ def test_round_costs_clamps_and_counts():
     inst = BipartiteInstance.from_matrix(np.array([[2.0]]))
     rounded = round_costs(inst.cost, 0.5, 1.0)
     v = rounded.peek_dense()[0, 0]
-    assert v == rounded._round(np.array([[1.0]]))[0, 0]
+    assert v == rounded._map(np.array([[1.0]]))[0, 0]
     assert rounded.clamped == 1
 
 
@@ -348,6 +348,14 @@ def test_degenerate_baseline_reads_full_matrix():
     res = estimate_min_weight_matching(inst, cfg, Backend.exact(seed=0), seed=0)
     assert res.report["degenerate"]
     assert inst.query_count == n * n
+
+
+def test_degenerate_baseline_names_nan():
+    # the exact fallback reports a NaN cost as NaN, not as a negative one
+    inst = BipartiteInstance.from_matrix(np.array([[1.0, np.nan], [2.0, 3.0]]))
+    with pytest.raises(ValueError, match="a cost is NaN"):
+        estimate_min_weight_matching(inst, ReductionConfig(0.0, 1.0, 0.05),
+                                     Backend.exact(seed=0), seed=0)
 
 
 # -- exact-backend reads and pinned answers ------------------------------------------

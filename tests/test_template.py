@@ -401,13 +401,14 @@ def test_run_template_all_ones():
     n = 20
     inst = BipartiteInstance.from_matrix(np.ones((n, n)))
     params = make_params(gamma=0.25, C=1, T=4, k=3)
-    res = run_template(inst, params, Backend.exact(), seed=7)
+    res = run_template(inst, params, Backend.exact(), seed=7, collect_trace=True)
     assert res.matching.base.size() == n
     s = sample_size(params.gamma, params.C, n)
     d = math.ceil(3 * params.gamma * s)
     assert res.estimate == pytest.approx(n * (s - d) / s, rel=1e-6)
     assert res.matching.size() == n  # all costs tie at w = 1, everything kept
     # Lemma "phi(u) = t on F0" holds exactly on every iteration
+    assert len(res.trace) == params.T
     for rec in res.trace:
         assert rec["phi0_on_free0"] in ([rec["t"]], [])
 
@@ -441,7 +442,7 @@ def test_run_template_phi_range_and_invariants():
     costs = rng.integers(1, 6, (n, n)).astype(float)
     inst = BipartiteInstance.from_matrix(costs)
     params = make_params(gamma=0.2, C=5, T=7, k=5)
-    res = run_template(inst, params, Backend.exact(), seed=5)
+    res = run_template(inst, params, Backend.exact(), seed=5, collect_trace=True)
     for state in res.states:
         t = state.t
         phi0 = state.potential.on_v0()
@@ -449,6 +450,7 @@ def test_run_template_phi_range_and_invariants():
         assert np.all(phi0 >= 0) and np.all(phi0 <= t)
         assert np.all(phi1 <= 0) and np.all(phi1 >= -t)
     # free side-0 potential == t exactly (Lemma 4.1 analogue), from the trace
+    assert len(res.trace) == params.T
     for rec in res.trace:
         assert rec["phi0_on_free0"] in ([rec["t"]], [])
 
