@@ -19,7 +19,7 @@ import numpy as np
 
 from . import baseline
 from .core import BipartiteInstance, read_instance, write_instance
-from .emd import DiscreteDistribution, StreamSource, estimate_emd_detailed, empirical_sample_size
+from .emd import DiscreteDistribution, StreamSource, estimate_emd_detailed
 from .generators import GENERATORS, make_instance
 from .mcm import Backend
 from .pipeline import ReductionConfig, estimate_min_weight_matching, max_matching_under_budget

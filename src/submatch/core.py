@@ -10,7 +10,8 @@ Because answers never change, every layered oracle keeps them in a
 :class:`_Memo` and computes each vertex at most once.
 
 Vertices carry a side bit: the V0 vertex with index ``i`` is encoded as
-``2*i`` and the V1 vertex with index ``j`` as ``2*j + 1``.
+``2*i`` and the V1 vertex with index ``j`` as ``2*j + 1``, so ``u & 1`` is
+a global id's side and ``u >> 1`` its index.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from typing import Callable, Iterable
 import numpy as np
 
 __all__ = [
-    "v0", "v1", "side", "index", "decode",
+    "v0", "v1",
     "QueryCounter", "CostOracle", "MatrixCost", "FunctionCost",
     "ScaledCost", "ThresholdedCostView", "MaterializedCost",
-    "BipartiteInstance", "write_instance", "read_instance", "query_count",
+    "BipartiteInstance", "write_instance", "read_instance",
     "MatchingOracle", "EmptyMatching", "ArrayMatching", "OverlayMatching",
     "PotentialOracle", "ZeroPotential",
     "MembershipOracle", "SetMembership",
@@ -58,19 +59,6 @@ def v0(i):
 def v1(j):
     """Global id of the side-1 vertex with index ``j``."""
     return (j << 1) | 1
-
-
-def side(u):
-    return u & 1
-
-
-def index(u):
-    return u >> 1
-
-
-def decode(u):
-    """Global id -> (side, index) pair."""
-    return u & 1, u >> 1
 
 
 class QueryCounter:
@@ -141,9 +129,6 @@ class CostOracle:
         is_ = np.asarray(is_, dtype=np.int64)
         js = np.asarray(js, dtype=np.int64)
         return self._pairs(is_, js, False)
-
-    def value(self, i: int, j: int) -> float:
-        return float(self._block(np.array([i]), np.array([j]), True)[0, 0])
 
     # -- uncounted diagnostics ---------------------------------------------
     def peek_block(self, rows, cols) -> np.ndarray:
@@ -259,12 +244,15 @@ class ScaledCost(_AdapterCost):
 class ThresholdedCostView(_AdapterCost):
     """Keep edges of cost <= limit; everything above becomes a non-edge.
 
-    A NaN cost is malformed input, not a non-edge: reading one raises.
+    A NaN cost is malformed input, not a non-edge: reading one raises, and
+    so does a NaN limit, at construction.
     """
 
     def __init__(self, base: CostOracle, limit: float):
         super().__init__(base)
         self.limit = float(limit)
+        if np.isnan(self.limit):
+            raise ValueError(f"limit must not be NaN, not {limit!r}")
 
     def _map(self, vals):
         if np.isnan(vals).any():
@@ -297,11 +285,6 @@ class MaterializedCost(_AdapterCost):
 
     def _pairs(self, is_, js, counted):
         return self._m[is_, js]
-
-
-def query_count(instance: "BipartiteInstance") -> int:
-    """Exact number of cost-matrix entries read since construction/reset."""
-    return instance.query_count
 
 
 class BipartiteInstance:

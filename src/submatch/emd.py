@@ -52,9 +52,6 @@ class DistributionSource:
     def draw_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
-    def draw(self, rng: np.random.Generator) -> int:
-        return int(self.draw_many(rng, 1)[0])
-
     def metric_block(self, ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 

@@ -9,8 +9,10 @@ pairs of cost <= limit, and every subroutine reads the costs itself.  The
 exact backend satisfies every contract deterministically: it reads the cost
 matrix once into memory (:meth:`Backend.prepare_cost`), builds each
 call's graph from it and runs Hopcroft-Karp; its augmentation keeps one
-eligibility snapshot for a whole Step 1, and its bounded-length path search
-prunes dead ends proven independent of the current path.  The sampled
+eligibility snapshot (adjacency lists of the eligible non-matched edges)
+for a whole Step 1, and one bounded-length path search serves every path
+length, free-to-free edges included, pruning dead ends proven independent
+of the current path.  The sampled
 backend is a best-effort randomized implementation under a hard per-call
 query budget and exists to demonstrate empirical sublinearity.
 """
@@ -163,71 +165,45 @@ def _members_on_side(A: MembershipOracle | None, n: int, side_: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 class _Eligibility:
-    """Dense snapshot of the eligibility graph under a fixed potential and
-    cost; :meth:`augment` keeps it current as the matching grows."""
+    """Snapshot of the eligibility graph under a fixed potential and cost:
+    ``adj[i]`` lists, ascending, the j with (i, j) non-matched and eligible
+    (phi0[i] + phi1[j] == c + 1), and ``matched_tight[i]`` says whether i's
+    matched edge is tight (phi0[i] + phi1[mate] == c).  :meth:`augment`
+    keeps it current as the matching grows."""
 
     def __init__(self, cost: CostOracle, phi: PotentialOracle, matching: MatchingOracle):
         n = cost.n
         self.n = n
-        self.phi0 = phi.eval_many(v0(np.arange(n, dtype=np.int64)))
-        self.phi1 = phi.eval_many(v1(np.arange(n, dtype=np.int64)))
+        phi0 = phi.eval_many(v0(np.arange(n, dtype=np.int64)))
+        phi1 = phi.eval_many(v1(np.arange(n, dtype=np.int64)))
         # own copies: augment() writes into them, never into the oracle's arrays
         self.mate0 = matching.mate_of_v0().copy()
         self.mate1 = matching.mate_of_v1().copy()
         c = cost.block(np.arange(n), np.arange(n))
-        self.nonmatched = (self.phi0[:, None] + self.phi1[None, :]) == c + 1
+        eligible = (phi0[:, None] + phi1[None, :]) == c + 1
         matched_rows = np.nonzero(self.mate0 != UNMATCHED)[0]
-        self.nonmatched[matched_rows, self.mate0[matched_rows]] = False
-        # matched edge (i, mate0[i]) is eligible iff potentials sum to its cost
+        matched_cols = self.mate0[matched_rows]
+        eligible[matched_rows, matched_cols] = False
+        self.adj = _mask_to_adj(eligible)
         self.matched_tight = np.zeros(n, dtype=bool)
-        if len(matched_rows):
-            cm = c[matched_rows, self.mate0[matched_rows]]
-            self.matched_tight[matched_rows] = (
-                self.phi0[matched_rows] + self.phi1[self.mate0[matched_rows]] == cm)
-        self._adj = None
-
-    @property
-    def adj(self) -> list[list[int]]:
-        if self._adj is None:
-            self._adj = _mask_to_adj(self.nonmatched)
-        return self._adj
+        self.matched_tight[matched_rows] = (
+            phi0[matched_rows] + phi1[matched_cols] == c[matched_rows, matched_cols])
 
     def augment(self, paths: list[list[int]]):
         """Flip node-disjoint eligible augmenting paths, in place.
 
         The result equals a snapshot rebuilt against the augmented matching.
         Each new matched pair (i_t, j_{t+1}) was eligible at c + 1, so it
-        leaves ``nonmatched`` and ``adj`` and is not tight at c; the path's
-        old matched edges were tight at c, so they never become eligible
-        non-matched edges.
+        leaves ``adj`` and is not tight at c; the path's old matched edges
+        were tight at c, so they never become eligible non-matched edges.
         """
         for path in paths:
             for t in range(0, len(path) - 1, 2):
                 i, j = path[t], path[t + 1]
-                self.nonmatched[i, j] = False
+                self.adj[i].remove(j)
                 self.matched_tight[i] = False
                 self.mate0[i] = j
                 self.mate1[j] = i
-                if self._adj is not None:
-                    self._adj[i].remove(j)
-
-
-def _free_edge_paths(elig: _Eligibility) -> list[list[int]]:
-    """Length-1 case: greedy maximal matching on free x free eligible pairs."""
-    free0 = np.nonzero(elig.mate0 == UNMATCHED)[0]
-    free1 = np.nonzero(elig.mate1 == UNMATCHED)[0]
-    if len(free0) == 0 or len(free1) == 0:
-        return []
-    sub = elig.nonmatched[np.ix_(free0, free1)]
-    taken = np.zeros(len(free1), dtype=bool)
-    paths = []
-    for r, row in enumerate(sub):
-        avail = row & ~taken
-        c = int(np.argmax(avail))
-        if avail[c]:
-            taken[c] = True
-            paths.append([int(free0[r]), int(free1[c])])
-    return paths
 
 
 def _find_exact_length_paths(elig: _Eligibility, half_len: int) -> list[list[int]]:
@@ -244,9 +220,9 @@ def _find_exact_length_paths(elig: _Eligibility, half_len: int) -> list[list[int
     the rest of the call: the graph is fixed and the used sets only grow,
     so no later prefix or start can succeed through it, and it is skipped.
     The pruning leaves the returned paths and their order unchanged.
+    With ``half_len == 0`` each free start takes its lowest free eligible
+    neighbor not yet used: a greedy maximal matching on free x free edges.
     """
-    if half_len == 0:
-        return _free_edge_paths(elig)
     n = elig.n
     used0 = [False] * n
     used1 = [False] * n
@@ -510,11 +486,12 @@ class Backend:
         Sampled calls log ``memo_hits``: matched-edge tightness lookups
         served from the call's memo instead of a read.
 
-        Exact calls build one dense eligibility snapshot per Step 1: a
-        round whose phi and cost are the previous successful round's and
-        whose matching is the overlay that round returned continues from
-        that round's snapshot, updated in place along its paths; any other
-        round builds a new one.  At most one snapshot is held at a time.
+        Exact calls build one eligibility snapshot per Step 1, from one
+        dense read of the cost: a round whose phi and cost are the previous
+        successful round's and whose matching is the overlay that round
+        returned continues from that round's snapshot, updated in place
+        along its paths; any other round builds a new one.  At most one
+        snapshot is held at a time.
         """
         n = cost.n
         before = cost.counter.count

@@ -137,15 +137,17 @@ class RoundedCost(_AdapterCost):
     Finite inputs above w are clamped to w and counted (the composed
     pipeline thresholds first, so none occur there); +inf passes through
     as a non-edge.  The scale-back factor gamma^2 w / 2 satisfies
-    c <= (gamma^2 w / 2) * c_bar <= c + gamma^2 w edge by edge.
+    c <= (gamma^2 w / 2) * c_bar <= c + gamma^2 w edge by edge.  Levels
+    lie in [1, C] with C = ceil(2 / gamma^2) + 2, one above the level of w,
+    so float fuzz in 2 c / (gamma^2 w) cannot push a level past C.
     """
 
     def __init__(self, base: CostOracle, gamma: float, w: float):
         super().__init__(base)
         self.gamma = float(gamma)
         self.w = float(w)
-        if self.w <= 0:
-            raise ValueError("w must be positive")
+        if not self.w > 0:  # NaN fails this test too
+            raise ValueError(f"w must be positive, not {w!r}")
         self.C = math.ceil(2.0 / gamma ** 2) + 2
         self.scale_back = gamma ** 2 * w / 2.0
         self.clamped = 0
@@ -221,12 +223,6 @@ class PaddedInstance:
     dummies: int
     offset: float  # template-unit estimate correction
 
-    def unpad_estimate(self, c_hat: float) -> float:
-        return c_hat - self.offset
-
-    def unpad_matching(self, matching: MatchingOracle) -> FilteredMatching:
-        return FilteredMatching(matching, self.n_real)
-
 
 def pad_dummies(instance: BipartiteInstance, beta: float, xi_pad: float) -> PaddedInstance:
     """Add (1 - beta + xi_pad) * n dummies per side (at least one).
@@ -257,14 +253,6 @@ class PipelineResult:
     stages: SimpleNamespace = field(repr=False, default=None)
 
 
-def _matched_fraction(matching: MatchingOracle, n: int, rng) -> float:
-    if n <= 2048:
-        return matching.size() / n
-    probes = rng.integers(0, n, size=256)
-    from .core import v0
-    return float(np.mean(matching.mates(v0(probes)) != UNMATCHED))
-
-
 def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionConfig,
                                  backend: Backend, seed=0,
                                  T: int | None = None, k: int | None = None,
@@ -273,12 +261,17 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
 
     The rounding resolution is coupled to the iteration budget: with T
     template iterations the potentials span T levels, so costs are rounded
-    to C = T - 1 integer values (the rounding gamma is back-derived from C).
+    to C = T - 1 integer levels.  The rounding gamma is back-derived from
+    C as sqrt(2 / (C - 2)), which puts w_bar at level C - 1 (level C
+    under float fuzz), and the template and the report use C itself.
+
+    ``report["matched_fraction"]`` is the exact matched size over n, read
+    through the returned matching (at most n cost reads).
     """
     n = instance.n
     g = config.gamma_effective
     seq = as_seed_sequence(seed)
-    seeds = seq.spawn(4)
+    seeds = seq.spawn(4)  # seeds[0], seeds[1] used; a caller's sequence advances by 4
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
 
@@ -296,9 +289,9 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     k = DEFAULT_K if k is None else k
     if T < 4:
         raise ValueError("T must be >= 4")
-    rounding_gamma = math.sqrt(2.0 / (T - 3))  # so C = ceil(2/g^2)+2 = T-1
-    rounded = round_costs(thresholded, rounding_gamma, w_bar)
-    tparams = TemplateParams.practical(g, rounded.C, T, k)
+    C = T - 1
+    rounded = round_costs(thresholded, math.sqrt(2.0 / (C - 2)), w_bar)
+    tparams = TemplateParams.practical(g, C, T, k)
     padded = pad_dummies(BipartiteInstance(n, rounded), config.beta,
                          config.padding_slack)
     timings["reductions"] = time.perf_counter() - t1
@@ -308,23 +301,21 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
                         seed=seeds[1], collect_trace=collect_trace)
     timings["template"] = time.perf_counter() - t2
 
-    estimate = padded.unpad_estimate(tres.estimate) * rounded.scale_back
+    estimate = (tres.estimate - padded.offset) * rounded.scale_back
     if characteristic.w_bar == 0.0:
         estimate = 0.0  # every real edge left after thresholding costs 0
-    matching = padded.unpad_matching(tres.matching)
-    rng = np.random.default_rng(seeds[2])
-    frac = _matched_fraction(matching, n, rng)
+    matching = FilteredMatching(tres.matching, n)
     report = {
         "alpha": config.alpha,
         "beta": config.beta,
         "gamma": config.gamma,
         "gamma_effective": g,
         "w_bar": w_bar,
-        "C": rounded.C,
+        "C": C,
         "T": tparams.T,
         "k": tparams.k,
         "estimate": estimate,
-        "matched_fraction": frac,
+        "matched_fraction": matching.size() / n,
         "total_queries": instance.query_count,
         "backend": backend.variant,
         "seed": seed_label(seed),
@@ -393,10 +384,7 @@ def max_matching_under_budget(instance: BipartiteInstance, B: float, gamma: floa
         xi = min(grid[idx], 1.0)  # guard float accumulation at the top point
         if xi <= 0.0:
             return True  # the empty matching always fits
-        alpha = max(xi - step, 0.0)
-        if alpha >= xi:
-            return True
-        config = ReductionConfig(alpha, xi, gamma)
+        config = ReductionConfig(max(xi - step, 0.0), xi, gamma)
         res = estimate_min_weight_matching(instance, config, backend,
                                            seed=sub[idx], T=T, k=k)
         return res.estimate <= B

@@ -292,7 +292,6 @@ def step2(phi_in: PotentialOracle, m_in: MatchingOracle, params: TemplateParams,
             break
         grown = ForestMembership(n, "fwd", prev=forest, matching=m_t)
         forest = ForestMembership(n, "mate", prev=grown, matching=m_in)
-        forest.layer_matching = m_t
         layers += 1
     phi_out = Step2Potential(phi_in, forest, params.range_bound)
     return phi_out, forest, layers
@@ -405,7 +404,7 @@ class TemplateResult:
     trace: list[dict] = field(default_factory=list)
 
 
-def _diagnostics(t, state, cost, instance, params):
+def _diagnostics(t, state, instance):
     """Per-iteration structured record (desk scale; uses uncounted reads)."""
     from .baseline import min_vertex_cover_bipartite
     n = instance.n
@@ -416,7 +415,7 @@ def _diagnostics(t, state, cost, instance, params):
     phi0 = state.potential.on_v0()
     phi1 = state.potential.on_v1()
     spurious = int(np.count_nonzero(phi1[f1] != 0))
-    dense = cost.peek_block(np.arange(n), np.arange(n))
+    dense = instance.cost.peek_dense()
     viol = (phi0[:, None] + phi1[None, :]) > dense + 1
     edges = list(zip(*np.nonzero(viol)))
     broken = len(min_vertex_cover_bipartite(n, n, edges)) if edges else 0
@@ -460,7 +459,7 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
         state = IterationState(t, matching, phi, forest)
         states.append(state)
         if collect_trace:
-            rec = _diagnostics(t, state, instance.cost, instance, params)
+            rec = _diagnostics(t, state, instance)
             rec["step1_rounds"] = s1_rounds
             rec["step2_layers"] = s2_layers
             trace.append(rec)

@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 
 from submatch.core import (
     UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching,
-    MaterializedCost, MatrixCost, OverlayMatching, ScaledCost, SetMembership,
-    ThresholdedCostView, ZeroPotential, decode, index, read_instance, side, v0, v1,
+    MaterializedCost, OverlayMatching, ScaledCost, SetMembership,
+    ThresholdedCostView, ZeroPotential, read_instance, v0, v1,
     write_instance,
 )
 from submatch.template import StepAMembership, Step2Potential
@@ -14,16 +14,15 @@ from submatch.template import StepAMembership, Step2Potential
 @given(st.integers(0, 10 ** 9), st.sampled_from([0, 1]))
 def test_vertex_codec_roundtrip(i, s):
     u = v0(i) if s == 0 else v1(i)
-    assert side(u) == s
-    assert index(u) == i
-    assert decode(u) == (s, i)
+    assert u & 1 == s
+    assert u >> 1 == i
 
 
 def test_query_counter_counts_every_access():
     inst = BipartiteInstance.from_matrix(np.arange(9.0).reshape(3, 3))
     assert inst.query_count == 0
-    inst.cost.value(0, 0)
-    inst.cost.value(0, 0)
+    inst.cost.pairs([0], [0])
+    inst.cost.pairs([0], [0])
     assert inst.query_count == 2
     inst.cost.block(np.arange(3), np.arange(3))
     assert inst.query_count == 2 + 9
@@ -65,6 +64,14 @@ def test_threshold_view_rejects_nan_reads():
     with pytest.raises(ValueError, match="NaN"):
         view.block(np.arange(2), np.arange(2))
     assert inst.query_count == 2 + 2 + 4  # no read beyond the ones asked for
+
+
+def test_threshold_view_rejects_nan_limit():
+    # a NaN limit would compare false everywhere and drop every edge
+    inst = BipartiteInstance.from_matrix(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="limit must not be NaN, not nan"):
+        ThresholdedCostView(inst.cost, float("nan"))
+    assert inst.query_count == 0
 
 
 def test_materialized_cost_counts_its_matrix_once():

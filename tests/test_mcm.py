@@ -6,7 +6,7 @@ import pytest
 from submatch import baseline
 from submatch.core import (
     UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, MatrixCost,
-    SetMembership, ZeroPotential, index, side, v0, v1,
+    SetMembership, ZeroPotential, v0, v1,
 )
 from submatch.mcm import Backend, backend_query_budget, delta_out
 
@@ -23,7 +23,7 @@ class FixedPotential(ZeroPotential):
     def _eval_missing(self, us):
         out = np.empty(len(us), dtype=np.int64)
         for t, u in enumerate(us):
-            out[t] = self.p0[index(u)] if side(u) == 0 else self.p1[index(u)]
+            out[t] = self.p1[u >> 1] if u & 1 else self.p0[u >> 1]
         return out
 
 
@@ -392,16 +392,50 @@ def _reference_hopcroft_karp(adj, n0, n1):
                         path.pop()
 
 
-def _reference_exact_length_paths(elig, half_len):
+def _eligibility_arrays(cost, phi, matching):
+    """(mask, matched_tight, mate0, mate1) of a state, computed from its
+    costs, potential and mates: mask[i, j] says (i, j) is a non-matched
+    eligible edge, matched_tight[i] that i's matched edge is tight."""
+    c = cost.peek_dense()
+    phi0, phi1 = phi.on_v0(), phi.on_v1()
+    mate0, mate1 = matching.mate_of_v0(), matching.mate_of_v1()
+    mask = phi0[:, None] + phi1[None, :] == c + 1
+    rows = np.nonzero(mate0 != UNMATCHED)[0]
+    mask[rows, mate0[rows]] = False
+    tight = np.zeros(len(mate0), dtype=bool)
+    tight[rows] = phi0[rows] + phi1[mate0[rows]] == c[rows, mate0[rows]]
+    return mask, tight, mate0, mate1
+
+
+def _reference_free_edge_paths(state):
+    """The numpy greedy that once served length-1 paths beside the path
+    DFS: a maximal matching on free x free eligible pairs."""
+    mask, _, mate0, mate1 = _eligibility_arrays(*state)
+    free0 = np.nonzero(mate0 == UNMATCHED)[0]
+    free1 = np.nonzero(mate1 == UNMATCHED)[0]
+    if len(free0) == 0 or len(free1) == 0:
+        return []
+    sub = mask[np.ix_(free0, free1)]
+    taken = np.zeros(len(free1), dtype=bool)
+    paths = []
+    for r, row in enumerate(sub):
+        avail = row & ~taken
+        c = int(np.argmax(avail))
+        if avail[c]:
+            taken[c] = True
+            paths.append([int(free0[r]), int(free1[c])])
+    return paths
+
+
+def _reference_exact_length_paths(state, half_len):
     """The numpy-array path DFS the list kernel replaced (half_len >= 1)."""
-    n = elig.n
+    mask, mtight, mate0, mate1 = _eligibility_arrays(*state)
+    n = len(mate0)
     used0 = np.zeros(n, dtype=bool)
     used1 = np.zeros(n, dtype=bool)
-    free0 = elig.mate0 == UNMATCHED
-    free1 = elig.mate1 == UNMATCHED
-    adj = [np.nonzero(row)[0] for row in elig.nonmatched]
-    mate1 = elig.mate1
-    mtight = elig.matched_tight
+    free0 = mate0 == UNMATCHED
+    free1 = mate1 == UNMATCHED
+    adj = [np.nonzero(row)[0] for row in mask]
     paths = []
     for start in range(n):
         if not free0[start] or used0[start]:
@@ -532,10 +566,13 @@ def test_exact_length_paths_lists_equal_numpy_reference():
     rng = np.random.default_rng(4)
     lengths = []
     for trial in range(60):
-        elig = _Eligibility(*_random_state(rng))
+        state = _random_state(rng)
+        elig = _Eligibility(*state)
+        mask = _eligibility_arrays(*state)[0]
+        assert elig.adj == [np.nonzero(row)[0].tolist() for row in mask]
         for half_len in (1, 2, 3):
             got = _find_exact_length_paths(elig, half_len)
-            assert got == _reference_exact_length_paths(elig, half_len)
+            assert got == _reference_exact_length_paths(state, half_len)
             lengths += [len(path) for path in got]
     # the random states hold many augmenting paths of every tested length
     assert all(lengths.count(2 * h + 2) >= 10 for h in (1, 2, 3))
@@ -546,14 +583,28 @@ def test_exact_length_paths_lists_equal_numpy_reference():
         elig = _Eligibility(*state)
         for half_len in (1, 2, 3):
             got = _find_exact_length_paths(elig, half_len)
-            assert got == _reference_exact_length_paths(elig, half_len)
+            assert got == _reference_exact_length_paths(state, half_len)
         assert all(path in got for path in planted)
+
+
+def test_exact_length_paths_serve_free_edges_like_the_greedy():
+    # half_len 0 runs the same path search as every other length; it must
+    # return what the separate free-edge greedy returned, in the same order
+    from submatch.mcm import _Eligibility, _find_exact_length_paths
+    rng = np.random.default_rng(21)
+    found = 0
+    for trial in range(60):
+        state = _random_state(rng) if trial % 4 else _cycle_state(rng)[0]
+        got = _find_exact_length_paths(_Eligibility(*state), 0)
+        assert got == _reference_free_edge_paths(state)
+        found += len(got)
+    assert found >= 100
 
 
 def test_eligibility_augment_equals_rebuild():
     from submatch.mcm import _augment_overlay, _Eligibility, _find_exact_length_paths
     rng = np.random.default_rng(12)
-    rounds = with_adj = 0
+    rounds = 0
     for trial in range(40):
         cost, phi, matching = _random_state(rng)
         mates = (matching._mate0.copy(), matching._mate1.copy())
@@ -567,11 +618,9 @@ def test_eligibility_augment_equals_rebuild():
             if not paths:
                 break
             paths = paths[:int(rng.integers(1, len(paths) + 1))]  # any subset will do
-            with_adj += elig._adj is not None
             m = _augment_overlay(m, paths)
             elig.augment(paths)
             fresh = _Eligibility(cost, phi, m)
-            assert np.array_equal(elig.nonmatched, fresh.nonmatched)
             assert np.array_equal(elig.matched_tight, fresh.matched_tight)
             assert np.array_equal(elig.mate0, fresh.mate0)
             assert np.array_equal(elig.mate1, fresh.mate1)
@@ -580,8 +629,7 @@ def test_eligibility_augment_equals_rebuild():
         # the snapshot owns its mate arrays; the oracle's stay as they were
         assert np.array_equal(matching._mate0, mates[0])
         assert np.array_equal(matching._mate1, mates[1])
-    # many rounds, some with the adjacency lists already built and some not
-    assert rounds >= 100 and 50 <= with_adj <= rounds - 10
+    assert rounds >= 100
 
 
 def test_exact_step1_builds_one_snapshot(monkeypatch):

@@ -10,8 +10,8 @@ from submatch.core import UNMATCHED, BipartiteInstance, v0
 from submatch.generators import uniform_instance
 from submatch.mcm import Backend
 from submatch.pipeline import (
-    ReductionConfig, estimate_min_weight_matching, find_characteristic_cost,
-    max_matching_under_budget, pad_dummies, round_costs,
+    FilteredMatching, ReductionConfig, estimate_min_weight_matching,
+    find_characteristic_cost, max_matching_under_budget, pad_dummies, round_costs,
 )
 
 
@@ -122,6 +122,46 @@ def test_round_costs_clamps_and_counts():
     assert rounded.clamped == 1
 
 
+def test_round_costs_rejects_nan_w():
+    inst = BipartiteInstance.from_matrix(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="w must be positive, not nan"):
+        round_costs(inst.cost, 0.5, float("nan"))
+    assert inst.query_count == 0
+
+
+class _StopAtTemplate(Exception):
+    pass
+
+
+def test_pipeline_rounds_to_t_minus_one_levels(monkeypatch):
+    # C = T - 1 at every T, including T = 17, 18, 32, ... where float
+    # rounding puts 2 / gamma^2 just above T - 3; every rounded level the
+    # template is handed lies in [1, C], and the top ones are used
+    from submatch import pipeline
+    seen = {}
+
+    def stop(instance, params, *args, **kwargs):
+        seen["levels"] = instance.cost.peek_dense()
+        seen["C"] = params.C
+        raise _StopAtTemplate
+
+    monkeypatch.setattr(pipeline, "run_template", stop)
+    inst = uniform_instance(12, 5)
+    cfg = ReductionConfig(0.5, 1.0, 0.5)
+    for T in range(4, 201):
+        with pytest.raises(_StopAtTemplate):
+            estimate_min_weight_matching(inst, cfg, Backend.exact(seed=0), seed=0, T=T)
+        levels = seen["levels"][np.isfinite(seen["levels"])]
+        assert seen["C"] == T - 1
+        assert levels.min() >= 1 and T - 2 <= levels.max() <= T - 1
+
+
+def test_report_c_is_t_minus_one():
+    res = estimate_min_weight_matching(uniform_instance(12, 5), ReductionConfig(0.5, 1.0, 0.5),
+                                       Backend.exact(seed=0), seed=0, T=17, k=3)
+    assert res.report["C"] == res.stages.template_params.C == 16
+
+
 def test_round_costs_passes_infinity_through():
     inst = BipartiteInstance.from_matrix(np.array([[np.inf]]))
     rounded = round_costs(inst.cost, 0.5, 1.0)
@@ -211,7 +251,7 @@ def test_unpad_matching_filters_dummy_pairs():
     from submatch.core import ArrayMatching
     npad = padded.instance.n
     inner = ArrayMatching.from_pairs(npad, [(0, 0), (1, 4), (4, 1)])
-    outer = padded.unpad_matching(inner)
+    outer = FilteredMatching(inner, padded.n_real)
     assert outer.mate(v0(0)) is not None
     assert outer.mate(v0(1)) is None   # matched to a dummy
     assert outer.mate(v0(2)) is None
@@ -383,6 +423,19 @@ def test_sampled_estimate_and_reads_are_pinned():
                                        seed=4, T=8, k=5)
     assert res.estimate == 44.79995253571114
     assert inst.query_count == 243941
+
+
+def test_knapsack_answer_and_reads_are_pinned():
+    # pins today's answer, not a correct one: the exact size is 166, and
+    # the characteristic cost's threshold multiplier (see ROADMAP item 2)
+    # will move it; every grid point materializes the matrix once
+    n = 200
+    inst = uniform_instance(n, 12345)
+    B = baseline.min_weight_matching_sweep(inst.cost.peek_dense())[n] / 2
+    assert B == pytest.approx(0.71995, abs=1e-5)
+    s_hat = max_matching_under_budget(inst, B, 0.1, Backend.exact(seed=0), seed=0)
+    assert s_hat == 50.0
+    assert inst.query_count == 6 * n * n
 
 
 def test_nan_off_the_ladder_is_rejected():

@@ -476,11 +476,8 @@ def test_run_template_forest_component_bounds():
                 m = node.matching
                 for i, j in m.edges():
                     edges.append((v0(i), v1(j)))
-            elif node.kind == "mate" and hasattr(node, "layer_matching"):
-                pass
             node = node.prev
         # matched-mate edges: for every side-1 forest vertex its mate is in
-        ids = [u for u in map(int, range(0))]
         members = [u for u in (list(map(v0, range(n))) + list(map(v1, range(n))))
                    if forest.contains(u)]
         import networkx as nx
