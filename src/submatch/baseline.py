@@ -46,19 +46,19 @@ def _check_cap(n: int):
 def _scale_costs(costs: np.ndarray) -> np.ndarray:
     if np.any(np.isnan(costs)):
         raise ValueError("malformed cost: a cost is NaN")
-    finite = ~np.isinf(costs)
-    if np.any(costs[finite] < 0):
+    edge = costs != np.inf  # only +inf is a non-edge; -inf is a negative cost
+    if np.any(costs[edge] < 0):
         raise ValueError("costs must be nonnegative")
-    if np.any(costs[finite] > 1e9):
+    if np.any(costs[edge] > 1e9):
         raise ValueError("costs above 1e9 overflow the integer scaling")
     scaled = np.zeros(costs.shape, dtype=np.int64)
-    scaled[finite] = np.rint(costs[finite] * COST_SCALE).astype(np.int64)
-    scaled[~finite] = -1
+    scaled[edge] = np.rint(costs[edge] * COST_SCALE).astype(np.int64)
+    scaled[~edge] = -1
     return scaled
 
 
 def _ssp_assignment(int_costs: np.ndarray, k: int):
-    """Successive shortest paths on the assignment network.
+    """Successive shortest paths on the assignment network, on dense arrays.
 
     Returns (sweep of optimal values for cardinalities 0..k, mate arrays,
     final dual potentials).  Entries of -1 in ``int_costs`` are non-edges.
@@ -67,60 +67,51 @@ def _ssp_assignment(int_costs: np.ndarray, k: int):
 
     Potentials (u, v) keep reduced costs c - u_i - v_j nonnegative on all
     edges and zero on matched edges, so Dijkstra stays valid round after
-    round (Johnson's trick).
+    round (Johnson's trick).  Each augmentation is a dense Dijkstra over
+    the columns (Jonker & Volgenant 1987): one masked min over the free
+    rows seeds every column's distance, then the unsettled column of least
+    distance is settled until a free one is.  A settled matched column
+    reaches its mate row at the same distance (the matched edge is tight),
+    and that row is relaxed with one vector operation over its edges.
+
+    Stopping at the first free column leaves the duals exact: every vertex
+    still unsettled has distance >= d*, so the update's shift
+    d* - min(dist, d*) is zero for it whether its distance is final or not.
     """
     n = int_costs.shape[0]
+    edge = int_costs >= 0
     mate0 = np.full(n, -1, dtype=np.int64)
     mate1 = np.full(n, -1, dtype=np.int64)
     u = np.zeros(n, dtype=np.int64)
     v = np.zeros(n, dtype=np.int64)
     sweep = [0]
     for _ in range(k):
+        free = np.nonzero(mate0 == -1)[0]
+        red = np.where(edge[free], int_costs[free] - u[free, None] - v, BIG)
+        best = np.argmin(red, axis=0)
+        dist1 = red[best, np.arange(n)]
+        par1 = free[best]  # predecessor row of each column
         dist0 = np.where(mate0 == -1, 0, BIG)
-        dist1 = np.full(n, BIG, dtype=np.int64)
-        par1 = np.full(n, -1, dtype=np.int64)  # predecessor row of each column
-        heap = [(0, 0, int(i)) for i in np.nonzero(mate0 == -1)[0]]
-        heapq.heapify(heap)
-        done0 = np.zeros(n, dtype=bool)
-        done1 = np.zeros(n, dtype=bool)
-        while heap:
-            d, s, x = heapq.heappop(heap)
-            if s == 0:
-                if done0[x] or d > dist0[x]:
-                    continue
-                done0[x] = True
-                row = int_costs[x]
-                ok = row >= 0
-                if mate0[x] != -1:
-                    ok = ok.copy()
-                    ok[mate0[x]] = False  # matched edge is a backward arc only
-                cols = np.nonzero(ok)[0]
-                rc = d + row[cols] - u[x] - v[cols]
-                upd = rc < dist1[cols]
-                for j, nd in zip(cols[upd], rc[upd]):
-                    dist1[j] = nd
-                    par1[j] = x
-                    heapq.heappush(heap, (int(nd), 1, int(j)))
-            else:
-                if done1[x] or d > dist1[x]:
-                    continue
-                done1[x] = True
-                if mate1[x] == -1:
-                    continue  # free column: a potential target, nothing to relax
-                i = int(mate1[x])
-                # backward arc along the matched edge has reduced cost 0
-                if d < dist0[i]:
-                    dist0[i] = d
-                    heapq.heappush(heap, (int(d), 0, i))
-        free_cols = np.nonzero((mate1 == -1) & (dist1 < BIG))[0]
-        if len(free_cols) == 0:
-            raise ValueError("requested cardinality exceeds maximum matching size")
-        target = int(free_cols[np.argmin(dist1[free_cols])])
-        d_star = int(dist1[target])
+        settled = np.zeros(n, dtype=bool)
+        while True:
+            open_dist = np.where(settled, BIG, dist1)
+            j = int(np.argmin(open_dist))
+            d = int(open_dist[j])
+            if d >= BIG:
+                raise ValueError("requested cardinality exceeds maximum matching size")
+            settled[j] = True
+            i = int(mate1[j])
+            if i == -1:
+                break  # the first free column settled ends the search
+            dist0[i] = d  # backward arc along the matched edge has reduced cost 0
+            nd = d + int_costs[i] - u[i] - v
+            upd = edge[i] & (nd < dist1)  # a settled column never improves: nd >= d
+            dist1[upd] = nd[upd]
+            par1[upd] = i
+        d_star = d
         # dual update keeps every edge's reduced cost >= 0 and path edges tight
         u += d_star - np.minimum(dist0, d_star)
         v -= d_star - np.minimum(dist1, d_star)
-        j = target
         while j != -1:
             i = int(par1[j])
             nxt = int(mate0[i])

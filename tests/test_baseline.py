@@ -1,10 +1,11 @@
+import heapq
 import itertools
 
 import numpy as np
 import pytest
 
-from submatch import baseline
-from submatch.core import v0, v1
+from submatch import baseline, pipeline
+from submatch.core import BipartiteInstance, MatrixCost, v0, v1
 
 
 def brute_force_k_matching(costs, k):
@@ -70,6 +71,124 @@ def test_sweep_is_monotone_in_k():
     costs = rng.random((12, 12))
     sweep = baseline.min_weight_matching_sweep(costs)
     assert np.all(np.diff(sweep) >= -1e-12)
+
+
+def _reference_ssp_assignment(int_costs, k):
+    """The heap-based successive shortest paths that ``_ssp_assignment``
+    replaced: one heap entry per relaxed edge, run until the heap empties."""
+    n = int_costs.shape[0]
+    BIG = baseline.BIG
+    mate0 = np.full(n, -1, dtype=np.int64)
+    mate1 = np.full(n, -1, dtype=np.int64)
+    u = np.zeros(n, dtype=np.int64)
+    v = np.zeros(n, dtype=np.int64)
+    sweep = [0]
+    for _ in range(k):
+        dist0 = np.where(mate0 == -1, 0, BIG)
+        dist1 = np.full(n, BIG, dtype=np.int64)
+        par1 = np.full(n, -1, dtype=np.int64)
+        heap = [(0, 0, int(i)) for i in np.nonzero(mate0 == -1)[0]]
+        heapq.heapify(heap)
+        done0 = np.zeros(n, dtype=bool)
+        done1 = np.zeros(n, dtype=bool)
+        while heap:
+            d, s, x = heapq.heappop(heap)
+            if s == 0:
+                if done0[x] or d > dist0[x]:
+                    continue
+                done0[x] = True
+                row = int_costs[x]
+                ok = row >= 0
+                if mate0[x] != -1:
+                    ok = ok.copy()
+                    ok[mate0[x]] = False
+                cols = np.nonzero(ok)[0]
+                rc = d + row[cols] - u[x] - v[cols]
+                upd = rc < dist1[cols]
+                for j, nd in zip(cols[upd], rc[upd]):
+                    dist1[j] = nd
+                    par1[j] = x
+                    heapq.heappush(heap, (int(nd), 1, int(j)))
+            else:
+                if done1[x] or d > dist1[x]:
+                    continue
+                done1[x] = True
+                if mate1[x] == -1:
+                    continue
+                i = int(mate1[x])
+                if d < dist0[i]:
+                    dist0[i] = d
+                    heapq.heappush(heap, (int(d), 0, i))
+        free_cols = np.nonzero((mate1 == -1) & (dist1 < BIG))[0]
+        if len(free_cols) == 0:
+            raise ValueError("requested cardinality exceeds maximum matching size")
+        target = int(free_cols[np.argmin(dist1[free_cols])])
+        d_star = int(dist1[target])
+        u += d_star - np.minimum(dist0, d_star)
+        v -= d_star - np.minimum(dist1, d_star)
+        j = target
+        while j != -1:
+            i = int(par1[j])
+            nxt = int(mate0[i])
+            mate0[i] = j
+            mate1[j] = i
+            j = nxt
+        matched_rows = np.nonzero(mate0 >= 0)[0]
+        sweep.append(int(np.sum(int_costs[matched_rows, mate0[matched_rows]])))
+    return np.array(sweep, dtype=np.int64), mate0, mate1, u, v
+
+
+def _solver_cases():
+    """(int costs, tie-free?) on random, tied and +inf-masked matrices."""
+    rng = np.random.default_rng(8)
+    for n in range(1, 41):
+        uniform = rng.random((n, n))
+        yield baseline._scale_costs(uniform), True
+        yield baseline._scale_costs(rng.integers(1, 3, (n, n)).astype(float)), False
+        yield baseline._scale_costs(np.ones((n, n))), False
+        masked = uniform.copy()
+        masked[rng.random((n, n)) < 0.6] = np.inf
+        yield baseline._scale_costs(masked), False
+
+
+def test_dense_solver_equals_heap_reference():
+    for int_costs, tie_free in _solver_cases():
+        size, _, _ = baseline.max_bipartite_matching(
+            *int_costs.shape, zip(*np.nonzero(int_costs >= 0)))
+        sweep, mate0, mate1, u, v = baseline._ssp_assignment(int_costs, size)
+        ref = _reference_ssp_assignment(int_costs, size)
+        assert np.array_equal(sweep, ref[0])
+        baseline._verify_certificate(int_costs, mate0, u, v)
+        rows = np.nonzero(mate0 >= 0)[0]
+        assert np.array_equal(mate1[mate0[rows]], rows)
+        if tie_free:
+            assert np.array_equal(mate0, ref[1])
+            assert np.array_equal(u, ref[3]) and np.array_equal(v, ref[4])
+        if size < len(int_costs):
+            for solver in (baseline._ssp_assignment, _reference_ssp_assignment):
+                with pytest.raises(ValueError, match="exceeds maximum matching size"):
+                    solver(int_costs, size + 1)
+
+
+def test_negative_infinity_is_a_negative_cost_not_a_non_edge():
+    costs = np.array([[-np.inf, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        baseline.exact_min_weight_k_matching(costs, 2)
+
+
+def test_emd_rejects_negative_infinity():
+    with pytest.raises(ValueError, match="nonnegative"):
+        baseline.exact_emd([.5, .5], [.5, .5], [[-np.inf, 1.0], [1.0, 0.0]])
+
+
+def test_degenerate_estimate_rejects_negative_infinity():
+    costs = np.random.default_rng(9).random((5, 5))
+    costs[0, 0] = -np.inf
+    instance = BipartiteInstance(5, MatrixCost(costs))
+    with pytest.raises(ValueError, match="nonnegative"):
+        pipeline.estimate_min_weight_matching(
+            instance, pipeline.ReductionConfig(0.5, 1.0, 0.5),
+            pipeline.Backend.exact(seed=0), seed=0)
 
 
 # -- exact EMD ---------------------------------------------------------------
