@@ -10,7 +10,6 @@ cap.  None of the sublinear machinery is used here.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,82 +56,109 @@ def _scale_costs(costs: np.ndarray) -> np.ndarray:
     return scaled
 
 
-def _ssp_assignment(int_costs: np.ndarray, k: int):
-    """Successive shortest paths on the assignment network, on dense arrays.
+def _ssp(int_costs: np.ndarray, supply: np.ndarray, demand: np.ndarray, units: int):
+    """Successive shortest paths for min-cost transport, on dense arrays.
 
-    Returns (sweep of optimal values for cardinalities 0..k, mate arrays,
-    final dual potentials).  Entries of -1 in ``int_costs`` are non-edges.
-    After each augmentation the flow is a min-cost matching of its own
-    cardinality, which gives the whole sweep in a single run.
+    Routes ``units`` units from the rows (``supply``) to the columns
+    (``demand``); entries of -1 in ``int_costs`` are non-edges, and an edge
+    carries any amount.  Returns (exact integer cost after each
+    augmentation, starting at 0; the positive flows as {(i, j): amount};
+    the final dual potentials u, v).  With unit supplies and demands each
+    augmentation adds one matched edge, and the flow after it is a min-cost
+    matching of its own cardinality, which gives the whole sweep in one run.
+    Costs are summed as Python ints: mass * cost and long sweeps overflow
+    int64.
 
     Potentials (u, v) keep reduced costs c - u_i - v_j nonnegative on all
-    edges and zero on matched edges, so Dijkstra stays valid round after
+    edges and zero on edges with flow, so Dijkstra stays valid round after
     round (Johnson's trick).  Each augmentation is a dense Dijkstra over
-    the columns (Jonker & Volgenant 1987): one masked min over the free
-    rows seeds every column's distance, then the unsettled column of least
-    distance is settled until a free one is.  A settled matched column
-    reaches its mate row at the same distance (the matched edge is tight),
-    and that row is relaxed with one vector operation over its edges.
+    the columns (Jonker & Volgenant 1987): one masked min over the rows with
+    supply left seeds every column's distance, then the unsettled column of
+    least distance is settled until one with demand left is.  A settled
+    column reaches every row with flow into it at the same distance (the
+    backward arc is tight), and each such row not reached before is
+    relaxed with one vector operation over its edges.
 
-    Stopping at the first free column leaves the duals exact: every vertex
-    still unsettled has distance >= d*, so the update's shift
-    d* - min(dist, d*) is zero for it whether its distance is final or not.
+    Stopping at the first column with demand left, at distance d, keeps the
+    duals exact: every vertex still unsettled has distance >= d, so the
+    update's shift d - min(dist, d) is zero for it whether its distance is
+    final or not.
     """
-    n = int_costs.shape[0]
+    ns, nt = int_costs.shape
     edge = int_costs >= 0
-    mate0 = np.full(n, -1, dtype=np.int64)
-    mate1 = np.full(n, -1, dtype=np.int64)
-    u = np.zeros(n, dtype=np.int64)
-    v = np.zeros(n, dtype=np.int64)
-    sweep = [0]
-    for _ in range(k):
-        free = np.nonzero(mate0 == -1)[0]
+    rem_s = supply.astype(np.int64)
+    rem_t = demand.astype(np.int64)
+    flow: dict[tuple[int, int], int] = {}
+    back = [set() for _ in range(nt)]  # rows with flow into each column
+    u = np.zeros(ns, dtype=np.int64)
+    v = np.zeros(nt, dtype=np.int64)
+    total = 0
+    totals = [0]
+    while units > 0:
+        free = np.nonzero(rem_s > 0)[0]
         red = np.where(edge[free], int_costs[free] - u[free, None] - v, BIG)
         best = np.argmin(red, axis=0)
-        dist1 = red[best, np.arange(n)]
+        dist1 = red[best, np.arange(nt)]
         par1 = free[best]  # predecessor row of each column
-        dist0 = np.where(mate0 == -1, 0, BIG)
-        settled = np.zeros(n, dtype=bool)
+        dist0 = np.where(rem_s > 0, 0, BIG)
+        par0 = np.full(ns, -1, dtype=np.int64)  # predecessor column of each row
+        settled = np.zeros(nt, dtype=bool)
         while True:
             open_dist = np.where(settled, BIG, dist1)
             j = int(np.argmin(open_dist))
             d = int(open_dist[j])
             if d >= BIG:
-                raise ValueError("requested cardinality exceeds maximum matching size")
+                raise ValueError("requested flow exceeds what the finite-cost edges can carry")
             settled[j] = True
-            i = int(mate1[j])
-            if i == -1:
-                break  # the first free column settled ends the search
-            dist0[i] = d  # backward arc along the matched edge has reduced cost 0
-            nd = d + int_costs[i] - u[i] - v
-            upd = edge[i] & (nd < dist1)  # a settled column never improves: nd >= d
-            dist1[upd] = nd[upd]
-            par1[upd] = i
-        d_star = d
+            if rem_t[j] > 0:
+                break  # the first column with demand left ends the search
+            for i in back[j]:
+                if dist0[i] < BIG:
+                    continue  # reached before, at a distance <= d
+                dist0[i] = d
+                par0[i] = j
+                nd = d + int_costs[i] - u[i] - v
+                upd = edge[i] & (nd < dist1)  # a settled column never improves: nd >= d
+                dist1[upd] = nd[upd]
+                par1[upd] = i
         # dual update keeps every edge's reduced cost >= 0 and path edges tight
-        u += d_star - np.minimum(dist0, d_star)
-        v -= d_star - np.minimum(dist1, d_star)
-        while j != -1:
+        u += d - np.minimum(dist0, d)
+        v -= d - np.minimum(dist1, d)
+        # walk back to a source: forward arcs (par1[j], j), backward (i, par0[i])
+        sink, arcs = j, []
+        amount = min(units, int(rem_t[sink]))
+        while True:
             i = int(par1[j])
-            nxt = int(mate0[i])
-            mate0[i] = j
-            mate1[j] = i
-            j = nxt
-        matched_rows = np.nonzero(mate0 >= 0)[0]
-        sweep.append(int(np.sum(int_costs[matched_rows, mate0[matched_rows]])))
-    return np.array(sweep, dtype=np.int64), mate0, mate1, u, v
+            arcs.append((i, j, 1))
+            if par0[i] == -1:
+                break  # i has supply left
+            j = int(par0[i])
+            arcs.append((i, j, -1))
+            amount = min(amount, flow[i, j])
+        amount = min(amount, int(rem_s[i]))
+        rem_s[i] -= amount
+        rem_t[sink] -= amount
+        units -= amount
+        for i, j, sign in arcs:
+            f = flow.get((i, j), 0) + sign * amount
+            total += sign * amount * int(int_costs[i, j])
+            if f:
+                flow[i, j] = f
+                back[j].add(i)
+            else:
+                del flow[i, j]
+                back[j].discard(i)
+        totals.append(total)
+    return totals, flow, u, v
 
 
-def _verify_certificate(int_costs, mate0, u, v):
+def _verify_certificate(int_costs, flow, u, v):
     """Dual feasibility c - u - v >= 0 on all edges and complementary
-    slackness (== 0) on matched edges, in exact integer arithmetic."""
+    slackness (== 0) on edges with flow, in exact integer arithmetic."""
     red = int_costs - u[:, None] - v[None, :]
-    edge = int_costs >= 0
-    rows = np.nonzero(mate0 >= 0)[0]
-    cols = mate0[rows]
-    if len(rows) and np.any(red[rows, cols] != 0):
-        raise AssertionError("certificate failure: matched reduced cost != 0")
-    if np.any(red[edge] < 0):
+    if any(red[i, j] != 0 for i, j in flow):
+        raise AssertionError("certificate failure: reduced cost != 0 on an edge with flow")
+    if np.any(red[int_costs >= 0] < 0):
         raise AssertionError("certificate failure: negative reduced cost")
 
 
@@ -144,19 +170,18 @@ def exact_min_weight_k_matching(costs, k: int) -> ExactResult:
     (``result.sweep[t]`` is the optimal size-``t`` cost).
     """
     costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
+        raise ValueError(f"costs must be a square matrix, got shape {costs.shape}")
     n = costs.shape[0]
     _check_cap(n)
     if k < 0 or k > n:
         raise ValueError(f"k must be in [0, {n}]")
-    if k == 0:
-        zero = np.zeros(n, dtype=np.int64)
-        return ExactResult(0.0, [], (zero, zero.copy()), sweep=np.zeros(1))
     int_costs = _scale_costs(costs)
-    sweep, mate0, mate1, u, v = _ssp_assignment(int_costs, k)
-    _verify_certificate(int_costs, mate0, u, v)
-    witness = [(int(i), int(mate0[i])) for i in range(n) if mate0[i] >= 0]
-    return ExactResult(float(sweep[k]) / COST_SCALE, witness, (u, v),
-                       sweep=sweep.astype(np.float64) / COST_SCALE)
+    ones = np.ones(n, dtype=np.int64)
+    sweep, flow, u, v = _ssp(int_costs, ones, ones, k)
+    _verify_certificate(int_costs, flow, u, v)
+    return ExactResult(float(sweep[k]) / COST_SCALE, sorted(flow), (u, v),
+                       sweep=np.array(sweep, dtype=np.float64) / COST_SCALE)
 
 
 def min_weight_matching_sweep(costs, k_max: int | None = None) -> np.ndarray:
@@ -195,88 +220,10 @@ def exact_emd(masses_mu, masses_nu, metric) -> float:
     sv = np.rint(nu * MASS_SCALE).astype(np.int64)
     su[np.argmax(su)] += MASS_SCALE - su.sum()
     sv[np.argmax(sv)] += MASS_SCALE - sv.sum()
-    total = _transport_cost(su, sv, _scale_costs(metric))
-    return float(total) / (MASS_SCALE * COST_SCALE)
-
-
-def _transport_cost(supply: np.ndarray, demand: np.ndarray, int_costs: np.ndarray) -> int:
-    """Integer transport cost via successive shortest paths with potentials.
-
-    Each augmentation saturates a source, a sink or a backward arc, so the
-    number of rounds is linear in the support sizes.  Python ints are used
-    for the cost accumulator (mass * cost products overflow int64).
-    """
-    ns, nt = len(supply), len(demand)
-    rem_s = supply.astype(np.int64).copy()
-    rem_t = demand.astype(np.int64).copy()
-    flow: dict[tuple[int, int], int] = {}
-    back: list[list[int]] = [[] for _ in range(nt)]  # sources with flow into j
-    pu = np.zeros(ns, dtype=np.int64)
-    pv = np.zeros(nt, dtype=np.int64)
-    while rem_s.sum() > 0:
-        dist_s = np.where(rem_s > 0, 0, BIG)
-        dist_t = np.full(nt, BIG, dtype=np.int64)
-        par_t = np.full(nt, -1, dtype=np.int64)
-        par_s = np.full(ns, -1, dtype=np.int64)
-        heap = [(0, 0, int(i)) for i in np.nonzero(rem_s > 0)[0]]
-        heapq.heapify(heap)
-        done_s = np.zeros(ns, dtype=bool)
-        done_t = np.zeros(nt, dtype=bool)
-        while heap:
-            d, s, x = heapq.heappop(heap)
-            if s == 0:
-                if done_s[x] or d > dist_s[x]:
-                    continue
-                done_s[x] = True
-                row = int_costs[x]
-                cols = np.nonzero(row >= 0)[0]
-                rc = d + row[cols] - pu[x] - pv[cols]
-                upd = rc < dist_t[cols]
-                for j, nd in zip(cols[upd], rc[upd]):
-                    dist_t[j] = nd
-                    par_t[j] = x
-                    heapq.heappush(heap, (int(nd), 1, int(j)))
-            else:
-                if done_t[x] or d > dist_t[x]:
-                    continue
-                done_t[x] = True
-                for i in back[x]:
-                    if flow.get((i, x), 0) <= 0:
-                        continue
-                    # backward arc has reduced cost 0 under valid potentials
-                    if d < dist_s[i]:
-                        dist_s[i] = d
-                        par_s[i] = x
-                        heapq.heappush(heap, (int(d), 0, int(i)))
-        sinks = np.nonzero((rem_t > 0) & (dist_t < BIG))[0]
-        if len(sinks) == 0:
-            raise AssertionError("transport network disconnected")
-        target = int(sinks[np.argmin(dist_t[sinks])])
-        d_star = int(dist_t[target])
-        # walk the path back to a source, collecting arcs and the bottleneck
-        arcs = []
-        j = target
-        bottleneck = int(rem_t[target])
-        while True:
-            i = int(par_t[j])
-            arcs.append((i, j, +1))
-            pj = int(par_s[i])
-            if pj == -1:
-                break  # i is a source (dist 0, never improved)
-            arcs.append((i, pj, -1))
-            bottleneck = min(bottleneck, flow[(i, pj)])
-            j = pj
-        src = arcs[-1][0]
-        bottleneck = min(bottleneck, int(rem_s[src]))
-        for i, j, sgn in arcs:
-            flow[(i, j)] = flow.get((i, j), 0) + sgn * bottleneck
-            if sgn > 0 and i not in back[j]:
-                back[j].append(i)
-        rem_s[src] -= bottleneck
-        rem_t[target] -= bottleneck
-        pu += d_star - np.minimum(dist_s, d_star)
-        pv -= d_star - np.minimum(dist_t, d_star)
-    return sum(int(int_costs[i, j]) * int(f) for (i, j), f in flow.items() if f > 0)
+    int_costs = _scale_costs(metric)
+    totals, flow, u, v = _ssp(int_costs, su, sv, MASS_SCALE)
+    _verify_certificate(int_costs, flow, u, v)
+    return float(totals[-1]) / (MASS_SCALE * COST_SCALE)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ def test_k_matching_trivial_examples():
     assert baseline.exact_min_weight_k_matching(m, 3).value == pytest.approx(3.0)
     res = baseline.exact_min_weight_k_matching(m, 0)
     assert res.value == 0.0 and res.witness == []
+    assert all(np.array_equal(p, np.zeros(3, dtype=np.int64)) for p in res.potentials)
+    assert np.array_equal(res.sweep, [0.0])
 
 
 def test_k_matching_matches_brute_force():
@@ -53,12 +55,32 @@ def test_witness_is_valid_and_certified():
         assert abs(red[i, j]) < 1e-7  # complementary slackness
 
 
+def test_k_zero_rejects_malformed_costs_like_every_k():
+    with pytest.raises(ValueError, match="NaN"):
+        baseline.exact_min_weight_k_matching([[np.nan]], 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        baseline.exact_min_weight_k_matching([[-1.0]], 0)
+
+
+def test_sweep_totals_do_not_overflow_int64():
+    # ten edges of 1e9 sum to 1e19 integer units, past the int64 maximum
+    res = baseline.exact_min_weight_k_matching(np.full((10, 10), 1e9), 10)
+    assert res.value == 1e10
+    assert np.array_equal(res.sweep, np.arange(11) * 1e9)
+
+
 def test_k_exceeding_max_matching_raises():
     costs = np.array([[1.0, np.inf], [np.inf, np.inf]])
     with pytest.raises(ValueError):
         baseline.exact_min_weight_k_matching(costs, 2)
     with pytest.raises(ValueError):
         baseline.exact_min_weight_k_matching(np.ones((3, 3)), 4)
+
+
+def test_non_square_costs_are_rejected():
+    for costs in (np.ones((2, 3)), np.ones((3, 2)), np.ones(3)):
+        with pytest.raises(ValueError, match="square"):
+            baseline.exact_min_weight_k_matching(costs, 2)
 
 
 def test_instance_cap():
@@ -74,8 +96,8 @@ def test_sweep_is_monotone_in_k():
 
 
 def _reference_ssp_assignment(int_costs, k):
-    """The heap-based successive shortest paths that ``_ssp_assignment``
-    replaced: one heap entry per relaxed edge, run until the heap empties."""
+    """Heap-based successive shortest paths on the assignment network: one
+    heap entry per relaxed edge, run until the heap empties."""
     n = int_costs.shape[0]
     BIG = baseline.BIG
     mate0 = np.full(n, -1, dtype=np.int64)
@@ -153,27 +175,37 @@ def _solver_cases():
 
 def test_dense_solver_equals_heap_reference():
     for int_costs, tie_free in _solver_cases():
-        size, _, _ = baseline.max_bipartite_matching(
-            *int_costs.shape, zip(*np.nonzero(int_costs >= 0)))
-        sweep, mate0, mate1, u, v = baseline._ssp_assignment(int_costs, size)
+        n = len(int_costs)
+        ones = np.ones(n, dtype=np.int64)
+        size, _, _ = baseline.max_bipartite_matching(n, n, zip(*np.nonzero(int_costs >= 0)))
+        sweep, flow, u, v = baseline._ssp(int_costs, ones, ones, size)
         ref = _reference_ssp_assignment(int_costs, size)
         assert np.array_equal(sweep, ref[0])
-        baseline._verify_certificate(int_costs, mate0, u, v)
-        rows = np.nonzero(mate0 >= 0)[0]
-        assert np.array_equal(mate1[mate0[rows]], rows)
+        baseline._verify_certificate(int_costs, flow, u, v)
+        assert len(flow) == size and set(flow.values()) <= {1}
+        mate0 = np.full(n, -1, dtype=np.int64)
+        for i, j in flow:
+            mate0[i] = j
+        assert len(set(mate0[mate0 >= 0])) == np.count_nonzero(mate0 >= 0) == size
         if tie_free:
             assert np.array_equal(mate0, ref[1])
             assert np.array_equal(u, ref[3]) and np.array_equal(v, ref[4])
-        if size < len(int_costs):
-            for solver in (baseline._ssp_assignment, _reference_ssp_assignment):
-                with pytest.raises(ValueError, match="exceeds maximum matching size"):
-                    solver(int_costs, size + 1)
+        if size < n:
+            with pytest.raises(ValueError, match="exceeds what the finite-cost edges can carry"):
+                baseline._ssp(int_costs, ones, ones, size + 1)
+            with pytest.raises(ValueError, match="exceeds maximum matching size"):
+                _reference_ssp_assignment(int_costs, size + 1)
 
 
 def test_negative_infinity_is_a_negative_cost_not_a_non_edge():
     costs = np.array([[-np.inf, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="nonnegative"):
         baseline.exact_min_weight_k_matching(costs, 2)
+
+
+def test_infeasible_transport_raises_value_error():
+    with pytest.raises(ValueError, match="exceeds what the finite-cost edges can carry"):
+        baseline.exact_emd([.5, .5], [.5, .5], [[0.0, np.inf], [np.inf, np.inf]])
 
 
 def test_emd_rejects_negative_infinity():
@@ -207,22 +239,55 @@ def test_emd_mass_mismatch_rejected():
         baseline.exact_emd([0.6, 0.5], [0.5, 0.5], d)
 
 
+def _transport_cases(seed, draw_masses):
+    """(mu, nu, table) for sizes 1..40 a side, mostly rectangular: random
+    tables, tied tables on levels k/100, and tables with +inf non-edges off
+    a northwest-corner plan's cells, which keep the transport feasible.
+    About a quarter of the masses are zero."""
+    rng = np.random.default_rng(seed)
+    for case in range(18):
+        na, nb = (int(x) for x in rng.integers(1, 41, 2))
+        mu, nu = draw_masses(rng, na), draw_masses(rng, nb)
+        table = rng.integers(0, 100, (na, nb)) / 100.0 if case % 3 else rng.random((na, nb))
+        if case % 3 == 2:
+            # row i and column j share mass in the northwest-corner plan when
+            # their cumulative-mass intervals overlap
+            a, b = np.cumsum(np.r_[0, mu]), np.cumsum(np.r_[0, nu])
+            plan = np.maximum.outer(a[:-1], b[:-1]) <= np.minimum.outer(a[1:], b[1:]) + 1e-9
+            table[~plan & (rng.random((na, nb)) < 0.6)] = np.inf
+        yield mu, nu, table
+
+
+def _random_masses(rng, n):
+    p = rng.random(n) * (rng.random(n) > 0.25)
+    p[rng.integers(n)] += 0.5
+    return p / p.sum()
+
+
 def test_emd_against_linear_program():
     from scipy.optimize import linprog
-    rng = np.random.default_rng(4)
-    for _ in range(8):
-        na, nb = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-        mu = rng.random(na); mu /= mu.sum()
-        nu = rng.random(nb); nu /= nu.sum()
-        d = rng.random((na, nb))
-        a_eq = []
+    for mu, nu, d in _transport_cases(4, _random_masses):
+        na, nb = d.shape
+        a_eq = np.zeros((na + nb, na * nb))
         for i in range(na):
-            row = np.zeros(na * nb); row[i * nb:(i + 1) * nb] = 1; a_eq.append(row)
+            a_eq[i, i * nb:(i + 1) * nb] = 1
         for j in range(nb):
-            row = np.zeros(na * nb); row[j::nb] = 1; a_eq.append(row)
-        ref = linprog(d.ravel(), A_eq=np.array(a_eq),
-                      b_eq=np.concatenate([mu, nu]), method="highs").fun
-        assert baseline.exact_emd(mu, nu, d) == pytest.approx(ref, abs=1e-7)
+            a_eq[na + j, j::nb] = 1
+        edge = np.isfinite(d.ravel())
+        ref = linprog(np.where(edge, d.ravel(), 0.0), A_eq=a_eq, b_eq=np.concatenate([mu, nu]),
+                      bounds=[(0, None) if e else (0, 0) for e in edge], method="highs")
+        assert ref.status == 0
+        assert baseline.exact_emd(mu, nu, d) == pytest.approx(ref.fun, abs=1e-7)
+
+
+def test_emd_is_pinned_on_two_instances():
+    # the integer optimum is unique, so any exact solver returns these floats
+    rng = np.random.default_rng(10)
+    mu, nu, d = _random_masses(rng, 40), _random_masses(rng, 31), rng.random((40, 31))
+    assert baseline.exact_emd(mu, nu, d) == 0.06591807804483396
+    mu, nu, d = next(itertools.islice(_transport_cases(11, _random_masses), 2, None))
+    assert np.isinf(d).any()
+    assert baseline.exact_emd(mu, nu, d) == 0.14741599893489
 
 
 def test_emd_equals_matching_on_uniform_empiricals():
@@ -235,26 +300,24 @@ def test_emd_equals_matching_on_uniform_empiricals():
     assert emd == pytest.approx(match, abs=1e-6)
 
 
+def _count_masses(rng, n):
+    """Masses that are multiples of 1/1000, so integer flows are exact."""
+    return rng.multinomial(1000, _random_masses(rng, n)) / 1000.0
+
+
 def test_emd_against_networkx_flow():
     import networkx as nx
-    rng = np.random.default_rng(6)
-    na, nb = 5, 4
-    mu = rng.integers(1, 10, na).astype(float); mu /= mu.sum()
-    nu = rng.integers(1, 10, nb).astype(float); nu /= nu.sum()
-    d = rng.integers(0, 100, (na, nb)).astype(float) / 100.0
-    scale = 10 ** 6
-    g = nx.DiGraph()
-    su = np.rint(mu * scale).astype(int); su[0] += scale - su.sum()
-    sv = np.rint(nu * scale).astype(int); sv[0] += scale - sv.sum()
-    for i in range(na):
-        g.add_node(("a", i), demand=-int(su[i]))
-    for j in range(nb):
-        g.add_node(("b", j), demand=int(sv[j]))
-    for i in range(na):
-        for j in range(nb):
-            g.add_edge(("a", i), ("b", j), weight=round(d[i, j] * 100))
-    flow_cost = nx.min_cost_flow_cost(g) / (100.0 * scale)
-    assert baseline.exact_emd(mu, nu, d) == pytest.approx(flow_cost, abs=1e-5)
+    for mu, nu, d in _transport_cases(6, _count_masses):
+        g = nx.DiGraph()
+        for i, m in enumerate(mu):
+            g.add_node(("a", i), demand=-round(m * 1000))
+        for j, m in enumerate(nu):
+            g.add_node(("b", j), demand=round(m * 1000))
+        for i, j in zip(*np.nonzero(np.isfinite(d))):
+            g.add_edge(("a", i), ("b", j), weight=round(d[i, j] * 10 ** 6))
+        flow_cost = nx.min_cost_flow_cost(g) / (1000.0 * 10 ** 6)
+        # weights round the random tables at 1e-6, so that is the tolerance
+        assert baseline.exact_emd(mu, nu, d) == pytest.approx(flow_cost, abs=1e-6)
 
 
 # -- vertex cover --------------------------------------------------------------
