@@ -2,11 +2,22 @@
 
 Every generator is backed by a vectorized block function so instances can
 be evaluated lazily at any size; costs depend only on (name, params, seed,
-i, j), never on query order.  Uniform and (1,2)-metric entries come from a
-counter-based integer mix (SplitMix64) so no matrix is ever materialized.
+i, j), never on query order.  A seed is an integer (a numpy integer counts
+as its ``int``); anything else raises ``TypeError``.
+
+Uniform and (1,2)-metric entries come from SplitMix64, so no matrix is ever
+materialized.  Construction mixes each index once, into a row key
+``splitmix(i + seed) * GOLD`` and a column key ``splitmix(j ^ 0xA5A5...)``
+(``instance.keys``); entry (i, j) is one more pass over their sum, its top
+53 bits read as a float in [0, 1).  Arithmetic wraps mod 2^64, and so does
+the seed.  The seed only offsets the row index, so seed s + k gives the
+rows of seed s moved up by k: rows k.. of ``uniform_instance(n, s)`` are
+rows ..n-k of ``uniform_instance(n, s + k)``.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -22,45 +33,52 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
+def _seed(seed) -> int:
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {seed!r}") from None
+
+
 def _splitmix(x: np.ndarray) -> np.ndarray:
-    x = (x + _GOLD) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    x = (x ^ (x >> np.uint64(30))) * _MIX1
-    x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
+    """One SplitMix64 pass over the uint64 array ``x``, in place."""
+    x += _GOLD
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    return x
 
 
-def _pair_hash(rows: np.ndarray, cols: np.ndarray, seed: int) -> np.ndarray:
-    """uint64 hash of every (row, col) pair in the outer product."""
-    r = _splitmix(rows.astype(np.uint64) + np.uint64(seed & (2 ** 64 - 1)))
-    c = _splitmix(cols.astype(np.uint64) ^ np.uint64(0xA5A5A5A5A5A5A5A5))
-    with np.errstate(over="ignore"):
-        return _splitmix(r[:, None] * _GOLD + c[None, :])
+def _hashed_instance(n: int, seed, to_cost) -> BipartiteInstance:
+    """Instance whose entry (i, j) is ``to_cost`` of a hashed uniform in [0, 1)."""
+    idx = np.arange(n, dtype=np.uint64)
+    row_keys = _splitmix(idx + np.uint64(_seed(seed) % 2 ** 64)) * _GOLD
+    col_keys = _splitmix(idx ^ np.uint64(0xA5A5A5A5A5A5A5A5))
 
+    def unit(sums):  # sums is a fresh array, so mixing it in place is safe
+        _splitmix(sums)
+        sums >>= np.uint64(11)
+        u = sums.astype(np.float64)
+        u /= float(2 ** 53)
+        return to_cost(u)
 
-def _unit(rows, cols, seed):
-    return (_pair_hash(rows, cols, seed) >> np.uint64(11)).astype(np.float64) / float(2 ** 53)
-
-
-def _elem_hash(is_, js, seed):
-    r = _splitmix(is_.astype(np.uint64) + np.uint64(seed & (2 ** 64 - 1)))
-    c = _splitmix(js.astype(np.uint64) ^ np.uint64(0xA5A5A5A5A5A5A5A5))
-    with np.errstate(over="ignore"):
-        return _splitmix(r * _GOLD + c)
-
-
-def _unit_pairs(is_, js, seed):
-    return (_elem_hash(is_, js, seed) >> np.uint64(11)).astype(np.float64) / float(2 ** 53)
+    inst = BipartiteInstance(n, FunctionCost(
+        n, lambda r, c: unit(row_keys[r][:, None] + col_keys[c][None, :]),
+        lambda i, j: unit(row_keys[i] + col_keys[j])))
+    inst.keys = (row_keys, col_keys)  # exposed so tests can check reads leave them alone
+    return inst
 
 
 def uniform_instance(n: int, seed: int) -> BipartiteInstance:
     """iid Uniform[0,1] costs."""
-    return BipartiteInstance(n, FunctionCost(
-        n, lambda r, c: _unit(r, c, seed), lambda i, j: _unit_pairs(i, j, seed)))
+    return _hashed_instance(n, seed, lambda u: u)
 
 
 def euclidean_instance(n: int, seed: int, dim: int = 2) -> BipartiteInstance:
     """Pairwise Euclidean distances between two point clouds in [0,1]^dim."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, dim, n]))
+    rng = np.random.default_rng(np.random.SeedSequence([_seed(seed), dim, n]))
     p0 = rng.random((n, dim))
     p1 = rng.random((n, dim))
 
@@ -80,19 +98,12 @@ def one_two_metric_instance(n: int, seed: int, p: float = 0.5) -> BipartiteInsta
     """Costs in {1, 2}: cost 1 with probability p (always a metric)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-
-    def block(rows, cols):
-        return np.where(_unit(rows, cols, seed) < p, 1.0, 2.0)
-
-    def pair(is_, js):
-        return np.where(_unit_pairs(is_, js, seed) < p, 1.0, 2.0)
-
-    return BipartiteInstance(n, FunctionCost(n, block, pair))
+    return _hashed_instance(n, seed, lambda u: np.where(u < p, 1.0, 2.0))
 
 
 def permutation_instance(n: int, seed: int) -> BipartiteInstance:
     """A planted zero-cost perfect matching; every other edge costs 1."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
+    rng = np.random.default_rng(np.random.SeedSequence([_seed(seed), n]))
     perm = rng.permutation(n)
 
     def block(rows, cols):
