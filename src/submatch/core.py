@@ -25,7 +25,7 @@ import numpy as np
 __all__ = [
     "v0", "v1",
     "QueryCounter", "CostOracle", "MatrixCost", "FunctionCost",
-    "ScaledCost", "ThresholdedCostView", "MaterializedCost",
+    "ScaledCost", "MaterializedCost",
     "BipartiteInstance", "write_instance", "read_instance",
     "MatchingOracle", "EmptyMatching", "ArrayMatching", "OverlayMatching",
     "PotentialOracle", "ZeroPotential",
@@ -239,25 +239,6 @@ class ScaledCost(_AdapterCost):
 
     def _map(self, vals):
         return vals * self.factor
-
-
-class ThresholdedCostView(_AdapterCost):
-    """Keep edges of cost <= limit; everything above becomes a non-edge.
-
-    A NaN cost is malformed input, not a non-edge: reading one raises, and
-    so does a NaN limit, at construction.
-    """
-
-    def __init__(self, base: CostOracle, limit: float):
-        super().__init__(base)
-        self.limit = float(limit)
-        if np.isnan(self.limit):
-            raise ValueError(f"limit must not be NaN, not {limit!r}")
-
-    def _map(self, vals):
-        if np.isnan(vals).any():
-            raise ValueError("malformed cost: a cost read is NaN")
-        return np.where(vals <= self.limit, vals, np.inf)
 
 
 class MaterializedCost(_AdapterCost):

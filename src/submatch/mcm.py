@@ -14,7 +14,14 @@ for a whole Step 1, and one bounded-length path search serves every path
 length, free-to-free edges included, pruning dead ends proven independent
 of the current path.  The sampled
 backend is a best-effort randomized implementation under a hard per-call
-query budget and exists to demonstrate empirical sublinearity.
+query budget and exists to demonstrate empirical sublinearity.  Its path
+search and greedy draw every probe but read only those their candidate
+loops could accept.  A path probe is skipped unread when its side-1 end
+is used, is the row's own mate, is free on an inner hop or matched on the
+last one, or has too low a potential to be eligible; a greedy probe is
+skipped when its column was matched before its batch.  Skipping changes
+the reads, not the draws: paths and matchings are the same unless the
+budget binds.
 """
 
 from __future__ import annotations
@@ -327,7 +334,12 @@ class Backend:
     backend's one query knob: it must be positive, values above 0.2 act as
     0.2, and it sets every call's budget and probe count, so the
     subroutines take no epsilon of their own.  A sampled augmentation
-    call reads each matched edge's tightness at most once.  An exact
+    call reads each matched edge's tightness at most once.  Sampled calls
+    read only the probes that could change their answer and log the rest
+    as ``skipped``, probes drawn but not passed to the cost oracle.  Where
+    every probe is a counted read and the budget does not bind,
+    ``queries + skipped`` is what reading every probe would cost; a padded
+    instance counts no dummy pair, so there the sum is larger.  An exact
     augmentation round that succeeds hands its updated eligibility snapshot
     to the next round of the same Step 1 (see :meth:`augment_eligible`).
     """
@@ -342,6 +354,8 @@ class Backend:
             raise ValueError(f"epsilon must be positive, not {epsilon}")
         self._seq = np.random.SeedSequence(self.seed)
         self.call_log: list[dict] = []
+        # sampled probes drawn and left unread since the last logged call
+        self._skipped = 0
         # (phi, returned overlay, cost, _Eligibility) of the last successful
         # exact augmentation round; matched by identity, never by id()
         self._snapshot = None
@@ -376,6 +390,8 @@ class Backend:
         used = counter.count - before
         budget = self.query_budget(n)
         rec = {"op": op, "queries": used, "budget": budget, "n": n, **extra}
+        if self.variant == "sampled":
+            rec["skipped"], self._skipped = self._skipped, 0
         self.call_log.append(rec)
         if self.variant == "sampled" and used > budget:
             raise AssertionError(
@@ -536,7 +552,9 @@ class Backend:
         def edges(is_, js):
             return cost.pairs(is_, js) <= limit
 
-        mate0, mate1 = _probe_greedy(rng, n, rows, cols, edges, cost.counter, budget, 10)
+        mate0, mate1, skipped = _probe_greedy(rng, n, rows, cols, edges, cost.counter,
+                                              budget, 10)
+        self._skipped += skipped
 
         def remaining():
             return budget - (cost.counter.count - before)
@@ -574,8 +592,9 @@ class Backend:
         def edges(is_, js):
             return (cost.pairs(is_, js) == target) & (base_mate0[is_] != js)
 
-        mate0, mate1 = _probe_greedy(self._rng(), cost.n, rows, cols, edges,
-                                     cost.counter, sub_budget, 8)
+        mate0, mate1, skipped = _probe_greedy(self._rng(), cost.n, rows, cols, edges,
+                                              cost.counter, sub_budget, 8)
+        self._skipped += skipped
         return int(np.count_nonzero(mate0 >= 0)), mate0, mate1
 
     def _sampled_augment(self, phi, m_in, k, bar, cost, before):
@@ -601,9 +620,20 @@ class Backend:
         memo = np.full(n, -1, dtype=np.int8)
         memo_hits = 0
 
-        def tight_nm(i, js):
+        def candidates(i, js, last, used1):
+            # read only the probes the candidate loop could accept: j is
+            # free on the last hop and matched on an inner one, unused, not
+            # i's mate, and phi0[i] + phi1[j] >= 1 (costs are >= 0, so a
+            # smaller sum is never c + 1)
+            free = mate1[js] == UNMATCHED
+            keep = ((free if last else ~free) & ~used1[js] & (js != mate0[i])
+                    & (phi0[i] + phi1[js] >= 1))
+            js = js[keep]
+            self._skipped += len(keep) - len(js)
+            if len(js) == 0:
+                return js
             vals = cost.pairs(np.full(len(js), i), js)
-            return (phi0[i] + phi1[js] == vals + 1) & (mate0[i] != js)
+            return js[phi0[i] + phi1[js] == vals + 1]
 
         def tight_matched(j):
             nonlocal memo_hits
@@ -615,49 +645,43 @@ class Backend:
             return memo[j] == 1
 
         for half_len in range((k + 1) // 2):
-            used0 = np.zeros(n, dtype=bool)
+            # a path's side-0 vertices are its free start and the mates of
+            # its side-1 vertices, so marking the side-1 ones keeps paths
+            # disjoint: each start is drawn once, and a used j's mate is used
             used1 = np.zeros(n, dtype=bool)
             paths = []
             order = rng.permutation(free0_all)
             for start in order:
                 if budget - (cost.counter.count - before) < probes * (half_len + 1) + 4:
                     break
-                if used0[start]:
-                    continue
                 path = self._sample_one_path(
-                    int(start), half_len, used0, used1, mate1, n, rng, probes,
-                    tight_nm, tight_matched)
+                    int(start), half_len, used1, mate1, n, rng, probes,
+                    candidates, tight_matched)
                 if path is not None:
                     paths.append(path)
-                    for t, x in enumerate(path):
-                        (used0 if t % 2 == 0 else used1)[x] = True
+                    used1[path[1::2]] = True
             if len(paths) >= bar and len(paths) >= 1:
                 return _augment_overlay(m_in, paths), memo_hits
         return None, memo_hits
 
-    def _sample_one_path(self, start, half_len, used0, used1, mate1, n, rng,
-                         probes, tight_nm, tight_matched):
+    def _sample_one_path(self, start, half_len, used1, mate1, n, rng, probes,
+                         candidates, tight_matched):
         seq = [start]
-        onpath0 = {start}
-        onpath1 = set()
+        onpath1 = set()  # its mates are the path's side-0 vertices after start
         i = start
         for hop in range(half_len + 1):
-            js = rng.integers(0, n, size=probes)
-            ok = tight_nm(i, js)
-            cand = None
             last = hop == half_len
-            for j in js[ok]:
+            cand = None
+            # eligible unused probes in draw order, free on the last hop and
+            # matched on inner hops
+            for j in candidates(i, rng.integers(0, n, size=probes), last, used1):
                 j = int(j)
-                if used1[j] or j in onpath1:
+                if j in onpath1:
                     continue
-                i2 = int(mate1[j])
                 if last:
-                    if i2 == UNMATCHED:
-                        cand = (j, None)
-                        break
-                    continue
-                if i2 == UNMATCHED or used0[i2] or i2 in onpath0:
-                    continue
+                    cand = (j, None)
+                    break
+                i2 = int(mate1[j])
                 if not tight_matched(j):
                     continue  # matched edge not tight, cannot walk back
                 cand = (j, i2)
@@ -670,7 +694,6 @@ class Backend:
             if i2 is None:
                 return seq
             seq.append(i2)
-            onpath0.add(i2)
             i = i2
         return None
 
@@ -680,15 +703,17 @@ def _probe_greedy(rng, n, rows, cols, edges, counter, budget, stall_limit):
 
     Each batch draws up to 2 probes per free row, ``edges(is_, js)``
     tests them and every hit whose ends are both still free is matched.
-    Probing stops when no row is free, when the reads counted on
-    ``counter`` since the call began leave ``len(rows)`` or fewer of
-    ``budget``, or after ``stall_limit`` batches in a row that matched
-    nothing.  Returns (mate0, mate1) as length-n index arrays.
+    A column matched before the batch stays matched through it, so its
+    probes are not read.  Probing stops when no row is free, when the
+    reads counted on ``counter`` since the call began leave ``len(rows)``
+    or fewer of ``budget``, or after ``stall_limit`` batches in a row that
+    matched nothing.  Returns (mate0, mate1) as length-n index arrays and
+    the number of probes drawn but not read.
     """
     before = counter.count
     mate0 = np.full(n, -1, dtype=np.int64)
     mate1 = np.full(n, -1, dtype=np.int64)
-    stall = 0
+    stall = skipped = 0
     while (room := budget - (counter.count - before)) > len(rows) and stall < stall_limit:
         free_r = rows[mate0[rows] == -1]
         if len(free_r) == 0:
@@ -696,7 +721,11 @@ def _probe_greedy(rng, n, rows, cols, edges, counter, budget, stall_limit):
         batch = min(len(free_r) * 2, max(room // 2, 1), 400_000)
         is_ = free_r[rng.integers(0, len(free_r), size=batch)]
         js = cols[rng.integers(0, len(cols), size=batch)]
-        hits = edges(is_, js)
+        open_ = mate1[js] == -1
+        hits = np.zeros(batch, dtype=bool)
+        if open_.any():
+            hits[open_] = edges(is_[open_], js[open_])
+        skipped += batch - int(np.count_nonzero(open_))
         progressed = False
         for i, j in zip(is_[hits], js[hits]):
             if mate0[i] == -1 and mate1[j] == -1:
@@ -704,7 +733,7 @@ def _probe_greedy(rng, n, rows, cols, edges, counter, budget, stall_limit):
                 mate1[j] = i
                 progressed = True
         stall = 0 if progressed else stall + 1
-    return mate0, mate1
+    return mate0, mate1, skipped
 
 
 def _drop_matched(mask: np.ndarray, rows: np.ndarray, cols: np.ndarray,

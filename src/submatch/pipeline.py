@@ -19,8 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import (
-    UNMATCHED, BipartiteInstance, CostOracle, MatchingOracle,
-    ThresholdedCostView, _AdapterCost, as_seed_sequence, seed_label,
+    UNMATCHED, BipartiteInstance, CostOracle, MatchingOracle, _AdapterCost,
+    as_seed_sequence, seed_label,
 )
 from .mcm import Backend
 from .template import TemplateParams, run_template
@@ -132,11 +132,11 @@ def find_characteristic_cost(instance: BipartiteInstance, config: ReductionConfi
 # ---------------------------------------------------------------------------
 
 class RoundedCost(_AdapterCost):
-    """Lazy integer rounding c_bar = ceil(2 c / (gamma^2 w)) + 1.
+    """Lazy threshold and integer rounding: a cost c <= w becomes the level
+    c_bar = ceil(2 c / (gamma^2 w)) + 1, and a cost above w a non-edge (+inf).
 
-    Finite inputs above w are clamped to w and counted (the composed
-    pipeline thresholds first, so none occur there); +inf passes through
-    as a non-edge.  The scale-back factor gamma^2 w / 2 satisfies
+    A NaN or negative cost is malformed input, not a non-edge: reading one
+    raises.  The scale-back factor gamma^2 w / 2 satisfies
     c <= (gamma^2 w / 2) * c_bar <= c + gamma^2 w edge by edge.  Levels
     lie in [1, C] with C = ceil(2 / gamma^2) + 2, one above the level of w,
     so float fuzz in 2 c / (gamma^2 w) cannot push a level past C.
@@ -150,16 +150,13 @@ class RoundedCost(_AdapterCost):
             raise ValueError(f"w must be positive, not {w!r}")
         self.C = math.ceil(2.0 / gamma ** 2) + 2
         self.scale_back = gamma ** 2 * w / 2.0
-        self.clamped = 0
 
     def _map(self, vals):
+        if np.isnan(vals).any():
+            raise ValueError("malformed cost: a cost read is NaN")
         _reject_negative(vals)
-        finite = np.isfinite(vals)
-        over = finite & (vals > self.w)
-        if over.any():
-            self.clamped += int(over.sum())
-            vals = np.where(over, self.w, vals)
-        return np.where(finite, np.ceil(2.0 * vals / (self.gamma ** 2 * self.w)) + 1.0,
+        edge = np.isfinite(vals) & (vals <= self.w)  # +inf stays out at w = +inf too
+        return np.where(edge, np.ceil(2.0 * vals / (self.gamma ** 2 * self.w)) + 1.0,
                         np.inf)
 
 
@@ -284,13 +281,12 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     w_bar = max(characteristic.w_bar, 1e-300)  # all-zero ladders stay usable
 
     t1 = time.perf_counter()
-    thresholded = ThresholdedCostView(instance.cost, w_bar)
     T = DEFAULT_T if T is None else T
     k = DEFAULT_K if k is None else k
     if T < 4:
         raise ValueError("T must be >= 4")
     C = T - 1
-    rounded = round_costs(thresholded, math.sqrt(2.0 / (C - 2)), w_bar)
+    rounded = round_costs(instance.cost, math.sqrt(2.0 / (C - 2)), w_bar)
     tparams = TemplateParams.practical(g, C, T, k)
     padded = pad_dummies(BipartiteInstance(n, rounded), config.beta,
                          config.padding_slack)

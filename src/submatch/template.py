@@ -377,7 +377,8 @@ def sample_and_estimate(matching: MatchingOracle, gamma: float, C: int, n: int,
 class _ValidatingCost(_AdapterCost):
     """Checks integrality and the [1, C] range at first access.
 
-    The +inf non-edge sentinel passes through untouched.
+    The +inf non-edge sentinel passes through untouched; NaN and -inf are
+    malformed like any other value outside the integers in [1, C].
     """
 
     def __init__(self, base: CostOracle, C: int):
@@ -385,10 +386,10 @@ class _ValidatingCost(_AdapterCost):
         self.C = C
 
     def _map(self, vals):
-        finite = np.isfinite(vals)
-        bad = finite & ((vals < 1) | (vals > self.C) | (vals != np.rint(vals)))
+        # NaN fails rint equality, -inf the lower bound
+        bad = (vals != np.inf) & ((vals < 1) | (vals > self.C) | (vals != np.rint(vals)))
         if bad.any():
-            first = vals[bad].ravel()[0]
+            first = float(vals[bad].ravel()[0])
             raise ValueError(
                 f"malformed cost: {first!r} is not an integer in [1, {self.C}]")
         return vals

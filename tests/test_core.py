@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 from submatch.core import (
     UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching,
     MaterializedCost, OverlayMatching, ScaledCost, SetMembership,
-    ThresholdedCostView, ZeroPotential, read_instance, v0, v1,
-    write_instance,
+    ZeroPotential, read_instance, v0, v1, write_instance,
 )
+from submatch.pipeline import RoundedCost
 from submatch.template import StepAMembership, Step2Potential
 
 
@@ -41,36 +41,30 @@ def test_peek_is_uncounted():
 
 def test_adapters_count_once_at_root():
     inst = BipartiteInstance.from_matrix(np.full((5, 5), 2.0))
-    stacked = ScaledCost(ThresholdedCostView(inst.cost, 10.0), 3.0)
+    stacked = ScaledCost(ScaledCost(inst.cost, 0.5), 6.0)
     vals = stacked.block(np.arange(5), np.arange(5))
     assert np.all(vals == 6.0)
     assert inst.query_count == 25  # one count despite two adapters
 
 
 def test_threshold_view_masks_with_inf():
+    # the threshold lives in RoundedCost: a cost above w is a non-edge
     inst = BipartiteInstance.from_matrix(np.array([[1.0, 5.0], [2.0, 3.0]]))
-    view = ThresholdedCostView(inst.cost, 2.5)
-    out = view.block(np.arange(2), np.arange(2))
-    assert out[0, 0] == 1.0 and out[1, 0] == 2.0
-    assert np.isinf(out[0, 1]) and np.isinf(out[1, 1])
-
-
-def test_threshold_view_rejects_nan_reads():
-    inst = BipartiteInstance.from_matrix(np.array([[1.0, np.nan], [2.0, 3.0]]))
-    view = ThresholdedCostView(inst.cost, 2.5)
-    assert view.pairs([0, 1], [0, 1])[0] == 1.0  # NaN-free reads still answer
-    with pytest.raises(ValueError, match="NaN"):
-        view.pairs([1, 0], [0, 1])
-    with pytest.raises(ValueError, match="NaN"):
-        view.block(np.arange(2), np.arange(2))
-    assert inst.query_count == 2 + 2 + 4  # no read beyond the ones asked for
+    view = RoundedCost(ScaledCost(inst.cost, 1.0), 0.5, 2.5)
+    out = view.pairs([0, 0, 1, 1], [0, 1, 0, 1])
+    assert np.isfinite(out[0]) and np.isfinite(out[2])
+    assert np.isinf(out[1]) and np.isinf(out[3])
+    # a +inf cost stays a non-edge, whatever the threshold
+    inst = BipartiteInstance.from_matrix(np.array([[1.0, np.inf], [2.0, 3.0]]))
+    out = RoundedCost(inst.cost, 0.5, 1e300).block(np.arange(2), np.arange(2))
+    assert np.isinf(out[0, 1]) and np.isfinite(out).sum() == 3
 
 
 def test_threshold_view_rejects_nan_limit():
-    # a NaN limit would compare false everywhere and drop every edge
+    # a NaN threshold would compare false everywhere and drop every edge
     inst = BipartiteInstance.from_matrix(np.ones((2, 2)))
-    with pytest.raises(ValueError, match="limit must not be NaN, not nan"):
-        ThresholdedCostView(inst.cost, float("nan"))
+    with pytest.raises(ValueError, match="w must be positive, not nan"):
+        RoundedCost(inst.cost, 0.5, float("nan"))
     assert inst.query_count == 0
 
 

@@ -691,17 +691,25 @@ def test_drop_matched_equals_dict_loop_reference():
 
 # -- sampled backend against its re-reading, rng.choice originals ------------------
 
-class _SingleReadLog(MatrixCost):
-    """Matrix cost logging its one-element pair reads; in the sampled
-    augmentation those are exactly the matched-edge tightness reads."""
+class _ReadLog(MatrixCost):
+    """Matrix cost logging the matched-edge tightness reads of a sampled
+    augmentation over ``matching``.  ``singles`` holds its one-element pair
+    reads: the reference reads its probes 16 or more at a time, so those
+    are its tightness reads.  ``on_matching`` holds its reads of an edge
+    of ``matching``: the backend never reads a probe (i, j) with j the mate
+    of i, so those are its tightness reads."""
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, matching):
         super().__init__(matrix)
+        self.mate0 = matching.mate_of_v0()
         self.singles = []
+        self.on_matching = []
 
     def _pairs(self, is_, js, counted):
         if len(is_) == 1:
             self.singles.append((int(is_[0]), int(js[0])))
+        self.on_matching += [(i, j) for i, j in zip(is_.tolist(), js.tolist())
+                             if self.mate0[i] == j]
         return super()._pairs(is_, js, counted)
 
 
@@ -920,11 +928,11 @@ def test_sampled_augment_memo_equals_rereading_reference():
         n = len(costs)
         b = Backend.sampled(seed=seed, epsilon=0.1)
         rng = _pinned_rng(b, seed)
-        cost = _SingleReadLog(costs)
+        cost = _ReadLog(costs, m)
         got = b.augment_eligible(phi, m, k, gamma, cost)
         rb = Backend.sampled(seed=seed, epsilon=0.1)
         ref_rng = _pinned_rng(rb, seed)
-        ref_cost = _SingleReadLog(costs)
+        ref_cost = _ReadLog(costs, m)
         ref = _reference_sampled_augment(rb, phi, m, k, gamma * n / k, ref_cost, 0)
 
         assert (got is None) == (ref is None)
@@ -935,12 +943,14 @@ def test_sampled_augment_memo_equals_rereading_reference():
             lengths += [len(path) for path in got.augmenting_paths]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         # each matched edge is read once, at its first lookup; the memo
-        # serves exactly the reference's repeated lookups
+        # serves exactly the reference's repeated lookups, and every probe
+        # the reference read is either read or logged as skipped
         rec = b.call_log[-1]
         repeats = len(ref_cost.singles) - len(set(ref_cost.singles))
-        assert cost.singles == list(dict.fromkeys(ref_cost.singles))
+        assert cost.on_matching == list(dict.fromkeys(ref_cost.singles))
         assert rec["memo_hits"] == repeats
-        assert rec["queries"] == cost.counter.count == ref_cost.counter.count - repeats
+        assert rec["queries"] == cost.counter.count
+        assert rec["queries"] + rec["skipped"] == ref_cost.counter.count - repeats
         assert rec["queries"] <= ref_cost.counter.count
         for (i, j) in set(ref_cost.singles):
             if phi.p0[i] + phi.p1[j] != costs[i, j]:
@@ -960,15 +970,18 @@ def test_sampled_greedy_direct_draws_equal_choice_reference():
         if seed % 3:
             subset = (rng.permutation(n)[:int(rng.integers(1, n + 1))],
                       rng.permutation(n)[:int(rng.integers(1, n + 1))])
-        outs = []
+        outs, reads, skipped = [], [], []
         for greedy in (Backend._sampled_greedy, _reference_sampled_greedy):
             b = Backend.sampled(seed=seed, epsilon=0.1)
             r = _pinned_rng(b, seed)
             cost = mask_cost(mask)
             size, m0, m1 = greedy(b, cost, 0.0, subset)
-            outs.append((size, m0.tolist(), m1.tolist(), cost.counter.count,
-                         r.bit_generator.state))
+            outs.append((size, m0.tolist(), m1.tolist(), r.bit_generator.state))
+            reads.append(cost.counter.count)
+            skipped.append(b._skipped)
         assert outs[0] == outs[1]
+        # probes of columns matched before their batch are skipped, not read
+        assert reads[0] + skipped[0] == reads[1]
 
 
 def test_sampled_greedy_subset_direct_draws_equal_choice_reference():
@@ -980,12 +993,56 @@ def test_sampled_greedy_subset_direct_draws_equal_choice_reference():
         cols = rng.permutation(n)[:int(rng.integers(1, n + 1))]
         base_mate0 = np.where(rng.random(n) < 0.5, rng.permutation(n), UNMATCHED)
         sub_budget = int(rng.integers(n, 4 * n * n))
-        outs = []
+        outs, reads, skipped = [], [], []
         for greedy in (Backend._sampled_greedy_subset, _reference_sampled_greedy_subset):
             b = Backend.sampled(seed=seed, epsilon=0.1)
             r = _pinned_rng(b, seed)
             cost = MatrixCost(costs)
             size, m0, m1 = greedy(b, cost, rows, cols, 2.0, base_mate0, sub_budget)
-            outs.append((size, m0.tolist(), m1.tolist(), cost.counter.count,
-                         r.bit_generator.state))
+            outs.append((size, m0.tolist(), m1.tolist(), r.bit_generator.state))
+            reads.append(cost.counter.count)
+            skipped.append(b._skipped)
+        if seed in (6, 8, 10):
+            # the budget stops the reference, and skipping reads lets the
+            # backend take more batches: check the matching, not the draws
+            assert reads[1] >= sub_budget - len(rows)
+            size, m0, m1 = outs[0][:3]
+            matched = [i for i in range(n) if m0[i] != UNMATCHED]
+            assert size == len(matched) >= 1
+            for i in matched:
+                j = m0[i]
+                assert m1[j] == i and costs[i, j] == 2.0 and base_mate0[i] != j
+                assert i in rows and j in cols
+            assert sum(x != UNMATCHED for x in m1) == size
+            assert reads[0] <= sub_budget
+            continue
         assert outs[0] == outs[1]
+        assert reads[0] + skipped[0] == reads[1]
+
+
+def test_sampled_augment_never_walks_back_onto_its_path():
+    # the only augmenting path is 0 -1- 1 -2- 2 -3- 3 -0- (free side-1 0),
+    # and from side-0 vertex 2 the eligible edge to side-1 vertex 1 leads
+    # back onto the path: a search that took it would revisit vertex 1.
+    # Pairs 5..7 are matched, never tight, and leave the budget room for
+    # the length-7 class
+    costs = np.full((8, 8), 5.0)   # not eligible at phi0 + phi1 = 1
+    for i, j in [(0, 1), (1, 2), (2, 1), (2, 3), (3, 0)]:
+        costs[i, j] = 0.0          # eligible: phi0 + phi1 == c + 1
+    for i in (1, 2, 3):
+        costs[i, i] = 1.0          # tight matched edges
+    m = ArrayMatching.from_pairs(8, [(i, i) for i in (1, 2, 3, 5, 6, 7)])
+    phi = FixedPotential(np.ones(8), np.zeros(8))
+    found = 0
+    for seed in range(20):
+        b = Backend.sampled(seed=seed, epsilon=0.1)
+        _pinned_rng(b, seed)
+        got = b.augment_eligible(phi, m, 7, 0.5, MatrixCost(costs))  # bar 4/7
+        rb = Backend.sampled(seed=seed, epsilon=0.1)
+        _pinned_rng(rb, seed)
+        ref = _reference_sampled_augment(rb, phi, m, 7, 4 / 7, MatrixCost(costs), 0)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert got.augmenting_paths == ref.augmenting_paths == [[0, 1, 1, 2, 2, 3, 3, 0]]
+            found += 1
+    assert found >= 8

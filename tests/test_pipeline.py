@@ -114,15 +114,30 @@ def test_round_costs_examples():
     assert vals[1, 0] == 101.0
 
 
-def test_round_costs_clamps_and_counts():
-    inst = BipartiteInstance.from_matrix(np.array([[2.0]]))
-    rounded = round_costs(inst.cost, 0.5, 1.0)
-    v = rounded.peek_dense()[0, 0]
-    assert v == rounded._map(np.array([[1.0]]))[0, 0]
-    assert rounded.clamped == 1
+def test_round_costs_masks_above_w_with_inf():
+    # rounding thresholds too: a cost above w is a non-edge, w itself is kept
+    inst = BipartiteInstance.from_matrix(np.array([[1.0, 5.0], [2.5, 3.0]]))
+    rounded = round_costs(inst.cost, 0.5, 2.5)
+    out = rounded.block(np.arange(2), np.arange(2))
+    assert out[0, 0] == 5.0           # ceil(2 / 0.625) + 1
+    assert out[1, 0] == 9.0 == rounded.C - 1
+    assert np.isinf(out[0, 1]) and np.isinf(out[1, 1])
+    assert inst.query_count == 4
+
+
+def test_round_costs_rejects_nan_reads():
+    inst = BipartiteInstance.from_matrix(np.array([[1.0, np.nan], [2.0, 3.0]]))
+    rounded = round_costs(inst.cost, 0.5, 2.5)
+    assert rounded.pairs([0, 1], [0, 1])[0] == 5.0  # NaN-free reads still answer
+    with pytest.raises(ValueError, match="a cost read is NaN"):
+        rounded.pairs([1, 0], [0, 1])
+    with pytest.raises(ValueError, match="a cost read is NaN"):
+        rounded.block(np.arange(2), np.arange(2))
+    assert inst.query_count == 2 + 2 + 4  # no read beyond the ones asked for
 
 
 def test_round_costs_rejects_nan_w():
+    # a NaN threshold would compare false everywhere and drop every edge
     inst = BipartiteInstance.from_matrix(np.ones((2, 2)))
     with pytest.raises(ValueError, match="w must be positive, not nan"):
         round_costs(inst.cost, 0.5, float("nan"))
@@ -415,14 +430,14 @@ def test_exact_estimate_is_pinned_and_reads_each_entry_once():
 
 def test_sampled_estimate_and_reads_are_pinned():
     # the sampled backend reads on demand; its answer is the one it gave
-    # before the exact backend started reading once, and its reads are one
-    # fewer since each call reads a matched edge's tightness at most once
+    # before the exact backend started reading once, and it reads only the
+    # probes that can change that answer (reading every probe takes 243941)
     inst = uniform_instance(128, 4)
     res = estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
                                        Backend.sampled(seed=4, epsilon=0.2),
                                        seed=4, T=8, k=5)
     assert res.estimate == 44.79995253571114
-    assert inst.query_count == 243941
+    assert inst.query_count == 126271
 
 
 def test_knapsack_answer_and_reads_are_pinned():

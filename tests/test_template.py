@@ -436,6 +436,19 @@ def test_run_template_rejects_malformed_costs():
         run_template(inst2, params2, Backend.exact(), seed=0)
 
 
+@pytest.mark.parametrize("variant", ["exact", "sampled"])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
+def test_run_template_rejects_nan_and_negative_infinity(bad, variant):
+    # only +inf is a non-edge: a check on finite values alone would let
+    # both through, and the template would answer without a word
+    costs = np.ones((20, 20))
+    costs[3, 7] = bad
+    inst = BipartiteInstance.from_matrix(costs)
+    params = make_params(gamma=0.2, C=3, T=2, k=3)
+    with pytest.raises(ValueError, match=rf"malformed cost: {bad!r} is not an integer in \[1, 3\]"):
+        run_template(inst, params, Backend(variant, seed=0), seed=0)
+
+
 def test_run_template_phi_range_and_invariants():
     rng = np.random.default_rng(11)
     n = 40
