@@ -8,7 +8,8 @@ separate graph type: a graph is a cost oracle plus a limit, its edges the
 pairs of cost <= limit, and every subroutine reads the costs itself.  The
 exact backend satisfies every contract deterministically: it reads the cost
 matrix once into memory (:meth:`Backend.prepare_cost`), builds each
-call's graph from it and runs Hopcroft-Karp; its augmentation keeps one
+call's graph from it and runs Hopcroft-Karp, each matching-size probe on a
+cost starting from the previous probe's matching; its augmentation keeps one
 eligibility snapshot (adjacency lists of the eligible non-matched edges)
 for a whole Step 1, and one bounded-length path search serves every path
 length, free-to-free edges included, pruning dead ends proven independent
@@ -69,14 +70,21 @@ def backend_query_budget(epsilon: float, n: int, variant: str = "sampled") -> in
 # Hopcroft-Karp over adjacency lists (exact backend workhorse)
 # ---------------------------------------------------------------------------
 
-def _hopcroft_karp(adj: list[list[int]], n0: int, n1: int):
+def _hopcroft_karp(adj: list[list[int]], n0: int, n1: int,
+                   mate0: list[int] | None = None, mate1: list[int] | None = None):
     """Iterative Hopcroft-Karp; adj[i] lists side-1 neighbors of i in
-    ascending order.  Returns (size, mate0, mate1) with int64 mate arrays."""
-    mate0 = [-1] * n0
-    mate1 = [-1] * n1
+    ascending order.  Returns (size, mate0, mate1) with int64 mate arrays.
+
+    Given ``mate0``/``mate1`` (lists, taken over and written in place), the
+    search starts from that matching, whose pairs must be edges of ``adj``;
+    otherwise from the empty one.  Either way it ends at a maximum matching.
+    """
+    if mate0 is None:
+        mate0 = [-1] * n0
+        mate1 = [-1] * n1
     inf = n0 + n1 + 1
     dist = [0] * n0
-    size = 0
+    size = n0 - mate0.count(-1)
     while True:
         queue = []
         for i in range(n0):
@@ -359,6 +367,8 @@ class Backend:
         # (phi, returned overlay, cost, _Eligibility) of the last successful
         # exact augmentation round; matched by identity, never by id()
         self._snapshot = None
+        # (cost, mate0, mate1) of the last exact approx_match, the same way
+        self._warm = None
 
     @classmethod
     def exact(cls, seed: int = 0) -> "Backend":
@@ -375,9 +385,12 @@ class Backend:
         Exact calls read the whole matrix or large blocks of it, so the
         exact backend reads it once here, through every adapter stacked in
         ``cost``, and its calls then read memory; the sampled backend reads
-        on demand and gets ``cost`` unchanged.
+        on demand and gets ``cost`` unchanged, and so does a cost that is
+        already a :class:`MaterializedCost`.
         """
-        return MaterializedCost(cost) if self.variant == "exact" else cost
+        if self.variant == "sampled" or isinstance(cost, MaterializedCost):
+            return cost
+        return MaterializedCost(cost)
 
     def _rng(self) -> np.random.Generator:
         child = self._seq.spawn(1)[0]
@@ -400,15 +413,37 @@ class Backend:
     # -- approx_match -------------------------------------------------------
     def approx_match(self, cost: CostOracle, limit: float):
         """Estimate the max-matching size of the graph of edges with
-        cost <= limit; returns (size, oracle)."""
+        cost <= limit; returns (size, oracle).
+
+        Exact calls return a maximum matching, and they warm-start: a call
+        on the same cost object as the previous exact call starts
+        Hopcroft-Karp from that call's matching, less its pairs of cost
+        above ``limit``; any other cost starts from the empty matching.
+        The size is the maximum either way, so only which maximum matching
+        comes back depends on the calls before.  Each exact record logs
+        ``carried``, the number of pairs the call started from.
+        """
         n = cost.n
         before = cost.counter.count
+        extra = {}
         if self.variant == "exact":
             mask = cost.block(np.arange(n), np.arange(n)) <= limit
-            size, mate0, mate1 = _hopcroft_karp(_mask_to_adj(mask), n, n)
+            mate0 = mate1 = None
+            carried = 0
+            if self._warm is not None and self._warm[0] is cost:
+                m0, m1 = self._warm[1].copy(), self._warm[2].copy()
+                rows = np.nonzero(m0 != UNMATCHED)[0]
+                gone = rows[~mask[rows, m0[rows]]]
+                m1[m0[gone]] = UNMATCHED
+                m0[gone] = UNMATCHED
+                carried = len(rows) - len(gone)
+                mate0, mate1 = m0.tolist(), m1.tolist()
+            size, mate0, mate1 = _hopcroft_karp(_mask_to_adj(mask), n, n, mate0, mate1)
+            self._warm = (cost, mate0, mate1)
+            extra["carried"] = carried
         else:
             size, mate0, mate1 = self._sampled_greedy(cost, limit, None)
-        self._log("approx_match", cost.counter, before, n)
+        self._log("approx_match", cost.counter, before, n, **extra)
         return size, ArrayMatching(mate0, mate1)
 
     # -- large_match --------------------------------------------------------

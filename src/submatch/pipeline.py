@@ -19,8 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import (
-    UNMATCHED, BipartiteInstance, CostOracle, MatchingOracle, _AdapterCost,
-    as_seed_sequence, seed_label,
+    UNMATCHED, BipartiteInstance, CostOracle, EmptyMatching, MatchingOracle,
+    _AdapterCost, as_seed_sequence, seed_label,
 )
 from .mcm import Backend
 from .template import TemplateParams, run_template
@@ -95,6 +95,13 @@ def find_characteristic_cost(instance: BipartiteInstance, config: ReductionConfi
     Returns the largest sampled cost w_i whose gamma*w_i threshold graph
     still has approximate matching size below (beta - 2*gamma) * n, or the
     smallest ladder value when none qualifies.
+
+    The threshold graphs are nested, and on the exact backend each probe
+    warm-starts from the previous probe's maximum matching, less its pairs
+    above the new threshold (see :meth:`Backend.approx_match`).  Only the
+    sizes are used, and they are exact maximum-matching sizes, so the
+    probes and w_bar are those of cold starts; the probes' matchings are
+    discarded.
     """
     n = instance.n
     g = config.gamma_effective
@@ -148,6 +155,8 @@ class RoundedCost(_AdapterCost):
         self.w = float(w)
         if not self.w > 0:  # NaN fails this test too
             raise ValueError(f"w must be positive, not {w!r}")
+        if self.w == math.inf:  # the levels would divide inf by inf
+            raise ValueError("w must be finite, not inf")
         self.C = math.ceil(2.0 / gamma ** 2) + 2
         self.scale_back = gamma ** 2 * w / 2.0
 
@@ -155,7 +164,7 @@ class RoundedCost(_AdapterCost):
         if np.isnan(vals).any():
             raise ValueError("malformed cost: a cost read is NaN")
         _reject_negative(vals)
-        edge = np.isfinite(vals) & (vals <= self.w)  # +inf stays out at w = +inf too
+        edge = vals <= self.w  # w is finite, so a +inf cost is a non-edge
         return np.where(edge, np.ceil(2.0 * vals / (self.gamma ** 2 * self.w)) + 1.0,
                         np.inf)
 
@@ -263,7 +272,14 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     under float fuzz), and the template and the report use C itself.
 
     ``report["matched_fraction"]`` is the exact matched size over n, read
-    through the returned matching (at most n cost reads).
+    through the returned matching (at most n cost reads).  ``stages.prepared``
+    is the instance over ``backend.prepare_cost``'s cost, degenerate sizes
+    included; a later call on it with the same backend reads no cost again.
+
+    Two characteristic costs short-cut the answer.  At w_bar = 0 every real
+    edge left after thresholding costs 0, and the answer is 0.  At
+    w_bar = +inf every sampled cost is +inf, so c(M^{beta n}) is +inf: the
+    answer is +inf with an empty matching, and the template does not run.
     """
     n = instance.n
     g = config.gamma_effective
@@ -272,35 +288,43 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
 
+    instance = BipartiteInstance(n, backend.prepare_cost(instance.cost))
     if n < 1.0 / g:
         return _degenerate_estimate(instance, config, seed, timings, t0)
-    instance = BipartiteInstance(n, backend.prepare_cost(instance.cost))
-
-    characteristic = find_characteristic_cost(instance, config, backend, seeds[0])
-    timings["characteristic"] = time.perf_counter() - t0
-    w_bar = max(characteristic.w_bar, 1e-300)  # all-zero ladders stay usable
-
-    t1 = time.perf_counter()
     T = DEFAULT_T if T is None else T
     k = DEFAULT_K if k is None else k
     if T < 4:
         raise ValueError("T must be >= 4")
     C = T - 1
-    rounded = round_costs(instance.cost, math.sqrt(2.0 / (C - 2)), w_bar)
     tparams = TemplateParams.practical(g, C, T, k)
-    padded = pad_dummies(BipartiteInstance(n, rounded), config.beta,
-                         config.padding_slack)
-    timings["reductions"] = time.perf_counter() - t1
 
-    t2 = time.perf_counter()
-    tres = run_template(padded.instance, tparams, backend,
-                        seed=seeds[1], collect_trace=collect_trace)
-    timings["template"] = time.perf_counter() - t2
+    characteristic = find_characteristic_cost(instance, config, backend, seeds[0])
+    timings["characteristic"] = time.perf_counter() - t0
+    w_bar = max(characteristic.w_bar, 1e-300)  # all-zero ladders stay usable
 
-    estimate = (tres.estimate - padded.offset) * rounded.scale_back
-    if characteristic.w_bar == 0.0:
-        estimate = 0.0  # every real edge left after thresholding costs 0
-    matching = FilteredMatching(tres.matching, n)
+    if w_bar == math.inf:
+        estimate, matching = math.inf, EmptyMatching(n)
+        stages = SimpleNamespace(prepared=instance, characteristic=characteristic,
+                                 template_params=tparams, config=config)
+    else:
+        t1 = time.perf_counter()
+        rounded = round_costs(instance.cost, math.sqrt(2.0 / (C - 2)), w_bar)
+        padded = pad_dummies(BipartiteInstance(n, rounded), config.beta,
+                             config.padding_slack)
+        timings["reductions"] = time.perf_counter() - t1
+
+        t2 = time.perf_counter()
+        tres = run_template(padded.instance, tparams, backend,
+                            seed=seeds[1], collect_trace=collect_trace)
+        timings["template"] = time.perf_counter() - t2
+
+        estimate = (tres.estimate - padded.offset) * rounded.scale_back
+        if characteristic.w_bar == 0.0:
+            estimate = 0.0  # every real edge left after thresholding costs 0
+        matching = FilteredMatching(tres.matching, n)
+        stages = SimpleNamespace(
+            prepared=instance, characteristic=characteristic, rounded=rounded,
+            padded=padded, template=tres, template_params=tparams, config=config)
     report = {
         "alpha": config.alpha,
         "beta": config.beta,
@@ -318,9 +342,6 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
         "stage_timings": timings,
         "degenerate": False,
     }
-    stages = SimpleNamespace(
-        characteristic=characteristic, rounded=rounded, padded=padded,
-        template=tres, template_params=tparams, config=config)
     return PipelineResult(estimate, matching, report, stages)
 
 
@@ -343,7 +364,7 @@ def _degenerate_estimate(instance, config, seed, timings, t0):
         "seed": seed_label(seed), "stage_timings": timings, "degenerate": True,
     }
     return PipelineResult(res.value, matching, report,
-                          SimpleNamespace(baseline=res))
+                          SimpleNamespace(prepared=instance, baseline=res))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +382,10 @@ def max_matching_under_budget(instance: BipartiteInstance, B: float, gamma: floa
     while c_hat > B certifies that no size-xi n matching fits.  The
     certificates are monotone in xi, so a binary search over the grid
     suffices; per-grid-point seeds depend only on the grid index, which
-    makes the search monotone in B for a fixed master seed.
+    makes the search monotone in B for a fixed master seed.  The first
+    estimator call prepares the cost (``stages.prepared``; on the exact
+    backend one n^2 read per answer), and every later grid point runs on
+    that prepared instance.
     """
     if not B >= 0:  # also rejects NaN; B = inf is a valid budget
         raise ValueError(f"budget B must be nonnegative, got {B!r}")
@@ -377,12 +401,14 @@ def max_matching_under_budget(instance: BipartiteInstance, B: float, gamma: floa
     sub = seq.spawn(len(grid))
 
     def fits(idx: int) -> bool:
+        nonlocal instance
         xi = min(grid[idx], 1.0)  # guard float accumulation at the top point
         if xi <= 0.0:
             return True  # the empty matching always fits
         config = ReductionConfig(max(xi - step, 0.0), xi, gamma)
         res = estimate_min_weight_matching(instance, config, backend,
                                            seed=sub[idx], T=T, k=k)
+        instance = res.stages.prepared
         return res.estimate <= B
 
     lo, hi = 0, len(grid) - 1

@@ -95,6 +95,82 @@ def test_approx_match_exact_equals_hopcroft_karp_oracle():
         assert_valid_matching(m, n, mask_cost(mask))
 
 
+def _ladder_limits(instance, seed):
+    """The limits ``find_characteristic_cost`` probes, in its order, with the
+    exact backend that probed them."""
+    from submatch.pipeline import ReductionConfig, find_characteristic_cost
+
+    class Recording(Backend):
+        def approx_match(self, cost, limit):
+            self.limits.append(limit)
+            return super().approx_match(cost, limit)
+
+    backend = Recording.exact(seed=0)
+    backend.limits = []
+    find_characteristic_cost(instance, ReductionConfig(0.85, 1.0, 0.1), backend, seed)
+    return backend.limits, backend
+
+
+def _max_matching_size(dense, limit):
+    n = len(dense)
+    rows, cols = np.nonzero(dense <= limit)
+    return baseline.max_bipartite_matching(n, n, zip(rows.tolist(), cols.tolist()))[0]
+
+
+def test_warm_started_approx_match_equals_cold_and_baseline_sizes():
+    from submatch.generators import uniform_instance
+    for s in (1, 2, 3):
+        seed = int(np.random.SeedSequence([18, s]).generate_state(1)[0])
+        inst = uniform_instance(200, seed)
+        cost = Backend.exact().prepare_cost(inst.cost)
+        dense = cost.peek_dense()
+        ladder, _ = _ladder_limits(BipartiteInstance(200, cost), seed)
+        assert any(a > b for a, b in zip(ladder, ladder[1:]))  # it goes down too
+        assert any(a < b for a, b in zip(ladder, ladder[1:]))  # and up
+        descending = sorted(set(ladder), reverse=True)
+        for limits in (ladder, descending):
+            warm, sizes = Backend.exact(), []
+            for limit in limits:
+                size, m = warm.approx_match(cost, limit)
+                cold, _ = Backend.exact().approx_match(cost, limit)
+                assert size == cold == _max_matching_size(dense, limit)
+                assert m.size() == size
+                assert_valid_matching(m, 200, mask_cost(dense <= limit))
+                sizes.append(size)
+            carried = [rec["carried"] for rec in warm.call_log]
+            assert carried[0] == 0
+            assert all(c <= before for c, before in zip(carried[1:], sizes))
+        # going down drops pairs above the new limit
+        assert any(0 < c < before for c, before in zip(carried[1:], sizes))
+
+
+def test_ladder_probes_log_carried_pairs():
+    from submatch.generators import uniform_instance
+    inst = uniform_instance(200, 7)
+    cost = Backend.exact().prepare_cost(inst.cost)
+    _, backend = _ladder_limits(BipartiteInstance(200, cost), 7)
+    carried = [rec["carried"] for rec in backend.call_log]
+    assert carried[0] == 0  # the first probe starts cold
+    assert max(carried[1:]) > 0
+    # a second cost object on the same backend starts cold, even with equal values
+    twin = MatrixCost(cost.peek_dense())
+    size, _ = backend.approx_match(twin, 1.0)
+    assert backend.call_log[-1]["carried"] == 0 and size == 200
+    # and the next call on it starts from that matching
+    backend.approx_match(twin, 1.0)
+    assert backend.call_log[-1]["carried"] == 200
+
+
+def test_prepare_cost_keeps_a_materialized_cost():
+    inst = BipartiteInstance.from_matrix(np.ones((4, 4)))
+    exact, sampled = Backend.exact(), Backend.sampled()
+    m = exact.prepare_cost(inst.cost)
+    assert m is not inst.cost and inst.query_count == 16
+    assert exact.prepare_cost(m) is m and sampled.prepare_cost(m) is m
+    assert sampled.prepare_cost(inst.cost) is inst.cost
+    assert inst.query_count == 16
+
+
 # -- large_match -----------------------------------------------------------------
 
 def test_large_match_bottom_cases():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -443,14 +444,14 @@ def test_sampled_estimate_and_reads_are_pinned():
 def test_knapsack_answer_and_reads_are_pinned():
     # pins today's answer, not a correct one: the exact size is 166, and
     # the characteristic cost's threshold multiplier (see ROADMAP item 2)
-    # will move it; every grid point materializes the matrix once
+    # will move it; the whole grid shares one materialized matrix
     n = 200
     inst = uniform_instance(n, 12345)
     B = baseline.min_weight_matching_sweep(inst.cost.peek_dense())[n] / 2
     assert B == pytest.approx(0.71995, abs=1e-5)
     s_hat = max_matching_under_budget(inst, B, 0.1, Backend.exact(seed=0), seed=0)
     assert s_hat == 50.0
-    assert inst.query_count == 6 * n * n
+    assert inst.query_count == n * n
 
 
 def test_nan_off_the_ladder_is_rejected():
@@ -461,6 +462,42 @@ def test_nan_off_the_ladder_is_rejected():
     with pytest.raises(ValueError, match="NaN"):
         estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
                                      Backend.exact(seed=0), seed=0)
+
+
+@pytest.mark.parametrize("variant", ["exact", "sampled"])
+def test_all_infinite_matrix_estimates_infinity_without_warnings(variant):
+    # no edge at all: c(M^{beta n}) is +inf, and the answer comes before rounding
+    inst = BipartiteInstance.from_matrix(np.full((60, 60), np.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = estimate_min_weight_matching(inst, ReductionConfig(0.5, 1.0, 0.5),
+                                           Backend(variant, seed=0), seed=0)
+    assert not res.report["degenerate"]
+    assert res.estimate == math.inf and res.report["estimate"] == math.inf
+    assert res.report["w_bar"] == math.inf
+    assert res.matching.size() == 0 and res.report["matched_fraction"] == 0.0
+
+
+def test_round_costs_rejects_infinite_w():
+    inst = BipartiteInstance.from_matrix(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="w must be finite, not inf"):
+        round_costs(inst.cost, 0.5, math.inf)
+    assert inst.query_count == 0
+
+
+@pytest.mark.parametrize("config", [ReductionConfig(0.85, 1.0, 0.1),
+                                    ReductionConfig(0.99, 1.0, 0.1)])  # degenerate
+def test_prepared_instance_reads_no_cost_again(config):
+    n = 100
+    inst = uniform_instance(n, 5)
+    backend = Backend.exact(seed=0)
+    first = estimate_min_weight_matching(inst, config, backend, seed=0)
+    assert first.report["degenerate"] == (n < 1.0 / config.gamma_effective)
+    assert inst.query_count == n * n
+    again = estimate_min_weight_matching(first.stages.prepared, config, backend, seed=0)
+    assert again.stages.prepared.cost is first.stages.prepared.cost
+    assert again.estimate == first.estimate
+    assert inst.query_count == n * n
 
 
 def test_all_zero_matrix_estimates_zero():
