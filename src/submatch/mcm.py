@@ -147,10 +147,23 @@ def _hopcroft_karp(adj: list[list[int]], n0: int, n1: int,
 
 
 def _mask_to_adj(mask: np.ndarray) -> list[list[int]]:
-    """Row-wise ascending column lists of a boolean mask."""
-    rows, cols = np.nonzero(mask)
-    ends = np.cumsum(np.bincount(rows, minlength=mask.shape[0])).tolist()
-    cols = cols.tolist()
+    """Row-wise ascending column lists of a boolean mask.
+
+    One ``np.flatnonzero`` scan finds the true entries in row-major order,
+    so each row's columns come out ascending, the order Hopcroft-Karp and
+    the lowest-id-first path search rely on.  A mask with no columns has
+    no true entries, so the division below never divides anything by 0.
+    The flat indices become the column ids in place, so no third array as
+    long as the true entries is made (one raised the peak resident memory
+    of exact estimates).
+    """
+    n0, n1 = mask.shape
+    idx = np.flatnonzero(mask)
+    rows = idx // n1
+    ends = np.cumsum(np.bincount(rows, minlength=n0)).tolist()
+    rows *= n1
+    idx -= rows
+    cols = idx.tolist()
     return [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
@@ -189,13 +202,16 @@ class _Eligibility:
     def __init__(self, cost: CostOracle, phi: PotentialOracle, matching: MatchingOracle):
         n = cost.n
         self.n = n
-        phi0 = phi.eval_many(v0(np.arange(n, dtype=np.int64)))
-        phi1 = phi.eval_many(v1(np.arange(n, dtype=np.int64)))
+        # phi0 + phi1 == c + 1 runs as (phi0 - 1) + phi1 == c in float64, the
+        # costs' dtype: one dtype and one n^2 temporary, and exact, since the
+        # potentials are small integers and the validated costs integers or +inf
+        phi0 = phi.eval_many(v0(np.arange(n, dtype=np.int64))).astype(np.float64)
+        phi1 = phi.eval_many(v1(np.arange(n, dtype=np.int64))).astype(np.float64)
         # own copies: augment() writes into them, never into the oracle's arrays
         self.mate0 = matching.mate_of_v0().copy()
         self.mate1 = matching.mate_of_v1().copy()
         c = cost.block(np.arange(n), np.arange(n))
-        eligible = (phi0[:, None] + phi1[None, :]) == c + 1
+        eligible = (phi0 - 1.0)[:, None] + phi1[None, :] == c
         matched_rows = np.nonzero(self.mate0 != UNMATCHED)[0]
         matched_cols = self.mate0[matched_rows]
         eligible[matched_rows, matched_cols] = False
@@ -497,10 +513,10 @@ class Backend:
         sub_delta = delta_in / (R * R)
         budget = self.query_budget(n)
         result = None
+        col_buckets = [(qv, cols_all[phi_c == qv]) for qv in np.unique(phi_c)]
         for pv in np.unique(phi_r):
             rows = rows_all[phi_r == pv]
-            for qv in np.unique(phi_c):
-                cols = cols_all[phi_c == qv]
+            for qv, cols in col_buckets:
                 target = float(pv + qv) - 1.0  # i + j == c + 1
                 if target < 0.0:
                     continue  # costs are nonnegative: the bucket is empty

@@ -235,3 +235,41 @@ def test_layered_oracles_compute_each_vertex_once():
         assert sorted(oracle.seen) == list(range(2 * n))  # each id once
 
 
+class SpyPotential(ZeroPotential):
+    """Potential 3u - 5 on global id u; records every batch it computes."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.batches = []
+
+    def _eval_missing(self, us):
+        self.batches.append(us.tolist())
+        return 3 * us - 5
+
+
+def test_memo_computes_sorted_distinct_missing_ids_once():
+    n = 8
+    all0, all1 = v0(np.arange(n)), v1(np.arange(n))
+    queries = [
+        [5, 3, 3, 9],                  # unsorted, with a duplicate
+        [0, 2, 4, 6],                  # sorted, none memoized
+        [1, 1, 2, 7],                  # sorted but not strictly increasing
+        [2, 3, 4, 5, 11],              # sorted, partly memoized
+        [12, 1, 12, 0, 10],            # unsorted, duplicated, partly memoized
+        all0,                          # the all-vertex queries, partly memoized
+        all1,
+        [15, 14, 13],                  # unsorted, all memoized
+        [],
+        np.arange(2 * n),
+    ]
+    phi, seen = SpyPotential(n), set()
+    for us in queries:
+        us = np.asarray(us, dtype=np.int64)
+        got = phi.eval_many(us)
+        fresh = SpyPotential(n).eval_many(us)
+        assert got.dtype == np.int64 and got.tolist() == fresh.tolist() == (3 * us - 5).tolist()
+        want = sorted(set(us.tolist()) - seen)
+        assert phi.batches == ([want] if want else [])
+        seen |= set(want)
+        phi.batches = []
+    assert seen == set(range(2 * n))

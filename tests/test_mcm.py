@@ -584,6 +584,21 @@ def test_hopcroft_karp_lists_equal_numpy_reference(shape, density):
         assert m0.dtype == m1.dtype == np.int64
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 7), (7, 0), (1, 1), (13, 29), (29, 13), (64, 64)])
+def test_mask_to_adj_equals_per_row_flatnonzero(shape):
+    from submatch.mcm import _mask_to_adj
+    rng = np.random.default_rng(list(shape))
+    masks = [np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)]
+    for density in (0.01, 0.2, 0.9):
+        mask = rng.random(shape) < density
+        mask[rng.random(shape[0]) < 0.3] = False  # some all-false rows
+        masks += [mask, mask[:, ::2], mask.T]  # strided and transposed views too
+    for mask in masks:
+        got = _mask_to_adj(mask)
+        assert got == [np.flatnonzero(row).tolist() for row in mask]
+        assert all(type(j) is int for row in got for j in row)
+
+
 def _random_state(rng):
     """Costs, potential and matching of a random (not 1-feasible) state."""
     n = int(rng.integers(6, 40))
@@ -661,6 +676,56 @@ def test_exact_length_paths_lists_equal_numpy_reference():
             got = _find_exact_length_paths(elig, half_len)
             assert got == _reference_exact_length_paths(state, half_len)
         assert all(path in got for path in planted)
+
+
+def _reference_eligibility(costs, phi0, phi1, mate0):
+    """(adj, matched_tight) of a state by Python integer arithmetic, pair by
+    pair: +inf is a non-edge, j is eligible for i when phi0 + phi1 == c + 1
+    and (i, j) is not matched, and a matched edge is tight at c."""
+    n = len(costs)
+    adj, tight = [], []
+    for i in range(n):
+        p, m = int(phi0[i]), int(mate0[i])
+        adj.append([j for j in range(n) if j != m and costs[i][j] != math.inf
+                    and p + int(phi1[j]) == int(costs[i][j]) + 1])
+        tight.append(m != UNMATCHED and costs[i][m] != math.inf
+                     and p + int(phi1[m]) == int(costs[i][m]))
+    return adj, tight
+
+
+def test_eligibility_snapshot_equals_integer_reference():
+    from submatch.mcm import _Eligibility
+    from submatch.template import _ValidatingCost
+    rng = np.random.default_rng(19)
+    C = 7
+    seen = dict(at_C=0, negative=0, inf=0, matched_eligible=0, tight=0)
+    for trial in range(40):
+        n = int(rng.integers(1, 30))
+        phi0 = rng.integers(-3, C + 3, n)
+        phi1 = rng.integers(-3, 4, n)
+        costs = rng.integers(1, C + 1, (n, n)).astype(float)
+        # plant eligible pairs, at level C among them, then +inf non-edges
+        sums = phi0[:, None] + phi1[None, :]
+        plant = (rng.random((n, n)) < 0.3) & (sums >= 2) & (sums <= C + 1)
+        costs[plant] = (sums - 1)[plant]
+        costs[rng.random((n, n)) < 0.15] = np.inf
+        pairs = [(i, int(j)) for i, j in enumerate(rng.permutation(n)) if rng.random() < 0.5]
+        for i, j in pairs:  # matched pairs tight at c, eligible at c + 1 or neither
+            c = int(phi0[i] + phi1[j]) - int(rng.integers(0, 3))
+            if 1 <= c <= C:
+                costs[i, j] = c
+        matching = ArrayMatching.from_pairs(n, pairs)
+        elig = _Eligibility(_ValidatingCost(MatrixCost(costs), C),
+                            FixedPotential(phi0, phi1), matching)
+        adj, tight = _reference_eligibility(costs.tolist(), phi0, phi1, matching.mate_of_v0())
+        assert elig.adj == adj
+        assert elig.matched_tight.tolist() == tight
+        seen["at_C"] += sum(costs[i][j] == C for i in range(n) for j in adj[i])
+        seen["negative"] += sum(min(phi0[i], phi1[j]) < 0 for i in range(n) for j in adj[i])
+        seen["inf"] += int(np.isinf(costs).sum())
+        seen["matched_eligible"] += sum(phi0[i] + phi1[j] == costs[i, j] + 1 for i, j in pairs)
+        seen["tight"] += sum(tight)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_exact_length_paths_serve_free_edges_like_the_greedy():
