@@ -1,5 +1,5 @@
-"""Command-line interface: instance generation, estimator runs, knapsack
-search and query-count benchmarking.
+"""Command-line interface: instance generation, estimator runs and knapsack
+search.
 
 Exit codes: 0 on success, 2 when a requested exact-backend contract check
 detects a sandwich violation, 1 on errors.  ``SUBMATCH_SEED`` provides the
@@ -9,7 +9,6 @@ seed when ``--seed`` is absent.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -43,9 +42,9 @@ def _backend(args) -> Backend:
 def _load_instance(args) -> BipartiteInstance:
     if args.instance:
         return read_instance(args.instance)
-    if args.generator:
+    if args.generator and args.n is not None:
         return make_instance(args.generator, args.n, _seed(args), **_generator_params(args))
-    raise SystemExit("either --instance or --generator/--n is required")
+    raise SystemExit("either --instance or --generator with --n is required")
 
 
 def _generator_params(args) -> dict:
@@ -141,47 +140,6 @@ def cmd_knapsack(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench_queries(args) -> int:
-    ns = [int(x) for x in args.ns.split(",")]
-    if any(n < 2 for n in ns):
-        raise SystemExit("grid values must be >= 2")
-    rows = []
-    for n in ns:
-        for rep in range(args.reps):
-            seed = _seed(args) + 1000 * rep
-            inst = make_instance(args.generator, n, seed)
-            backend = Backend(args.backend, seed=seed, epsilon=args.epsilon)
-            config = ReductionConfig(args.alpha, args.beta, args.gamma)
-            res = estimate_min_weight_matching(inst, config, backend, seed=seed,
-                                               T=args.T, k=args.k)
-            row = {"n": n, "seed": seed, "queries": inst.query_count,
-                   "estimate": res.estimate, "exact_error": ""}
-            if n <= args.exact_cap:
-                dense = inst.cost.peek_block(np.arange(n), np.arange(n))
-                sweep = baseline.min_weight_matching_sweep(dense)
-                mid = float(sweep[int(math.floor(args.beta * n))])
-                row["exact_error"] = res.estimate - mid
-            rows.append(row)
-            print(f"n={n} rep={rep} queries={row['queries']} estimate={row['estimate']:.4f}")
-    slope = None
-    if len(ns) > 1:
-        per_n = {n: np.mean([r["queries"] for r in rows if r["n"] == n]) for n in ns}
-        xs = np.log([float(n) for n in ns])
-        ys = np.log([per_n[n] for n in ns])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        print(f"fitted log-log slope: {slope:.3f}")
-    rows.sort(key=lambda r: (r["n"], r["seed"]))
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["n", "seed", "queries",
-                                                    "estimate", "exact_error"])
-            writer.writeheader()
-            writer.writerows(rows)
-            if slope is not None:
-                fh.write(f"# slope,{slope}\n")
-    return EXIT_OK
-
-
 def _add_common(p, budget=False):
     p.add_argument("--alpha", type=float, default=0.85)
     p.add_argument("--beta", type=float, default=1.0)
@@ -240,15 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p)
     _add_common(p, budget=True)
     p.set_defaults(func=cmd_knapsack)
-
-    p = sub.add_parser("bench-queries", help="query-count sweep over n")
-    p.add_argument("--ns", required=True, help="comma-separated n grid")
-    p.add_argument("--generator", choices=list(GENERATORS), default="uniform")
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--exact-cap", type=int, default=256,
-                   help="compute exact baseline error for n up to this cap")
-    _add_common(p)
-    p.set_defaults(func=cmd_bench_queries)
     return parser
 
 

@@ -297,12 +297,12 @@ def write_instance(instance_or_matrix, path, binary: bool = False):
 
     Text format: a header line ``n`` followed by n rows of n space-separated
     decimal costs.  Binary format: magic ``SUBM1``, little-endian u64 n, then
-    n^2 little-endian f64 values in row-major order.
+    n^2 little-endian f64 values in row-major order.  A matrix that is not
+    square and 2-D raises ``ValueError`` before the file is opened.
     """
-    if isinstance(instance_or_matrix, BipartiteInstance):
-        matrix = instance_or_matrix.cost.peek_dense()
-    else:
-        matrix = np.asarray(instance_or_matrix, dtype=np.float64)
+    if not isinstance(instance_or_matrix, BipartiteInstance):
+        instance_or_matrix = BipartiteInstance.from_matrix(instance_or_matrix)
+    matrix = instance_or_matrix.cost.peek_dense()
     n = matrix.shape[0]
     path = Path(path)
     if binary:

@@ -78,6 +78,8 @@ def uniform_instance(n: int, seed: int) -> BipartiteInstance:
 
 def euclidean_instance(n: int, seed: int, dim: int = 2) -> BipartiteInstance:
     """Pairwise Euclidean distances between two point clouds in [0,1]^dim."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim!r}")
     rng = np.random.default_rng(np.random.SeedSequence([_seed(seed), dim, n]))
     p0 = rng.random((n, dim))
     p1 = rng.random((n, dim))

@@ -280,7 +280,16 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     edge left after thresholding costs 0, and the answer is 0.  At
     w_bar = +inf every sampled cost is +inf, so c(M^{beta n}) is +inf: the
     answer is +inf with an empty matching, and the template does not run.
+
+    T < 4 or k < 1 raises ``ValueError`` before any cost is read, at
+    degenerate sizes too.
     """
+    T = DEFAULT_T if T is None else T
+    k = DEFAULT_K if k is None else k
+    if T < 4:
+        raise ValueError("T must be >= 4")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     n = instance.n
     g = config.gamma_effective
     seq = as_seed_sequence(seed)
@@ -291,10 +300,6 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     instance = BipartiteInstance(n, backend.prepare_cost(instance.cost))
     if n < 1.0 / g:
         return _degenerate_estimate(instance, config, seed, timings, t0)
-    T = DEFAULT_T if T is None else T
-    k = DEFAULT_K if k is None else k
-    if T < 4:
-        raise ValueError("T must be >= 4")
     C = T - 1
     tparams = TemplateParams.practical(g, C, T, k)
 

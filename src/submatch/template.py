@@ -166,22 +166,22 @@ class Step2Potential(PotentialOracle):
 class ForestMembership(MembershipOracle):
     """One growth layer of the quasi-maximal forest.
 
-    ``kind='roots'`` is the base layer (free side-0 vertices of the
-    iteration's matching).  ``kind='fwd'`` adds the partners matched to
-    forest vertices by a forward-graph matching; ``kind='mate'`` then pulls
-    in their mates under the template matching so matched edges never cross
-    the forest boundary.
+    With no ``prev`` it is the roots layer: the free side-0 vertices of
+    ``matching``.  Otherwise it is ``prev`` plus every vertex whose mate
+    under ``matching`` is in ``prev``.  Step 2 stacks two such layers per
+    round: one over a forward-graph matching adds the partners of forest
+    vertices, and one over the template matching then pulls in their mates,
+    so matched edges never cross the forest boundary.
     """
 
-    def __init__(self, n: int, kind: str, prev: "ForestMembership | None" = None,
-                 matching: MatchingOracle | None = None):
+    def __init__(self, n: int, matching: MatchingOracle,
+                 prev: "ForestMembership | None" = None):
         super().__init__(n)
-        self.kind = kind
-        self.prev = prev
         self.matching = matching
+        self.prev = prev
 
     def _contains_missing(self, us):
-        if self.kind == "roots":
+        if self.prev is None:
             is0 = (us & 1) == 0
             out = np.zeros(len(us), dtype=bool)
             if is0.any():
@@ -282,7 +282,7 @@ def step2(phi_in: PotentialOracle, m_in: MatchingOracle, params: TemplateParams,
     Returns (phi_out, forest, layers).
     """
     n = cost.n
-    forest = ForestMembership(n, "roots", matching=m_in)
+    forest = ForestMembership(n, m_in)
     layers = 0
     max_layers = params.k // 2
     while layers < max_layers:
@@ -290,8 +290,7 @@ def step2(phi_in: PotentialOracle, m_in: MatchingOracle, params: TemplateParams,
         m_t = backend.large_matching_forward(phi_in, A, params.delta, m_in, cost)
         if m_t is None:
             break
-        grown = ForestMembership(n, "fwd", prev=forest, matching=m_t)
-        forest = ForestMembership(n, "mate", prev=grown, matching=m_in)
+        forest = ForestMembership(n, m_in, ForestMembership(n, m_t, forest))
         layers += 1
     phi_out = Step2Potential(phi_in, forest, params.range_bound)
     return phi_out, forest, layers

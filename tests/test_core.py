@@ -130,6 +130,17 @@ def test_text_file_with_wrong_row_count_or_length_is_malformed(tmp_path, body, m
         read_instance(path)
 
 
+@pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)],
+                         ids=["non-square", "1-d", "3-d"])
+def test_write_instance_rejects_a_matrix_that_is_not_square(tmp_path, shape, binary):
+    # read_instance would reject the file, so none is written
+    path = tmp_path / "x"
+    with pytest.raises(ValueError, match="cost matrix must be square"):
+        write_instance(np.ones(shape), path, binary=binary)
+    assert not path.exists()
+
+
 def test_binary_format_layout(tmp_path):
     m = np.array([[1.5, 2.0], [0.25, 3.0]])
     path = tmp_path / "x.bin"

@@ -33,6 +33,12 @@ def test_euclidean_costs_match_point_distances():
             assert dense[i, j] == pytest.approx(np.linalg.norm(p0[i] - p1[j]))
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_euclidean_rejects_dim_below_one(dim):
+    with pytest.raises(ValueError, match=f"dim must be >= 1, got {dim}"):
+        euclidean_instance(5, 0, dim=dim)
+
+
 def test_one_two_metric_values():
     inst = one_two_metric_instance(12, 4, p=0.5)
     dense = inst.cost.peek_dense()

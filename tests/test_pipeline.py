@@ -376,17 +376,31 @@ def test_knapsack_rejects_negative_budget():
         max_matching_under_budget(inst, -1.0, 0.2, Backend.exact(), seed=0)
 
 
-@pytest.mark.parametrize("B, gamma, named", [
-    (float("nan"), 0.2, "budget B"),
-    (1.0, 0.0, "gamma"),
-    (1.0, -0.1, "gamma"),
-    (1.0, float("nan"), "gamma"),
-], ids=["nan-budget", "zero-gamma", "negative-gamma", "nan-gamma"])
-def test_knapsack_rejects_malformed_argument(B, gamma, named):
+@pytest.mark.parametrize("B, gamma, T, k, named", [
+    (float("nan"), 0.2, None, None, "budget B"),
+    (1.0, 0.0, None, None, "gamma"),
+    (1.0, -0.1, None, None, "gamma"),
+    (1.0, float("nan"), None, None, "gamma"),
+    (1.0, 0.2, 3, None, "T must be >= 4"),
+    (1.0, 0.2, None, 0, "k must be >= 1"),
+], ids=["nan-budget", "zero-gamma", "negative-gamma", "nan-gamma", "T3", "k0"])
+def test_knapsack_rejects_malformed_argument(B, gamma, T, k, named):
     inst = uniform_instance(40, 3)
     with pytest.raises(ValueError, match=named):
-        max_matching_under_budget(inst, B, gamma, Backend.exact(seed=0), seed=0)
+        max_matching_under_budget(inst, B, gamma, Backend.exact(seed=0), seed=0, T=T, k=k)
     assert inst.query_count == 0  # rejected before any cost is read
+
+
+@pytest.mark.parametrize("T, k, named", [(3, None, "T must be >= 4"),
+                                         (None, 0, "k must be >= 1")], ids=["T3", "k0"])
+@pytest.mark.parametrize("n", [200, 20], ids=["full", "degenerate"])
+@pytest.mark.parametrize("variant", ["exact", "sampled"])
+def test_estimator_rejects_bad_T_or_k_before_any_read(variant, n, T, k, named):
+    inst = uniform_instance(n, 1)
+    with pytest.raises(ValueError, match=named):
+        estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
+                                     Backend(variant, seed=0), seed=0, T=T, k=k)
+    assert inst.query_count == 0
 
 
 def test_knapsack_infinite_budget_fits_everything():

@@ -481,15 +481,15 @@ def test_run_template_forest_component_bounds():
         forest = state.forest
         if forest is None:
             continue
-        # walk the membership chain, collecting layer edges
+        # walk the membership chain, collecting layer edges: each round
+        # stacks a mate layer over a forward-matching layer, down to the roots
         edges = []
         node = forest
-        while node is not None and node.kind != "roots":
-            if node.kind == "fwd":
-                m = node.matching
-                for i, j in m.edges():
-                    edges.append((v0(i), v1(j)))
-            node = node.prev
+        while node.prev is not None:
+            fwd = node.prev
+            for i, j in fwd.matching.edges():
+                edges.append((v0(i), v1(j)))
+            node = fwd.prev
         # matched-mate edges: for every side-1 forest vertex its mate is in
         members = [u for u in (list(map(v0, range(n))) + list(map(v1, range(n))))
                    if forest.contains(u)]
