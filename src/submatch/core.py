@@ -25,7 +25,7 @@ import numpy as np
 __all__ = [
     "v0", "v1",
     "QueryCounter", "CostOracle", "MatrixCost", "FunctionCost",
-    "ScaledCost", "MaterializedCost",
+    "ScaledCost", "LevelCost", "MaterializedCost",
     "BipartiteInstance", "write_instance", "read_instance",
     "MatchingOracle", "EmptyMatching", "ArrayMatching", "OverlayMatching",
     "PotentialOracle", "ZeroPotential",
@@ -207,9 +207,11 @@ class FunctionCost(_RootCost):
 class _AdapterCost(CostOracle):
     """Base for the lazy cost adapters every reduction is built from.
 
-    An elementwise adapter defines only ``_map(vals)``, applied to each
-    block or pair read of the base; adapters that change shape or storage
-    (padding, materialization) override ``_block`` and ``_pairs``.
+    An elementwise adapter defines only ``_map(vals)`` (here the identity),
+    applied to each read of the base.  Over ``n > base.n`` vertices it pads
+    both sides with dummies, the indices from ``base.n`` up: a dummy-real
+    pair costs 1 and a dummy-dummy pair is a non-edge (+inf), both without
+    a read.  Adapters that change storage override ``_block`` and ``_pairs``.
     """
 
     def __init__(self, base: CostOracle, n: int | None = None):
@@ -221,13 +223,25 @@ class _AdapterCost(CostOracle):
         return self.base.counter
 
     def _map(self, vals: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return vals
 
     def _block(self, rows, cols, counted):
-        return self._map(self.base._block(rows, cols, counted))
+        r_real = rows < self.base.n
+        c_real = cols < self.base.n
+        out = np.where(r_real[:, None] ^ c_real[None, :], 1.0, np.inf)
+        if r_real.any() and c_real.any():
+            out[np.ix_(r_real, c_real)] = self._map(
+                self.base._block(rows[r_real], cols[c_real], counted))
+        return out
 
     def _pairs(self, is_, js, counted):
-        return self._map(self.base._pairs(is_, js, counted))
+        r_real = is_ < self.base.n
+        c_real = js < self.base.n
+        both = r_real & c_real
+        out = np.where(r_real ^ c_real, 1.0, np.inf)
+        if both.any():
+            out[both] = self._map(self.base._pairs(is_[both], js[both], counted))
+        return out
 
 
 class ScaledCost(_AdapterCost):
@@ -239,6 +253,43 @@ class ScaledCost(_AdapterCost):
 
     def _map(self, vals):
         return vals * self.factor
+
+
+def _reject_negative(vals: np.ndarray):
+    neg = vals < 0
+    if neg.any():
+        raise ValueError(f"malformed cost: negative cost {float(vals[neg][0])!r}; "
+                         "costs must be non-negative")
+
+
+class LevelCost(_AdapterCost):
+    """The template's cost levels in one pass: a real cost c <= w becomes
+    c_bar = ceil(2 c / (gamma^2 w)) + 1, a costlier one a non-edge (+inf),
+    and dummies pad as in :class:`_AdapterCost`.  Reading a NaN or negative
+    cost raises.  c <= (gamma^2 w / 2) * c_bar <= c + gamma^2 w, and a C
+    below the level of w is rejected, so every value is an integer in
+    [1, C] or +inf by construction."""
+
+    def __init__(self, base: CostOracle, gamma: float, w: float, C: int,
+                 n: int | None = None):
+        super().__init__(base, n)
+        self.gamma, self.w, self.C = float(gamma), float(w), C
+        if not self.w > 0:  # NaN fails this test too
+            raise ValueError(f"w must be positive, not {w!r}")
+        if self.w == np.inf:  # the levels would divide inf by inf
+            raise ValueError("w must be finite, not inf")
+        if np.ceil(2.0 * self.w / (self.gamma ** 2 * self.w)) + 1.0 > C:
+            raise ValueError(f"C = {C} is below the level of w")
+        self.scale_back = self.gamma ** 2 * self.w / 2.0
+
+    def _map(self, vals):
+        if np.count_nonzero(vals >= 0) < vals.size:  # NaN fails this test too
+            if np.isnan(vals).any():
+                raise ValueError("malformed cost: a cost read is NaN")
+            _reject_negative(vals)
+        levels = np.ceil(2.0 * vals / (self.gamma ** 2 * self.w)) + 1.0
+        levels[vals > self.w] = np.inf  # w is finite, so +inf stays a non-edge
+        return levels
 
 
 class MaterializedCost(_AdapterCost):

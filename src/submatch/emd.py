@@ -18,6 +18,7 @@ import numpy as np
 from .core import BipartiteInstance, FunctionCost, as_seed_sequence
 from .mcm import Backend
 from .pipeline import PipelineResult, ReductionConfig, estimate_min_weight_matching
+from .pipeline import _template_budget
 
 __all__ = [
     "DistributionSource", "DiscreteDistribution", "StreamSource",
@@ -178,6 +179,7 @@ def estimate_emd_detailed(mu: DistributionSource, nu: DistributionSource, n: int
     """EMD estimate plus the empirical pair and the pipeline result."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
+    _template_budget(T, k)  # a stream is single-use: check before drawing
     seq = as_seed_sequence(seed)
     s_draw, s_est = seq.spawn(2)
     pair = sample_empirical(mu, nu, n, seed=s_draw)

@@ -19,10 +19,10 @@ query budget and exists to demonstrate empirical sublinearity.  Its path
 search and greedy draw every probe but read only those their candidate
 loops could accept.  A path probe is skipped unread when its side-1 end
 is used, is the row's own mate, is free on an inner hop or matched on the
-last one, or has too low a potential to be eligible; a greedy probe is
-skipped when its column was matched before its batch.  Skipping changes
-the reads, not the draws: paths and matchings are the same unless the
-budget binds.
+last one, or has a potential sum below 2, too low for a level >= 1 to be
+eligible; a greedy probe is skipped when its column was matched before
+its batch.  Skipping changes the reads, not the draws: paths and
+matchings are the same unless the budget binds.
 """
 
 from __future__ import annotations
@@ -436,8 +436,8 @@ class Backend:
         Hopcroft-Karp from that call's matching, less its pairs of cost
         above ``limit``; any other cost starts from the empty matching.
         The size is the maximum either way, so only which maximum matching
-        comes back depends on the calls before.  Each exact record logs
-        ``carried``, the number of pairs the call started from.
+        comes back depends on the calls before.  Each record logs ``size``,
+        and each exact one ``carried``, the number of pairs it started from.
         """
         n = cost.n
         before = cost.counter.count
@@ -459,7 +459,7 @@ class Backend:
             extra["carried"] = carried
         else:
             size, mate0, mate1 = self._sampled_greedy(cost, limit, None)
-        self._log("approx_match", cost.counter, before, n, **extra)
+        self._log("approx_match", cost.counter, before, n, size=size, **extra)
         return size, ArrayMatching(mate0, mate1)
 
     # -- large_match --------------------------------------------------------
@@ -551,7 +551,9 @@ class Backend:
         first length class that yields at least gamma * n / k disjoint paths
         (and at least one, so a successful call always makes progress).
         Sampled calls log ``memo_hits``: matched-edge tightness lookups
-        served from the call's memo instead of a read.
+        served from the call's memo instead of a read.  ``cost`` holds
+        integer levels >= 1 or +inf, as the template's do, so the sampled
+        path search reads no probe with phi0 + phi1 < 2.
 
         Exact calls build one eligibility snapshot per Step 1, from one
         dense read of the cost: a round whose phi and cost are the previous
@@ -674,11 +676,11 @@ class Backend:
         def candidates(i, js, last, used1):
             # read only the probes the candidate loop could accept: j is
             # free on the last hop and matched on an inner one, unused, not
-            # i's mate, and phi0[i] + phi1[j] >= 1 (costs are >= 0, so a
-            # smaller sum is never c + 1)
+            # i's mate, and phi0[i] + phi1[j] >= 2 (costs are levels >= 1 or
+            # +inf, so a smaller sum is never c + 1)
             free = mate1[js] == UNMATCHED
             keep = ((free if last else ~free) & ~used1[js] & (js != mate0[i])
-                    & (phi0[i] + phi1[js] >= 1))
+                    & (phi0[i] + phi1[js] >= 2))
             js = js[keep]
             self._skipped += len(keep) - len(js)
             if len(js) == 0:

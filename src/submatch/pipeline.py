@@ -2,25 +2,26 @@
 
 The stack, in order: find a characteristic cost w_bar by sampling a cost
 ladder and binary-searching it with approximate matching-size probes;
-drop every edge above w_bar; round the survivors to integers in [1, C];
-pad both sides with dummy vertices so a size-beta matching becomes an
-(almost) perfect matching; run the template; undo the padding offset and
-the rounding scale.  A budgeted max-matching search (grid over target
-sizes with the estimator as a monotone certificate) sits on top.
+read the root through one :class:`core.LevelCost`, which in one pass drops
+every edge above w_bar, rounds the rest to integers in [1, C] and pads
+both sides with dummies so a size-beta matching becomes an (almost)
+perfect one; run the template; undo the padding offset and the rounding
+scale.  A budgeted max-matching search (grid over target sizes with the
+estimator as a monotone certificate) sits on top.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from .core import (
-    UNMATCHED, BipartiteInstance, CostOracle, EmptyMatching, MatchingOracle,
-    _AdapterCost, as_seed_sequence, seed_label,
+    UNMATCHED, ArrayMatching, BipartiteInstance, CostOracle, EmptyMatching, LevelCost,
+    MatchingOracle, _AdapterCost, _reject_negative, as_seed_sequence, seed_label,
 )
 from .mcm import Backend
 from .template import TemplateParams, run_template
@@ -81,13 +82,6 @@ class CharacteristicCost:
     probes: int = 0
 
 
-def _reject_negative(vals: np.ndarray):
-    neg = vals < 0
-    if neg.any():
-        raise ValueError(f"malformed cost: negative cost {float(vals[neg][0])!r}; "
-                         "costs must be non-negative")
-
-
 def find_characteristic_cost(instance: BipartiteInstance, config: ReductionConfig,
                              backend: Backend, seed=0) -> CharacteristicCost:
     """Sample a cost ladder and binary-search the matching-size threshold.
@@ -135,75 +129,18 @@ def find_characteristic_cost(instance: BipartiteInstance, config: ReductionConfi
 
 
 # ---------------------------------------------------------------------------
-# Rounding
+# Rounding and dummy padding, each alone
 # ---------------------------------------------------------------------------
 
-class RoundedCost(_AdapterCost):
-    """Lazy threshold and integer rounding: a cost c <= w becomes the level
-    c_bar = ceil(2 c / (gamma^2 w)) + 1, and a cost above w a non-edge (+inf).
-
-    A NaN or negative cost is malformed input, not a non-edge: reading one
-    raises.  The scale-back factor gamma^2 w / 2 satisfies
-    c <= (gamma^2 w / 2) * c_bar <= c + gamma^2 w edge by edge.  Levels
-    lie in [1, C] with C = ceil(2 / gamma^2) + 2, one above the level of w,
-    so float fuzz in 2 c / (gamma^2 w) cannot push a level past C.
-    """
+class RoundedCost(LevelCost):
+    """:class:`LevelCost` with no dummies and C = ceil(2 / gamma^2) + 2."""
 
     def __init__(self, base: CostOracle, gamma: float, w: float):
-        super().__init__(base)
-        self.gamma = float(gamma)
-        self.w = float(w)
-        if not self.w > 0:  # NaN fails this test too
-            raise ValueError(f"w must be positive, not {w!r}")
-        if self.w == math.inf:  # the levels would divide inf by inf
-            raise ValueError("w must be finite, not inf")
-        self.C = math.ceil(2.0 / gamma ** 2) + 2
-        self.scale_back = gamma ** 2 * w / 2.0
-
-    def _map(self, vals):
-        if np.isnan(vals).any():
-            raise ValueError("malformed cost: a cost read is NaN")
-        _reject_negative(vals)
-        edge = vals <= self.w  # w is finite, so a +inf cost is a non-edge
-        return np.where(edge, np.ceil(2.0 * vals / (self.gamma ** 2 * self.w)) + 1.0,
-                        np.inf)
+        super().__init__(base, gamma, w, math.ceil(2.0 / gamma ** 2) + 2)
 
 
 def round_costs(cost: CostOracle, gamma: float, w: float) -> RoundedCost:
     return RoundedCost(cost, gamma, w)
-
-
-# ---------------------------------------------------------------------------
-# Dummy padding
-# ---------------------------------------------------------------------------
-
-class _PaddedCost(_AdapterCost):
-    """Dummy-real edges cost 1; dummy-dummy pairs are non-edges (+inf)."""
-
-    def __init__(self, base: CostOracle, n_real: int, n_padded: int):
-        super().__init__(base, n_padded)
-        self.n_real = n_real
-
-    def _block(self, rows, cols, counted):
-        out = np.empty((len(rows), len(cols)), dtype=np.float64)
-        r_real = rows < self.n_real
-        c_real = cols < self.n_real
-        out[np.ix_(r_real, ~c_real)] = 1.0
-        out[np.ix_(~r_real, c_real)] = 1.0
-        out[np.ix_(~r_real, ~c_real)] = np.inf
-        if r_real.any() and c_real.any():
-            out[np.ix_(r_real, c_real)] = self.base._block(
-                rows[r_real], cols[c_real], counted)
-        return out
-
-    def _pairs(self, is_, js, counted):
-        r_real = is_ < self.n_real
-        c_real = js < self.n_real
-        out = np.where(r_real ^ c_real, 1.0, np.inf)
-        both = r_real & c_real
-        if both.any():
-            out[both] = self.base._pairs(is_[both], js[both], counted)
-        return out
 
 
 class FilteredMatching(MatchingOracle):
@@ -241,15 +178,23 @@ def pad_dummies(instance: BipartiteInstance, beta: float, xi_pad: float) -> Padd
         raise ValueError("xi_pad must be positive")
     n = instance.n
     d = max(1, math.ceil((1.0 - beta + xi_pad) * n))
-    n_padded = n + d
-    padded = BipartiteInstance(n_padded, _PaddedCost(instance.cost, n, n_padded))
-    offset = 2.0 * d - xi_pad * n
-    return PaddedInstance(padded, n, d, offset)
+    padded = BipartiteInstance(n + d, _AdapterCost(instance.cost, n + d))
+    return PaddedInstance(padded, n, d, 2.0 * d - xi_pad * n)
 
 
 # ---------------------------------------------------------------------------
 # The composed estimator
 # ---------------------------------------------------------------------------
+
+def _template_budget(T: int | None, k: int | None) -> tuple[int, int]:
+    """(T, k) with the defaults filled in; T < 4 or k < 1 raises ``ValueError``."""
+    T, k = DEFAULT_T if T is None else T, DEFAULT_K if k is None else k
+    if T < 4:
+        raise ValueError("T must be >= 4")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return T, k
+
 
 @dataclass
 class PipelineResult:
@@ -269,7 +214,8 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     template iterations the potentials span T levels, so costs are rounded
     to C = T - 1 integer levels.  The rounding gamma is back-derived from
     C as sqrt(2 / (C - 2)), which puts w_bar at level C - 1 (level C
-    under float fuzz), and the template and the report use C itself.
+    under float fuzz), and the template, the report and the template's
+    cost (``stages.padded.instance.cost.C``) use C itself.
 
     ``report["matched_fraction"]`` is the exact matched size over n, read
     through the returned matching (at most n cost reads).  ``stages.prepared``
@@ -284,12 +230,7 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     T < 4 or k < 1 raises ``ValueError`` before any cost is read, at
     degenerate sizes too.
     """
-    T = DEFAULT_T if T is None else T
-    k = DEFAULT_K if k is None else k
-    if T < 4:
-        raise ValueError("T must be >= 4")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    T, k = _template_budget(T, k)
     n = instance.n
     g = config.gamma_effective
     seq = as_seed_sequence(seed)
@@ -313,9 +254,11 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
                                  template_params=tparams, config=config)
     else:
         t1 = time.perf_counter()
-        rounded = round_costs(instance.cost, math.sqrt(2.0 / (C - 2)), w_bar)
-        padded = pad_dummies(BipartiteInstance(n, rounded), config.beta,
-                             config.padding_slack)
+        padded = pad_dummies(instance, config.beta, config.padding_slack)
+        # the template reads the root through one oracle of the padded size
+        levels = LevelCost(instance.cost, math.sqrt(2.0 / (C - 2)), w_bar, C,
+                           padded.instance.n)
+        padded = replace(padded, instance=BipartiteInstance(levels.n, levels))
         timings["reductions"] = time.perf_counter() - t1
 
         t2 = time.perf_counter()
@@ -323,13 +266,13 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
                             seed=seeds[1], collect_trace=collect_trace)
         timings["template"] = time.perf_counter() - t2
 
-        estimate = (tres.estimate - padded.offset) * rounded.scale_back
+        estimate = (tres.estimate - padded.offset) * levels.scale_back
         if characteristic.w_bar == 0.0:
             estimate = 0.0  # every real edge left after thresholding costs 0
         matching = FilteredMatching(tres.matching, n)
         stages = SimpleNamespace(
-            prepared=instance, characteristic=characteristic, rounded=rounded,
-            padded=padded, template=tres, template_params=tparams, config=config)
+            prepared=instance, characteristic=characteristic, padded=padded,
+            template=tres, template_params=tparams, config=config)
     report = {
         "alpha": config.alpha,
         "beta": config.beta,
@@ -353,7 +296,6 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
 def _degenerate_estimate(instance, config, seed, timings, t0):
     """n below 1/gamma: answer with the exact baseline directly."""
     from .baseline import exact_min_weight_k_matching
-    from .core import ArrayMatching
     n = instance.n
     k_target = max(int(math.floor(config.beta * n)), 0)
     dense = instance.cost.dense()

@@ -25,7 +25,8 @@ import numpy as np
 
 from .core import (
     UNMATCHED, BipartiteInstance, CostOracle, EmptyMatching, MatchingOracle,
-    MembershipOracle, PotentialOracle, ScaledCost, ZeroPotential, _AdapterCost,
+    LevelCost, MembershipOracle, PotentialOracle, ScaledCost, ZeroPotential,
+    _AdapterCost,
 )
 from .mcm import Backend
 
@@ -374,11 +375,8 @@ def sample_and_estimate(matching: MatchingOracle, gamma: float, C: int, n: int,
 # ---------------------------------------------------------------------------
 
 class _ValidatingCost(_AdapterCost):
-    """Checks integrality and the [1, C] range at first access.
-
-    The +inf non-edge sentinel passes through untouched; NaN and -inf are
-    malformed like any other value outside the integers in [1, C].
-    """
+    """Checks integrality and the [1, C] range of a cost at first access;
+    the +inf non-edge passes, NaN and -inf are malformed."""
 
     def __init__(self, base: CostOracle, C: int):
         super().__init__(base)
@@ -389,8 +387,7 @@ class _ValidatingCost(_AdapterCost):
         bad = (vals != np.inf) & ((vals < 1) | (vals > self.C) | (vals != np.rint(vals)))
         if bad.any():
             first = float(vals[bad].ravel()[0])
-            raise ValueError(
-                f"malformed cost: {first!r} is not an integer in [1, {self.C}]")
+            raise ValueError(f"malformed cost: {first!r} is not an integer in [1, {self.C}]")
         return vals
 
 
@@ -433,11 +430,12 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
                  backend: Backend, seed=0, collect_trace: bool = False) -> TemplateResult:
     """Run T iterations of Step 1 / Step 2 and the trimmed sampling estimate.
 
-    Costs must be integers in [1, params.C] (checked when read; the exact
-    backend reads and checks them all once, up front); +inf marks a
-    non-edge.  The internal rescale c <- c/gamma is folded into a
-    lazy cost adapter used by the estimator, whose output is scaled back,
-    so the returned estimate is in the instance's own cost units.
+    Costs must be integers in [1, params.C], +inf marking a non-edge: a
+    ``LevelCost`` with ``C <= params.C`` is so by construction, and any
+    other cost is checked when read (on the exact backend all at once).
+    The internal rescale c <- c/gamma is folded into a lazy cost adapter
+    used by the estimator, whose output is scaled back, so the returned
+    estimate is in the instance's own cost units.
 
     ``collect_trace`` fills ``result.trace`` with one diagnostic record per
     iteration, each a dense read plus a vertex cover, so it is off by default.
@@ -448,7 +446,10 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
     hands over is larger still.
     """
     n = instance.n
-    cost = backend.prepare_cost(_ValidatingCost(instance.cost, params.C))
+    cost = instance.cost
+    if not (isinstance(cost, LevelCost) and cost.C <= params.C):
+        cost = _ValidatingCost(cost, params.C)
+    cost = backend.prepare_cost(cost)
     matching: MatchingOracle = EmptyMatching(n)
     phi: PotentialOracle = ZeroPotential(n, params.range_bound)
     states = [IterationState(0, matching, phi)]

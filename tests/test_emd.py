@@ -219,3 +219,15 @@ def test_exact_emd_estimate_is_pinned_and_reads_the_draws_once():
     assert value == 0.11865249551048879
     assert not res.report["degenerate"]
     assert pair.instance.query_count == pair.m ** 2
+
+
+@pytest.mark.parametrize("T, k, named", [(3, None, "T must be >= 4"), (None, 0, "k must be >= 1")])
+def test_bad_T_or_k_is_rejected_before_any_draw(tmp_path, T, k, named):
+    # a stream is single-use, so the template budget is checked before drawing
+    ids = tmp_path / "draws.txt"
+    ids.write_text("\n".join(str(i % 20) for i in range(400)))
+    table = np.abs(np.subtract.outer(np.arange(20), np.arange(20))) / 20.0
+    src = StreamSource(ids, table, support_bound=20)
+    with pytest.raises(ValueError, match=named):
+        estimate_emd(src, src, 5, 0.2, Backend.exact(seed=0), seed=0, T=T, k=k)
+    assert src.draw_count == 0

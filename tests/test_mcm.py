@@ -161,6 +161,17 @@ def test_ladder_probes_log_carried_pairs():
     assert backend.call_log[-1]["carried"] == 200
 
 
+@pytest.mark.parametrize("variant", ["exact", "sampled"])
+def test_approx_match_logs_the_size_it_returns(variant):
+    rng = np.random.default_rng(12)
+    backend = Backend(variant, seed=3)
+    cost = mask_cost(rng.random((40, 40)) < 0.1)
+    sizes = [backend.approx_match(cost, limit)[0] for limit in (-1.0, 0.0, 1.0)]
+    assert [rec["size"] for rec in backend.call_log] == sizes
+    # no edges, a sparse graph and the complete graph: three distinct sizes
+    assert sizes[0] == 0 < sizes[1] < sizes[2]
+
+
 def test_prepare_cost_keeps_a_materialized_cost():
     inst = BipartiteInstance.from_matrix(np.ones((4, 4)))
     exact, sampled = Backend.exact(), Backend.sampled()
@@ -838,19 +849,20 @@ class _ReadLog(MatrixCost):
     reads: the reference reads its probes 16 or more at a time, so those
     are its tightness reads.  ``on_matching`` holds its reads of an edge
     of ``matching``: the backend never reads a probe (i, j) with j the mate
-    of i, so those are its tightness reads."""
+    of i, so those are its tightness reads, and ``probes`` the others."""
 
     def __init__(self, matrix, matching):
         super().__init__(matrix)
         self.mate0 = matching.mate_of_v0()
         self.singles = []
         self.on_matching = []
+        self.probes = []
 
     def _pairs(self, is_, js, counted):
         if len(is_) == 1:
             self.singles.append((int(is_[0]), int(js[0])))
-        self.on_matching += [(i, j) for i, j in zip(is_.tolist(), js.tolist())
-                             if self.mate0[i] == j]
+        for i, j in zip(is_.tolist(), js.tolist()):
+            (self.on_matching if self.mate0[i] == j else self.probes).append((i, j))
         return super()._pairs(is_, js, counted)
 
 
@@ -1063,7 +1075,7 @@ def _augment_state(seed):
 
 def test_sampled_augment_memo_equals_rereading_reference():
     lengths = []
-    nontight_rereads = 0
+    nontight_rereads = low_sum_reference_reads = 0
     for seed in range(24):
         costs, phi, m, k, gamma = _augment_state(seed)
         n = len(costs)
@@ -1096,10 +1108,15 @@ def test_sampled_augment_memo_equals_rereading_reference():
         for (i, j) in set(ref_cost.singles):
             if phi.p0[i] + phi.p1[j] != costs[i, j]:
                 nontight_rereads += ref_cost.singles.count((i, j)) - 1
+        # costs are levels >= 1, so a probe whose potential sum is at most 1
+        # is never eligible and never read; the reference reads them
+        assert all(phi.p0[i] + phi.p1[j] >= 2 for i, j in cost.probes)
+        low_sum_reference_reads += sum(phi.p0[i] + phi.p1[j] <= 1 for i, j in ref_cost.probes)
     # paths through one and two matched edges are compared, and the memo
     # is hit repeatedly on matched edges that are not tight
     assert lengths.count(4) >= 10 and lengths.count(6) >= 5
     assert nontight_rereads >= 10
+    assert low_sum_reference_reads >= 1000
 
 
 def test_sampled_greedy_direct_draws_equal_choice_reference():
@@ -1166,14 +1183,14 @@ def test_sampled_augment_never_walks_back_onto_its_path():
     # and from side-0 vertex 2 the eligible edge to side-1 vertex 1 leads
     # back onto the path: a search that took it would revisit vertex 1.
     # Pairs 5..7 are matched, never tight, and leave the budget room for
-    # the length-7 class
-    costs = np.full((8, 8), 5.0)   # not eligible at phi0 + phi1 = 1
+    # the length-7 class.  Costs are levels >= 1, as the template's are
+    costs = np.full((8, 8), 6.0)   # not eligible at phi0 + phi1 = 2
     for i, j in [(0, 1), (1, 2), (2, 1), (2, 3), (3, 0)]:
-        costs[i, j] = 0.0          # eligible: phi0 + phi1 == c + 1
+        costs[i, j] = 1.0          # eligible: phi0 + phi1 == c + 1
     for i in (1, 2, 3):
-        costs[i, i] = 1.0          # tight matched edges
+        costs[i, i] = 2.0          # tight matched edges
     m = ArrayMatching.from_pairs(8, [(i, i) for i in (1, 2, 3, 5, 6, 7)])
-    phi = FixedPotential(np.ones(8), np.zeros(8))
+    phi = FixedPotential(np.full(8, 2), np.zeros(8))
     found = 0
     for seed in range(20):
         b = Backend.sampled(seed=seed, epsilon=0.1)

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from submatch import baseline
-from submatch.core import UNMATCHED, BipartiteInstance, v0
+from submatch.core import (
+    UNMATCHED, BipartiteInstance, CostOracle, LevelCost, MatrixCost, QueryCounter, v0,
+)
 from submatch.generators import uniform_instance
 from submatch.mcm import Backend
 from submatch.pipeline import (
-    FilteredMatching, ReductionConfig, estimate_min_weight_matching,
+    FilteredMatching, ReductionConfig, RoundedCost, estimate_min_weight_matching,
     find_characteristic_cost, max_matching_under_budget, pad_dummies, round_costs,
 )
 
@@ -158,7 +160,8 @@ def test_pipeline_rounds_to_t_minus_one_levels(monkeypatch):
 
     def stop(instance, params, *args, **kwargs):
         seen["levels"] = instance.cost.peek_dense()
-        seen["C"] = params.C
+        seen["C"] = params.C  # what report["C"] holds
+        seen["cost_C"] = instance.cost.C  # stages.padded.instance.cost.C
         raise _StopAtTemplate
 
     monkeypatch.setattr(pipeline, "run_template", stop)
@@ -168,7 +171,7 @@ def test_pipeline_rounds_to_t_minus_one_levels(monkeypatch):
         with pytest.raises(_StopAtTemplate):
             estimate_min_weight_matching(inst, cfg, Backend.exact(seed=0), seed=0, T=T)
         levels = seen["levels"][np.isfinite(seen["levels"])]
-        assert seen["C"] == T - 1
+        assert seen["C"] == seen["cost_C"] == T - 1
         assert levels.min() >= 1 and T - 2 <= levels.max() <= T - 1
 
 
@@ -176,6 +179,7 @@ def test_report_c_is_t_minus_one():
     res = estimate_min_weight_matching(uniform_instance(12, 5), ReductionConfig(0.5, 1.0, 0.5),
                                        Backend.exact(seed=0), seed=0, T=17, k=3)
     assert res.report["C"] == res.stages.template_params.C == 16
+    assert res.stages.padded.instance.cost.C == 16
 
 
 def test_round_costs_passes_infinity_through():
@@ -271,6 +275,219 @@ def test_unpad_matching_filters_dummy_pairs():
     assert outer.mate(v0(0)) is not None
     assert outer.mate(v0(1)) is None   # matched to a dummy
     assert outer.mate(v0(2)) is None
+
+
+# -- the one level oracle against the three adapters it replaced --------------------
+
+class _ReferenceAdapterCost(CostOracle):
+    """The adapter base the three adapters below were written against, kept verbatim."""
+
+    def __init__(self, base: CostOracle, n: int | None = None):
+        super().__init__(base.n if n is None else n)
+        self.base = base
+
+    @property
+    def counter(self) -> QueryCounter:
+        return self.base.counter
+
+    def _map(self, vals: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _block(self, rows, cols, counted):
+        return self._map(self.base._block(rows, cols, counted))
+
+    def _pairs(self, is_, js, counted):
+        return self._map(self.base._pairs(is_, js, counted))
+
+
+def _reference_reject_negative(vals: np.ndarray):
+    neg = vals < 0
+    if neg.any():
+        raise ValueError(f"malformed cost: negative cost {float(vals[neg][0])!r}; "
+                         "costs must be non-negative")
+
+
+class _ReferenceRoundedCost(_ReferenceAdapterCost):
+    """``pipeline.RoundedCost`` before the one level oracle, kept verbatim."""
+
+    def __init__(self, base: CostOracle, gamma: float, w: float):
+        super().__init__(base)
+        self.gamma = float(gamma)
+        self.w = float(w)
+        if not self.w > 0:  # NaN fails this test too
+            raise ValueError(f"w must be positive, not {w!r}")
+        if self.w == math.inf:  # the levels would divide inf by inf
+            raise ValueError("w must be finite, not inf")
+        self.C = math.ceil(2.0 / gamma ** 2) + 2
+        self.scale_back = gamma ** 2 * w / 2.0
+
+    def _map(self, vals):
+        if np.isnan(vals).any():
+            raise ValueError("malformed cost: a cost read is NaN")
+        _reference_reject_negative(vals)
+        edge = vals <= self.w  # w is finite, so a +inf cost is a non-edge
+        return np.where(edge, np.ceil(2.0 * vals / (self.gamma ** 2 * self.w)) + 1.0,
+                        np.inf)
+
+
+class _ReferencePaddedCost(_ReferenceAdapterCost):
+    """``pipeline._PaddedCost``, kept verbatim."""
+
+    def __init__(self, base: CostOracle, n_real: int, n_padded: int):
+        super().__init__(base, n_padded)
+        self.n_real = n_real
+
+    def _block(self, rows, cols, counted):
+        out = np.empty((len(rows), len(cols)), dtype=np.float64)
+        r_real = rows < self.n_real
+        c_real = cols < self.n_real
+        out[np.ix_(r_real, ~c_real)] = 1.0
+        out[np.ix_(~r_real, c_real)] = 1.0
+        out[np.ix_(~r_real, ~c_real)] = np.inf
+        if r_real.any() and c_real.any():
+            out[np.ix_(r_real, c_real)] = self.base._block(
+                rows[r_real], cols[c_real], counted)
+        return out
+
+    def _pairs(self, is_, js, counted):
+        r_real = is_ < self.n_real
+        c_real = js < self.n_real
+        out = np.where(r_real ^ c_real, 1.0, np.inf)
+        both = r_real & c_real
+        if both.any():
+            out[both] = self.base._pairs(is_[both], js[both], counted)
+        return out
+
+
+class _ReferenceValidatingCost(_ReferenceAdapterCost):
+    """``template._ValidatingCost``, kept verbatim."""
+
+    def __init__(self, base: CostOracle, C: int):
+        super().__init__(base)
+        self.C = C
+
+    def _map(self, vals):
+        # NaN fails rint equality, -inf the lower bound
+        bad = (vals != np.inf) & ((vals < 1) | (vals > self.C) | (vals != np.rint(vals)))
+        if bad.any():
+            first = float(vals[bad].ravel()[0])
+            raise ValueError(
+                f"malformed cost: {first!r} is not an integer in [1, {self.C}]")
+        return vals
+
+
+def _level_pair(costs, gamma, w, C, d):
+    """The pipeline's level oracle and the three-adapter reference stack,
+    each over its own root holding ``costs``."""
+    n = len(costs)
+    got = LevelCost(MatrixCost(costs), gamma, w, C, n + d)
+    ref = _ReferenceValidatingCost(_ReferencePaddedCost(
+        _ReferenceRoundedCost(MatrixCost(costs), gamma, w), n, n + d), C)
+    return got, ref
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_level_cost_equals_the_three_adapter_reference():
+    rng = np.random.default_rng(2121)
+    kinds = set()
+    for trial in range(60):
+        n = int(rng.integers(2, 25))
+        d = int(rng.integers(1, 8))
+        C = int(rng.integers(3, 120))
+        gamma = math.sqrt(2.0 / (C - 2))
+        costs = rng.random((n, n)) * rng.choice([1.0, 1e-3, 50.0])
+        w = float(np.quantile(costs, rng.uniform(0.2, 0.9)))
+        pick = rng.random((n, n))
+        costs[pick < 0.1] = 0.0
+        costs[(pick >= 0.1) & (pick < 0.2)] = w
+        costs[(pick >= 0.2) & (pick < 0.25)] = np.inf
+        kinds |= {v for v, hit in [("zero", (costs == 0).any()), ("w", (costs == w).any()),
+                                   ("above", ((costs > w) & np.isfinite(costs)).any()),
+                                   ("inf", np.isinf(costs).any())] if hit}
+        got, ref = _level_pair(costs, gamma, w, C, d)
+        assert got.n == ref.n == n + d and got.C == C
+        assert got.scale_back == ref.base.base.scale_back
+        npad = n + d
+        everything = np.arange(npad)
+        assert _same_bits(got.block(everything, everything), ref.block(everything, everything))
+        for _ in range(6):
+            rows = rng.integers(0, npad, size=int(rng.integers(0, 2 * npad)))
+            cols = rng.integers(0, npad, size=int(rng.integers(0, 2 * npad)))
+            assert _same_bits(got.block(rows, cols), ref.block(rows, cols))
+            assert got.counter.count == ref.counter.count
+            lo = int(rng.choice([0, n]))  # some reads only among the dummies
+            size = int(rng.integers(0, 3 * npad))
+            is_ = rng.integers(lo, npad, size=size)
+            js = rng.integers(0, npad, size=size)
+            if rng.random() < 0.3:
+                js = rng.integers(0, n, size=size)  # the all-real shortcut
+                is_ = rng.integers(0, n, size=size)
+            assert _same_bits(got.pairs(is_, js), ref.pairs(is_, js))
+            assert got.counter.count == ref.counter.count
+        # rounding alone, as round_costs and the acceptance suite use it
+        alone, ref_alone = RoundedCost(MatrixCost(costs), gamma, w), \
+            _ReferenceRoundedCost(MatrixCost(costs), gamma, w)
+        assert alone.C == ref_alone.C
+        assert _same_bits(alone.peek_dense(), ref_alone.peek_dense())
+    assert kinds == {"zero", "w", "above", "inf"}
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5, -np.inf])
+def test_level_cost_rejects_bad_reads_like_the_reference(bad):
+    rng = np.random.default_rng(7)
+    costs = rng.random((6, 6))
+    costs[2, 4] = bad
+    got, ref = _level_pair(costs, math.sqrt(2.0 / 39), 0.5, 41, 3)
+    reads = [
+        ("pairs", np.array([5, 2, 7, 0]), np.array([1, 4, 8, 7])),
+        ("pairs", np.array([2]), np.array([4])),
+        ("block", np.array([0, 2, 6]), np.array([4, 8])),
+        ("block", np.arange(9), np.arange(9)),
+    ]
+    for how, a, b in reads:
+        errors = []
+        for oracle in (got, ref):
+            with pytest.raises(ValueError) as err:
+                getattr(oracle, how)(a, b)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert got.counter.count == ref.counter.count
+    # reads that miss the bad entry, or touch only dummies, still answer
+    assert _same_bits(got.pairs([6, 2, 2], [7, 3, 8]), ref.pairs([6, 2, 2], [7, 3, 8]))
+    assert got.counter.count == ref.counter.count
+
+
+def test_level_cost_rejects_a_bound_below_the_level_of_w():
+    inst = BipartiteInstance.from_matrix(np.ones((2, 2)))
+    gamma = math.sqrt(2.0 / 39)  # the level of w is 40 or 41
+    LevelCost(inst.cost, gamma, 1.0, 41)
+    with pytest.raises(ValueError, match="below the level of w"):
+        LevelCost(inst.cost, gamma, 1.0, 39)
+    assert inst.query_count == 0
+
+
+def test_run_template_does_not_check_the_level_oracle_again(monkeypatch):
+    # the pipeline's oracle is in [1, C] by construction; any other cost is checked
+    from submatch import template
+    wrapped = []
+    real = template._ValidatingCost
+
+    def spy(base, C):
+        wrapped.append(type(base).__name__)
+        return real(base, C)
+
+    monkeypatch.setattr(template, "_ValidatingCost", spy)
+    inst = uniform_instance(60, 3)
+    estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
+                                 Backend.sampled(seed=1), seed=1, T=8, k=3)
+    assert wrapped == []
+    costs = np.ones((8, 8))
+    template.run_template(BipartiteInstance.from_matrix(costs),
+                          template.TemplateParams(0.5, 3, 4, 3), Backend.exact(), seed=0)
+    assert wrapped == ["MatrixCost"]
 
 
 # -- the composed estimator ---------------------------------------------------------
@@ -446,13 +663,14 @@ def test_exact_estimate_is_pinned_and_reads_each_entry_once():
 def test_sampled_estimate_and_reads_are_pinned():
     # the sampled backend reads on demand; its answer is the one it gave
     # before the exact backend started reading once, and it reads only the
-    # probes that can change that answer (reading every probe takes 243941)
+    # probes that can change that answer (reading every probe takes 243941;
+    # before the path search skipped potential sums below 2 it took 126271)
     inst = uniform_instance(128, 4)
     res = estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
                                        Backend.sampled(seed=4, epsilon=0.2),
                                        seed=4, T=8, k=5)
     assert res.estimate == 44.79995253571114
-    assert inst.query_count == 126271
+    assert inst.query_count == 120088
 
 
 def test_knapsack_answer_and_reads_are_pinned():
