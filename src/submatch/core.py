@@ -25,7 +25,7 @@ import numpy as np
 __all__ = [
     "v0", "v1",
     "QueryCounter", "CostOracle", "MatrixCost", "FunctionCost",
-    "ScaledCost", "LevelCost", "MaterializedCost",
+    "LevelCost", "MaterializedCost",
     "BipartiteInstance", "write_instance", "read_instance",
     "MatchingOracle", "EmptyMatching", "ArrayMatching", "OverlayMatching",
     "PotentialOracle", "ZeroPotential",
@@ -209,10 +209,14 @@ class _AdapterCost(CostOracle):
 
     An elementwise adapter defines only ``_map(vals)`` (here the identity),
     applied to each read of the base.  Over ``n > base.n`` vertices it pads
-    both sides with dummies, the indices from ``base.n`` up: a dummy-real
-    pair costs 1 and a dummy-dummy pair is a non-edge (+inf), both without
-    a read.  Adapters that change storage override ``_block`` and ``_pairs``.
+    both sides with dummies, the indices from ``base.n`` up, each pair that
+    touches one costing ``_dummy`` without a read: by default a dummy-real
+    pair costs 1 and a dummy-dummy pair is a non-edge (+inf).  Adapters that
+    change storage override ``_block`` and ``_pairs``.
     """
+
+    #: costs of a dummy-real and of a dummy-dummy pair
+    _dummy = (1.0, np.inf)
 
     def __init__(self, base: CostOracle, n: int | None = None):
         super().__init__(base.n if n is None else n)
@@ -228,7 +232,7 @@ class _AdapterCost(CostOracle):
     def _block(self, rows, cols, counted):
         r_real = rows < self.base.n
         c_real = cols < self.base.n
-        out = np.where(r_real[:, None] ^ c_real[None, :], 1.0, np.inf)
+        out = np.where(r_real[:, None] ^ c_real[None, :], *self._dummy)
         if r_real.any() and c_real.any():
             out[np.ix_(r_real, c_real)] = self._map(
                 self.base._block(rows[r_real], cols[c_real], counted))
@@ -238,21 +242,10 @@ class _AdapterCost(CostOracle):
         r_real = is_ < self.base.n
         c_real = js < self.base.n
         both = r_real & c_real
-        out = np.where(r_real ^ c_real, 1.0, np.inf)
+        out = np.where(r_real ^ c_real, *self._dummy)
         if both.any():
             out[both] = self._map(self.base._pairs(is_[both], js[both], counted))
         return out
-
-
-class ScaledCost(_AdapterCost):
-    """Lazy multiplicative rescale ``c <- factor * c``."""
-
-    def __init__(self, base: CostOracle, factor: float):
-        super().__init__(base)
-        self.factor = float(factor)
-
-    def _map(self, vals):
-        return vals * self.factor
 
 
 def _reject_negative(vals: np.ndarray):
@@ -262,13 +255,23 @@ def _reject_negative(vals: np.ndarray):
                          "costs must be non-negative")
 
 
+class _Readout(_AdapterCost):
+    """The base's own costs, 0 on every pair that touches a dummy."""
+
+    _dummy = (0.0, 0.0)
+
+
 class LevelCost(_AdapterCost):
     """The template's cost levels in one pass: a real cost c <= w becomes
     c_bar = ceil(2 c / (gamma^2 w)) + 1, a costlier one a non-edge (+inf),
     and dummies pad as in :class:`_AdapterCost`.  Reading a NaN or negative
     cost raises.  c <= (gamma^2 w / 2) * c_bar <= c + gamma^2 w, and a C
     below the level of w is rejected, so every value is an integer in
-    [1, C] or +inf by construction."""
+    [1, C] or +inf by construction.
+
+    ``readout`` is the view the template's estimate is read through: the
+    same base in its own units, a real pair reading its base cost and a
+    pair that touches a dummy costing 0 without a read."""
 
     def __init__(self, base: CostOracle, gamma: float, w: float, C: int,
                  n: int | None = None):
@@ -280,7 +283,7 @@ class LevelCost(_AdapterCost):
             raise ValueError("w must be finite, not inf")
         if np.ceil(2.0 * self.w / (self.gamma ** 2 * self.w)) + 1.0 > C:
             raise ValueError(f"C = {C} is below the level of w")
-        self.scale_back = self.gamma ** 2 * self.w / 2.0
+        self.readout = _Readout(base, self.n)
 
     def _map(self, vals):
         if np.count_nonzero(vals >= 0) < vals.size:  # NaN fails this test too

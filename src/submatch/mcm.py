@@ -22,7 +22,9 @@ is used, is the row's own mate, is free on an inner hop or matched on the
 last one, or has a potential sum below 2, too low for a level >= 1 to be
 eligible; a greedy probe is skipped when its column was matched before
 its batch.  Skipping changes the reads, not the draws: paths and
-matchings are the same unless the budget binds.
+matchings are the same unless the budget binds.  The forward variant skips
+whole potential buckets below that sum, on both backends, before any draw,
+so the sampled backend spawns no child RNG for them.
 """
 
 from __future__ import annotations
@@ -498,6 +500,8 @@ class Backend:
         phi^-1(i) x phi^-1(j) where the edge test degenerates to
         i + j == c(u, v) + 1, and halts at the first pair that yields a
         matching (each pair is a plain large_match with delta_in / R^2).
+        ``cost`` holds integer levels >= 1 or +inf, as the template's do,
+        so on both backends a pair with i + j < 2 is skipped unread.
         """
         n = cost.n
         R = phi.range_bound
@@ -517,9 +521,9 @@ class Backend:
         for pv in np.unique(phi_r):
             rows = rows_all[phi_r == pv]
             for qv, cols in col_buckets:
+                if pv + qv < 2:
+                    continue  # no level >= 1 is eligible: the bucket is empty
                 target = float(pv + qv) - 1.0  # i + j == c + 1
-                if target < 0.0:
-                    continue  # costs are nonnegative: the bucket is empty
                 if self.variant == "exact":
                     mask = cost.block(rows, cols) == target
                     _drop_matched(mask, rows, cols, mate0)

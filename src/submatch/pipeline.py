@@ -5,8 +5,10 @@ ladder and binary-searching it with approximate matching-size probes;
 read the root through one :class:`core.LevelCost`, which in one pass drops
 every edge above w_bar, rounds the rest to integers in [1, C] and pads
 both sides with dummies so a size-beta matching becomes an (almost)
-perfect one; run the template; undo the padding offset and the rounding
-scale.  A budgeted max-matching search (grid over target sizes with the
+perfect one; run the template on those levels, which reads its estimate
+through the level cost's ``readout``, the real edges' own costs with the
+dummy pairs at 0, so the estimate is already in the input's units.  A
+budgeted max-matching search (grid over target sizes with the
 estimator as a monotone certificate) sits on top.
 """
 
@@ -164,22 +166,16 @@ class PaddedInstance:
     instance: BipartiteInstance
     n_real: int
     dummies: int
-    offset: float  # template-unit estimate correction
 
 
 def pad_dummies(instance: BipartiteInstance, beta: float, xi_pad: float) -> PaddedInstance:
-    """Add (1 - beta + xi_pad) * n dummies per side (at least one).
-
-    The estimate offset (2 - 2 beta + xi_pad) * n is expressed through the
-    realized integer dummy count d as 2 d - xi_pad * n, so rounding d up
-    never desynchronizes the correction.
-    """
+    """Add (1 - beta + xi_pad) * n dummies per side (at least one)."""
     if not xi_pad > 0:  # also rejects NaN
         raise ValueError("xi_pad must be positive")
     n = instance.n
     d = max(1, math.ceil((1.0 - beta + xi_pad) * n))
     padded = BipartiteInstance(n + d, _AdapterCost(instance.cost, n + d))
-    return PaddedInstance(padded, n, d, 2.0 * d - xi_pad * n)
+    return PaddedInstance(padded, n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +218,13 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     is the instance over ``backend.prepare_cost``'s cost, degenerate sizes
     included; a later call on it with the same backend reads no cost again.
 
-    Two characteristic costs short-cut the answer.  At w_bar = 0 every real
-    edge left after thresholding costs 0, and the answer is 0.  At
-    w_bar = +inf every sampled cost is +inf, so c(M^{beta n}) is +inf: the
-    answer is +inf with an empty matching, and the template does not run.
+    The estimate is the template's, read in the input's units: a trimmed
+    sample of the real edges' costs in its final matching, extrapolated by
+    the matched size, with every edge to a dummy counting 0.  So at
+    w_bar = 0, where every real edge left after thresholding costs 0, the
+    answer is 0.  At w_bar = +inf every sampled cost is +inf, so
+    c(M^{beta n}) is +inf: the answer is +inf with an empty matching, and
+    the template does not run.
 
     T < 4 or k < 1 raises ``ValueError`` before any cost is read, at
     degenerate sizes too.
@@ -266,9 +265,7 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
                             seed=seeds[1], collect_trace=collect_trace)
         timings["template"] = time.perf_counter() - t2
 
-        estimate = (tres.estimate - padded.offset) * levels.scale_back
-        if characteristic.w_bar == 0.0:
-            estimate = 0.0  # every real edge left after thresholding costs 0
+        estimate = tres.estimate
         matching = FilteredMatching(tres.matching, n)
         stages = SimpleNamespace(
             prepared=instance, characteristic=characteristic, padded=padded,

@@ -5,12 +5,12 @@ short eligible augmenting paths, then drop the potential of the newly
 matched side-1 vertices) followed by Step 2 (grow a quasi-maximal forest
 of eligible edges rooted at the free side-0 vertices, then raise the
 potential of its side-0 vertices and lower its side-1 vertices).  After T
-iterations the matched-edge costs are sampled with replacement, the top
-3*gamma fraction of the samples is discarded and the trimmed sum is
-extrapolated to the whole matching.
+iterations the matched edges' costs, in the input's own units, are sampled
+with replacement, the top 3*gamma fraction of the samples is discarded and
+the trimmed sum is extrapolated to the whole matching.
 
-Nothing here is ever materialized: matchings, potentials and forest
-memberships are oracles layered over the oracles of the previous
+Within the iterations nothing is materialized: matchings, potentials and
+forest memberships are oracles layered over the oracles of the previous
 iteration, exactly mirroring the per-iteration recipes of the sublinear
 construction.  Every oracle answer is memoized (``core._Memo``) so the
 layered evaluation stays linear in depth.
@@ -24,34 +24,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    UNMATCHED, BipartiteInstance, CostOracle, EmptyMatching, MatchingOracle,
-    LevelCost, MembershipOracle, PotentialOracle, ScaledCost, ZeroPotential,
+    UNMATCHED, ArrayMatching, BipartiteInstance, CostOracle, EmptyMatching,
+    MatchingOracle, LevelCost, MembershipOracle, PotentialOracle, ZeroPotential,
     _AdapterCost,
 )
 from .mcm import Backend
 
 __all__ = [
-    "TemplateParams", "IterationState", "ThresholdedMatching",
-    "TemplateResult", "run_template", "step1", "step2", "sample_and_estimate",
-    "SAMPLE_SIZE_CONSTANT",
+    "TemplateParams", "IterationState", "TemplateResult", "run_template",
+    "step1", "step2", "sample_and_estimate", "SAMPLE_SIZE_CONSTANT",
 ]
 
 #: multiplier `a` in |S| = ceil(a * (C/gamma)^2 * ln n); chosen so the
 #: multiplicative Chernoff bound on the discarded fraction fails with
 #: probability <= n^-3.
 SAMPLE_SIZE_CONSTANT = 48
-
-#: cap on |S|: sampling with replacement from at most n distinct edges
-#: saturates statistically long before this point (every edge has been
-#: seen ~|S|/n times), so larger sample sizes only cost random draws.  The
-#: estimator keeps per-vertex counts and draws in pieces of at most
-#: ``_DRAW_PIECE`` indices, so its memory does not grow with |S| beyond the
-#: kept prefix it sums.
-SAMPLE_SIZE_CAP = 2_000_000
-
-#: most indices drawn per ``rng.integers`` call by the sampling estimator
-#: (1 MB of int32).
-_DRAW_PIECE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -213,41 +200,6 @@ class StepAMembership(MembershipOracle):
         return np.where(is1, ~inf, inf)
 
 
-class ThresholdedMatching(MatchingOracle):
-    """The final matching with its most expensive edges cut at threshold w.
-
-    ``mate(u)`` reports the base mate only for matched edges of cost at
-    most w; the realized discarded fraction alpha_w (edges costing
-    strictly more than w) is recorded at construction.  Integer costs tie
-    heavily at the threshold, and dropping a whole tie block would gut the
-    matching, so the boundary value is kept.
-    """
-
-    cache_mates = True
-
-    def __init__(self, base: MatchingOracle, w: float, cost: CostOracle,
-                 alpha_w: float):
-        super().__init__(base.n)
-        self.base = base
-        self.w = float(w)
-        self.cost = cost
-        self.alpha_w = float(alpha_w)
-
-    def _mates_impl(self, us):
-        out = self.base.mates(us).copy()
-        has = out != UNMATCHED
-        if has.any():
-            uu = us[has]
-            vv = out[has]
-            i = np.where((uu & 1) == 0, uu >> 1, vv >> 1)
-            j = np.where((uu & 1) == 0, vv >> 1, uu >> 1)
-            c = self.cost.pairs(i, j)
-            drop = c > self.w
-            sel = np.nonzero(has)[0][drop]
-            out[sel] = UNMATCHED
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Steps
 # ---------------------------------------------------------------------------
@@ -302,72 +254,55 @@ def step2(phi_in: PotentialOracle, m_in: MatchingOracle, params: TemplateParams,
 # ---------------------------------------------------------------------------
 
 def sample_size(gamma: float, C: int, n: int) -> int:
-    raw = math.ceil(SAMPLE_SIZE_CONSTANT * (C / gamma) ** 2 * math.log(max(n, 2)))
-    return min(raw, SAMPLE_SIZE_CAP)
+    return math.ceil(SAMPLE_SIZE_CONSTANT * (C / gamma) ** 2 * math.log(max(n, 2)))
 
 
 def sample_and_estimate(matching: MatchingOracle, gamma: float, C: int, n: int,
                         seed, cost: CostOracle):
     """Trimmed-sum estimate of the matching cost from mate-oracle access.
 
-    Samples |S| = ceil(48 (C/gamma)^2 ln n) matched edges with replacement
-    by rejection-sampling side-0 vertices, discards the ceil(3 gamma |S|)
-    most expensive samples and extrapolates: c_hat = (n / |S|) * sum(kept).
-    Returns (c_hat, w, alpha_w) where w is the cheapest discarded value and
-    alpha_w the exact fraction of matching edges costing > w.
+    Draws |S| = ceil(48 (C/gamma)^2 ln n) of the |M| matched edges uniformly
+    with replacement, as per-row draw counts from one multinomial over the
+    matched side-0 rows, discards the ceil(3 gamma |S|) most expensive draws
+    and extrapolates the rest: c_hat = (|M| / |S|) * sum(kept).  The kept
+    sum is the dot product of the drawn edges' sorted costs with their kept
+    counts; which of several tied draws is dropped cannot change it.
 
-    The sample is the first |S| matched draws of one stream of uniform
-    side-0 indices.  The stream is drawn in pieces of
-    min(max(2 (|S| - got), 64), ``_DRAW_PIECE``) indices and drawing stops
-    at the |S|-th hit; numpy's bounded integer draws are the same whether
-    taken in one call or in successive pieces, so how the stream is cut
-    into pieces does not change the sample.
-
-    The sample is kept as per-vertex draw counts, never as an |S|-long
-    array: each distinct drawn edge's cost is read once, the distinct
-    costs are sorted, and the kept prefix is rebuilt by repeating each cost
-    by its count.  Which of several tied draws is dropped cannot change
-    the kept values, so the sum is that of the sorted sample's prefix.
+    ``cost`` is read once per matched edge, and that one read serves the
+    draw, w, alpha_w and the thresholded matching.  Returns
+    (c_hat, w, alpha_w, thresholded), all in ``cost``'s units: w is the
+    cheapest discarded draw's cost (+inf when nothing is discarded),
+    alpha_w the fraction of the matched edges costing more than w, and
+    ``thresholded`` an :class:`ArrayMatching` of the matched edges costing
+    at most w, whose ``base`` is ``matching``.
     """
     rng = np.random.default_rng(seed)
     s = sample_size(gamma, C, n)
     m0 = matching.mate_of_v0()
-    matched = m0 != UNMATCHED
-    if not matched.any():
+    rows = np.flatnonzero(m0 != UNMATCHED)
+    if len(rows) == 0:
         raise ValueError("cannot sample from an empty matching")
-    unmatched = np.flatnonzero(~matched)
-    counts = np.zeros(n, dtype=np.int64)
-    got = 0
-    while got < s:
-        need = s - got
-        piece = rng.integers(0, n, size=min(max(2 * need, 64), _DRAW_PIECE),
-                             dtype=np.int32)
-        piece_counts = np.bincount(piece, minlength=n)
-        piece_counts[unmatched] = 0
-        hits = int(piece_counts.sum())
-        if hits > need:
-            # the |S|-th hit lies inside this piece: count up to it only
-            end = np.flatnonzero(matched[piece])[need - 1] + 1
-            piece_counts = np.bincount(piece[:end], minlength=n)
-            piece_counts[unmatched] = 0
-            hits = need
-        counts += piece_counts
-        got += hits
-    # read each distinct drawn edge's cost once, in ascending vertex order
-    drawn = np.nonzero(counts)[0]
-    costs_u = cost.pairs(drawn, m0[drawn])
-    order = np.argsort(costs_u, kind="stable")
-    sorted_costs = costs_u[order]
-    cum = np.cumsum(counts[drawn][order])
+    cols = m0[rows]
+    costs = cost.pairs(rows, cols)
+    counts = rng.multinomial(s, np.full(len(rows), 1.0 / len(rows)))
+    drawn = np.flatnonzero(counts)
+    drawn = drawn[np.argsort(costs[drawn], kind="stable")]
+    sorted_costs = costs[drawn]
+    cum = np.cumsum(counts[drawn])
     d = min(math.ceil(3 * gamma * s), s)
     keep = s - d
-    kept = np.repeat(sorted_costs, np.diff(np.minimum(cum, keep), prepend=0))
-    w = float(sorted_costs[np.searchsorted(cum, keep, side="right")]) if d > 0 else float("inf")
-    c_hat = (n / s) * float(kept.sum())
-    # realized discard fraction under the keep-ties-at-w rule, by exact scan
-    rows = np.flatnonzero(matched)
-    alpha_w = float(np.count_nonzero(cost.pairs(rows, m0[rows]) > w)) / n
-    return c_hat, w, alpha_w
+    kept = np.diff(np.minimum(cum, keep), prepend=0)
+    c_hat = (len(rows) / s) * float(sorted_costs @ kept)
+    w = float(sorted_costs[np.searchsorted(cum, keep, side="right")]) if d > 0 else math.inf
+    over = costs > w
+    alpha_w = float(np.count_nonzero(over)) / len(rows)
+    mate0 = np.full(n, UNMATCHED, dtype=np.int64)
+    mate1 = mate0.copy()
+    mate0[rows[~over]] = cols[~over]
+    mate1[cols[~over]] = rows[~over]
+    thresholded = ArrayMatching(mate0, mate1)
+    thresholded.base = matching
+    return c_hat, w, alpha_w, thresholded
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +329,7 @@ class _ValidatingCost(_AdapterCost):
 @dataclass
 class TemplateResult:
     estimate: float
-    matching: ThresholdedMatching
+    matching: MatchingOracle
     w: float
     alpha_w: float
     states: list[IterationState]
@@ -433,9 +368,13 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
     Costs must be integers in [1, params.C], +inf marking a non-edge: a
     ``LevelCost`` with ``C <= params.C`` is so by construction, and any
     other cost is checked when read (on the exact backend all at once).
-    The internal rescale c <- c/gamma is folded into a lazy cost adapter
-    used by the estimator, whose output is scaled back, so the returned
-    estimate is in the instance's own cost units.
+    The iterations run on these levels; the estimate, w and alpha_w are
+    read by :func:`sample_and_estimate` in the instance's own units: from a
+    ``LevelCost``'s ``readout`` (each real pair's base cost, 0 on pairs
+    that touch a dummy), and from the checked cost itself otherwise.  So
+    the estimate is the trimmed sample of the final matching's costs,
+    extrapolated by |M| / |S|, and ``result.matching`` the matched edges
+    costing at most w (its ``base`` the untrimmed final matching).
 
     ``collect_trace`` fills ``result.trace`` with one diagnostic record per
     iteration, each a dense read plus a vertex cover, so it is off by default.
@@ -447,9 +386,11 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
     """
     n = instance.n
     cost = instance.cost
-    if not (isinstance(cost, LevelCost) and cost.C <= params.C):
-        cost = _ValidatingCost(cost, params.C)
-    cost = backend.prepare_cost(cost)
+    if isinstance(cost, LevelCost) and cost.C <= params.C:
+        readout = cost.readout
+        cost = backend.prepare_cost(cost)
+    else:
+        cost = readout = backend.prepare_cost(_ValidatingCost(cost, params.C))
     matching: MatchingOracle = EmptyMatching(n)
     phi: PotentialOracle = ZeroPotential(n, params.range_bound)
     states = [IterationState(0, matching, phi)]
@@ -466,14 +407,7 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
             trace.append(rec)
     if matching.size() == 0:
         # nothing ever became eligible: the estimate of an empty matching is 0
-        thresholded = ThresholdedMatching(matching, float("inf"), cost, 0.0)
-        return TemplateResult(0.0, thresholded, float("inf"), 0.0, states, trace)
-    rescaled = ScaledCost(cost, 1.0 / params.gamma)
-    c_hat_r, w_r, alpha_w = sample_and_estimate(
-        matching, params.gamma, params.C, n, seed, rescaled)
-    c_hat = params.gamma * c_hat_r      # back to instance units
-    w = params.gamma * w_r
-    if np.isfinite(w) and abs(w - round(w)) < 1e-6:
-        w = float(round(w))  # costs are integers; undo rescale float fuzz
-    thresholded = ThresholdedMatching(matching, w, cost, alpha_w)
+        return TemplateResult(0.0, matching, math.inf, 0.0, states, trace)
+    c_hat, w, alpha_w, thresholded = sample_and_estimate(
+        matching, params.gamma, params.C, n, seed, readout)
     return TemplateResult(c_hat, thresholded, w, alpha_w, states, trace)

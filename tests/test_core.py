@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from submatch.core import (
-    UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching,
-    MaterializedCost, OverlayMatching, ScaledCost, SetMembership,
-    ZeroPotential, read_instance, v0, v1, write_instance,
+    UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, LevelCost,
+    MaterializedCost, OverlayMatching, SetMembership, ZeroPotential,
+    read_instance, v0, v1, write_instance,
 )
 from submatch.pipeline import RoundedCost
 from submatch.template import StepAMembership, Step2Potential
@@ -41,16 +41,33 @@ def test_peek_is_uncounted():
 
 def test_adapters_count_once_at_root():
     inst = BipartiteInstance.from_matrix(np.full((5, 5), 2.0))
-    stacked = ScaledCost(ScaledCost(inst.cost, 0.5), 6.0)
+    # 2.0 is level 8 of the inner view, and 8 is level 2 of the outer one
+    stacked = RoundedCost(RoundedCost(inst.cost, 0.5, 2.5), 0.5, 100.0)
     vals = stacked.block(np.arange(5), np.arange(5))
-    assert np.all(vals == 6.0)
+    assert np.all(vals == 2.0)
     assert inst.query_count == 25  # one count despite two adapters
+
+
+def test_level_cost_readout_reads_real_pairs_only():
+    # the readout of a padded level cost: a real pair reads its base cost,
+    # and a pair that touches a dummy costs 0 without a read
+    dense = np.random.default_rng(8).random((4, 4))
+    inst = BipartiteInstance.from_matrix(dense)
+    readout = LevelCost(inst.cost, 0.5, 0.5, 10, n=6).readout
+    assert readout.n == 6 and readout.counter is inst.cost.counter
+    whole = readout.dense()
+    assert np.array_equal(whole[:4, :4], dense)  # above w too: no threshold
+    assert np.all(whole[4:] == 0.0) and np.all(whole[:, 4:] == 0.0)
+    assert inst.query_count == 16
+    assert np.array_equal(readout.pairs([0, 5, 4, 3], [1, 2, 5, 3]),
+                          [dense[0, 1], 0.0, 0.0, dense[3, 3]])
+    assert inst.query_count == 18
 
 
 def test_threshold_view_masks_with_inf():
     # the threshold lives in RoundedCost: a cost above w is a non-edge
     inst = BipartiteInstance.from_matrix(np.array([[1.0, 5.0], [2.0, 3.0]]))
-    view = RoundedCost(ScaledCost(inst.cost, 1.0), 0.5, 2.5)
+    view = RoundedCost(inst.cost, 0.5, 2.5)
     out = view.pairs([0, 0, 1, 1], [0, 1, 0, 1])
     assert np.isfinite(out[0]) and np.isfinite(out[2])
     assert np.isinf(out[1]) and np.isinf(out[3])
@@ -71,14 +88,15 @@ def test_threshold_view_rejects_nan_limit():
 def test_materialized_cost_counts_its_matrix_once():
     dense = np.random.default_rng(2).random((6, 6))
     inst = BipartiteInstance.from_matrix(dense)
-    stacked = MaterializedCost(ScaledCost(inst.cost, 3.0))
+    stacked = MaterializedCost(RoundedCost(inst.cost, 0.5, 1.0))
+    levels = np.ceil(8.0 * dense) + 1.0  # 2 c / (gamma^2 w) is 8 c exactly
     assert inst.query_count == 36
     assert stacked.counter is inst.cost.counter
     rows, cols = np.array([4, 0, 4]), np.array([5, 1])
-    assert np.array_equal(stacked.block(rows, cols), dense[np.ix_(rows, cols)] * 3.0)
-    assert np.array_equal(stacked.pairs([3, 3], [0, 5]), dense[[3, 3], [0, 5]] * 3.0)
+    assert np.array_equal(stacked.block(rows, cols), levels[np.ix_(rows, cols)])
+    assert np.array_equal(stacked.pairs([3, 3], [0, 5]), levels[[3, 3], [0, 5]])
     whole = stacked.dense()
-    assert np.array_equal(whole, dense * 3.0)
+    assert np.array_equal(whole, levels)
     assert not whole.flags.writeable  # the stored matrix is shared, not copied
     assert inst.query_count == 36
 

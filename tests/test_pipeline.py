@@ -16,6 +16,7 @@ from submatch.pipeline import (
     FilteredMatching, ReductionConfig, RoundedCost, estimate_min_weight_matching,
     find_characteristic_cost, max_matching_under_budget, pad_dummies, round_costs,
 )
+from submatch.template import sample_and_estimate
 
 
 def test_reduction_config_validation():
@@ -218,7 +219,6 @@ def test_pad_dummies_arithmetic_example():
     padded = pad_dummies(inst, beta=0.8, xi_pad=0.1)
     assert padded.instance.n == 13
     assert padded.dummies == 3
-    assert padded.offset == pytest.approx(5.0)  # (2 - 2*0.8 + 0.1) * 10
 
 
 def test_pad_dummies_limit_case_beta_one():
@@ -409,7 +409,6 @@ def test_level_cost_equals_the_three_adapter_reference():
                                    ("inf", np.isinf(costs).any())] if hit}
         got, ref = _level_pair(costs, gamma, w, C, d)
         assert got.n == ref.n == n + d and got.C == C
-        assert got.scale_back == ref.base.base.scale_back
         npad = n + d
         everything = np.arange(npad)
         assert _same_bits(got.block(everything, everything), ref.block(everything, everything))
@@ -648,41 +647,79 @@ def test_degenerate_baseline_names_nan():
 # -- exact-backend reads and pinned answers ------------------------------------------
 
 def test_exact_estimate_is_pinned_and_reads_each_entry_once():
-    # value captured before the exact backend read its matrix only once;
-    # the answer must not move with how often the costs are read
+    # the answer must not move with how often the costs are read; it is
+    # read from the true costs (5.0427474186475445 when it was read from
+    # the rounded levels, against the window [0.77, 1.61])
     n = 200
     inst = uniform_instance(n, 3)
     res = estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
                                        Backend.exact(seed=3), seed=3)
     assert not res.report["degenerate"]
-    assert res.estimate == 5.0427474186475445
+    assert res.estimate == 1.2291638903056794
     assert inst.query_count == n * n
     assert res.report["total_queries"] == n * n
 
 
 def test_sampled_estimate_and_reads_are_pinned():
-    # the sampled backend reads on demand; its answer is the one it gave
-    # before the exact backend started reading once, and it reads only the
-    # probes that can change that answer (reading every probe takes 243941;
-    # before the path search skipped potential sums below 2 it took 126271)
+    # the sampled backend reads on demand, only the probes that can change
+    # its answer; read from the rounded levels, with target-0 forward
+    # buckets probed and the matched edges read three times, the answer
+    # was 44.79995253571114 from 120088 reads
     inst = uniform_instance(128, 4)
     res = estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
                                        Backend.sampled(seed=4, epsilon=0.2),
                                        seed=4, T=8, k=5)
-    assert res.estimate == 44.79995253571114
-    assert inst.query_count == 120088
+    assert res.estimate == 10.027269439334248
+    assert inst.query_count == 118086
+
+
+def test_sampled_estimate_reads_each_real_matched_edge_once(monkeypatch):
+    # from the end of the template through the report's matched fraction,
+    # the reads are one per real-real matched edge and none of a dummy pair
+    from submatch import template
+    n = 128
+    inst = uniform_instance(n, 4)
+    entered = []
+
+    def spy(*args):
+        entered.append(inst.query_count)
+        return sample_and_estimate(*args)
+
+    monkeypatch.setattr(template, "sample_and_estimate", spy)
+    res = estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
+                                       Backend.sampled(seed=4, epsilon=0.2),
+                                       seed=4, T=8, k=5)
+    m0 = res.stages.template.matching.base.mate_of_v0()
+    real_real = int(np.count_nonzero((m0[:n] != UNMATCHED) & (m0[:n] < n)))
+    assert len(entered) == 1 and real_real > 0
+    assert inst.query_count - entered[0] == real_real
+
+
+def test_exact_estimate_lands_in_window_at_the_defaults():
+    # default T and k on uniform n = 200 instances: the estimate lies in
+    # [c(M^0.85n), c(M^n)] and the returned matching is large enough
+    n = 200
+    config = ReductionConfig(0.85, 1.0, 0.1)
+    for child in np.random.SeedSequence(22).spawn(4):
+        seed = int(child.generate_state(1)[0])
+        inst = uniform_instance(n, seed)
+        res = estimate_min_weight_matching(inst, config, Backend.exact(seed=seed), seed=seed)
+        sweep = baseline.min_weight_matching_sweep(inst.cost.peek_dense())
+        assert sweep[math.ceil(config.alpha * n)] <= res.estimate <= sweep[n], seed
+        assert res.report["matched_fraction"] >= config.alpha
 
 
 def test_knapsack_answer_and_reads_are_pinned():
-    # pins today's answer, not a correct one: the exact size is 166, and
-    # the characteristic cost's threshold multiplier (see ROADMAP item 2)
+    # pins today's answer, not a correct one: the exact size is 166 (the
+    # answer was 50.0 while the estimate was read from rounded levels), and
+    # the characteristic cost's threshold multiplier (see ROADMAP item 4)
     # will move it; the whole grid shares one materialized matrix
     n = 200
     inst = uniform_instance(n, 12345)
     B = baseline.min_weight_matching_sweep(inst.cost.peek_dense())[n] / 2
     assert B == pytest.approx(0.71995, abs=1e-5)
     s_hat = max_matching_under_budget(inst, B, 0.1, Backend.exact(seed=0), seed=0)
-    assert s_hat == 50.0
+    assert s_hat == 80.0
     assert inst.query_count == n * n
 
 

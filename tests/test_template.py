@@ -1,19 +1,16 @@
-import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from submatch import template
 from submatch.core import (
-    UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, ScaledCost,
-    ZeroPotential, v0, v1,
+    UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, ZeroPotential,
+    v0, v1,
 )
 from submatch.mcm import Backend
 from submatch.template import (
-    SAMPLE_SIZE_CAP, TemplateParams, run_template, sample_and_estimate,
-    sample_size, step1, step2,
+    TemplateParams, run_template, sample_and_estimate, sample_size, step1, step2,
 )
 from tests.test_mcm import FixedPotential
 
@@ -140,12 +137,14 @@ def test_sample_and_estimate_equal_costs():
     gamma = 0.1
     matching = ArrayMatching.from_pairs(n, [(i, i) for i in range(n)])
     inst = BipartiteInstance.from_matrix(np.full((n, n), 3.0))
-    c_hat, w, alpha_w = sample_and_estimate(matching, gamma, 3, n, 0, inst.cost)
+    c_hat, w, alpha_w, thresholded = sample_and_estimate(matching, gamma, 3, n, 0,
+                                                         inst.cost)
     s = sample_size(gamma, 3, n)
     d = math.ceil(3 * gamma * s)
     assert c_hat == pytest.approx((s - d) / s * n * 3.0)
     assert w == 3.0
     assert alpha_w == 0.0  # ties at w are kept
+    assert thresholded.size() == n and thresholded.base is matching
 
 
 def test_sample_and_estimate_single_edge():
@@ -153,8 +152,9 @@ def test_sample_and_estimate_single_edge():
     matching = ArrayMatching.from_pairs(n, [(4, 7)])
     costs = np.full((n, n), 2.0)
     inst = BipartiteInstance.from_matrix(costs)
-    c_hat, w, alpha_w = sample_and_estimate(matching, 0.1, 2, n, 1, inst.cost)
-    assert c_hat == pytest.approx(0.7 * n * 2.0, rel=0.01)
+    c_hat, w, alpha_w, _ = sample_and_estimate(matching, 0.1, 2, n, 1, inst.cost)
+    # every draw is the one matched edge: the kept 70% of it, times |M| = 1
+    assert c_hat == pytest.approx(0.7 * 1 * 2.0, rel=0.01)
 
 
 def test_sample_and_estimate_empty_matching_fails():
@@ -171,7 +171,8 @@ def test_sample_and_estimate_discards_expensive_tail():
     inst = BipartiteInstance.from_matrix(costs)
     matching = ArrayMatching.from_pairs(n, [(i, i) for i in range(n)])
     gamma = 0.05
-    c_hat, w, alpha_w = sample_and_estimate(matching, gamma, 20, n, 3, inst.cost)
+    c_hat, w, alpha_w, thresholded = sample_and_estimate(matching, gamma, 20, n, 3,
+                                                         inst.cost)
     exact_sorted = np.sort(costs[np.arange(n), np.arange(n)])
     s = sample_size(gamma, 20, n)
     d = math.ceil(3 * gamma * s)
@@ -181,43 +182,23 @@ def test_sample_and_estimate_discards_expensive_tail():
     # only ~10% of samples cost >= 20, so the 3*gamma = 15% quantile sits at 1
     assert w == 1.0
     assert alpha_w == pytest.approx(5 / 50)
+    assert thresholded.edges() == [(i, i) for i in range(5, n)]  # the 20s are cut
 
 
 def _sort_based_sample_and_estimate(matching, gamma, C, n, seed, cost):
-    """The estimator as it was before draw counts: materialize and sort |S|."""
+    """The estimator without draw counts: the same multinomial draw
+    materialized as |S| samples, sorted and trimmed."""
     rng = np.random.default_rng(seed)
     s = sample_size(gamma, C, n)
-    picks = np.empty(s, dtype=np.int64)
-    got = 0
-    misses = 0
-    while got < s:
-        chunk = rng.integers(0, n, size=max(2 * (s - got), 64))
-        mates = matching.mates(v0(chunk))
-        hit = mates != UNMATCHED
-        take = min(int(hit.sum()), s - got)
-        picks[got:got + take] = chunk[hit][:take]
-        got += take
-        misses += len(chunk) - int(hit.sum())
-        if got == 0 and misses > 64 * max(n, 64):
-            if matching.size() == 0:
-                raise ValueError("cannot sample from an empty matching")
-            misses = 0
-    uniq, inv = np.unique(picks, return_inverse=True)
-    mates_u = matching.mates(v0(uniq)) >> 1
-    costs_u = cost.pairs(uniq, mates_u)
-    samples = costs_u[inv]
-    d = min(math.ceil(3 * gamma * s), s)
-    order = np.argsort(samples, kind="stable")
-    kept = samples[order[: s - d]]
-    w = float(samples[order[s - d]]) if d > 0 else float("inf")
-    c_hat = (n / s) * float(kept.sum())
     m0 = matching.mate_of_v0()
     rows = np.nonzero(m0 != UNMATCHED)[0]
-    if len(rows):
-        all_costs = cost.pairs(rows, m0[rows])
-        alpha_w = float(np.count_nonzero(all_costs > w)) / n
-    else:
-        alpha_w = 0.0
+    counts = rng.multinomial(s, np.full(len(rows), 1.0 / len(rows)))
+    all_costs = cost.pairs(rows, m0[rows])
+    samples = np.sort(np.repeat(all_costs, counts))
+    d = min(math.ceil(3 * gamma * s), s)
+    w = float(samples[s - d]) if d > 0 else float("inf")
+    c_hat = (len(rows) / s) * float(samples[: s - d].sum())
+    alpha_w = float(np.count_nonzero(all_costs > w)) / len(rows)
     return c_hat, w, alpha_w
 
 
@@ -237,6 +218,8 @@ def _sparse_matching(n, frac, seed):
                                   "gamma-third-keeps-nothing"])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_sample_and_estimate_bit_identical_to_sort_based(case, seed):
+    # w and alpha_w are bit-identical; the kept sum is a dot product of
+    # distinct costs and counts, which rounds differently from a long sum
     n = 300
     rng = np.random.default_rng(100 + seed)
     gamma, C = 0.1, 3
@@ -259,15 +242,15 @@ def test_sample_and_estimate_bit_identical_to_sort_based(case, seed):
     results = []
     for estimator in (sample_and_estimate, _sort_based_sample_and_estimate):
         inst = BipartiteInstance.from_matrix(costs)
-        # the template hands the estimator costs rescaled by 1/gamma
-        cost = ScaledCost(inst.cost, 1.0 / gamma)
-        before = inst.query_count
-        out = estimator(matching, gamma, C, n, seed, cost)
-        results.append((out, inst.query_count - before))
-    assert results[0] == results[1]
-    c_hat, w, _ = results[0][0]
+        out = estimator(matching, gamma, C, n, seed, inst.cost)
+        results.append((out[:3], inst.query_count))
+    (c_hat, w, alpha_w), reads = results[0]
+    (ref_c_hat, ref_w, ref_alpha_w), ref_reads = results[1]
+    assert (w, alpha_w, reads) == (ref_w, ref_alpha_w, ref_reads)
+    assert reads == matching.size()  # each matched edge is read once
+    assert c_hat == pytest.approx(ref_c_hat, rel=1e-12, abs=0.0)
     if case == "ties-at-w":
-        assert w == 2.0 / gamma
+        assert w == 2.0
     if case == "gamma-third-keeps-nothing":
         assert c_hat == 0.0
 
@@ -276,111 +259,23 @@ def test_sample_and_estimate_trim_boundary_between_cost_blocks():
     # one cheap edge among ten; at this seed the cheap edge is drawn exactly
     # s - d times, so the kept prefix ends where its block ends and w is the
     # first value of the next block
-    n, gamma, seed = 10, 0.3, 44
+    n, gamma, seed = 10, 0.3, 1
     costs = np.full((n, n), 2.0)
     costs[0, 0] = 1.0
     matching = ArrayMatching.from_pairs(n, [(i, i) for i in range(n)])
     s = sample_size(gamma, 1, n)
     keep = s - math.ceil(3 * gamma * s)
     outs = [estimator(matching, gamma, 1, n, seed,
-                      BipartiteInstance.from_matrix(costs).cost)
+                      BipartiteInstance.from_matrix(costs).cost)[:3]
             for estimator in (sample_and_estimate, _sort_based_sample_and_estimate)]
     assert outs[0] == outs[1] == ((n / s) * keep, 2.0, 0.0)
 
 
-def _chunked_sample_and_estimate(matching, gamma, C, n, seed, cost, chunk_log=None):
-    """The estimator as it was before drawing in pieces: each chunk of
-    max(2 (|S| - got), 64) indices is drawn whole and its hits past |S| are
-    dropped.  Appends (hits, taken, last draw hit) per chunk to chunk_log."""
-    rng = np.random.default_rng(seed)
-    s = sample_size(gamma, C, n)
-    m0 = matching.mate_of_v0()
-    matched = m0 != UNMATCHED
-    counts = np.zeros(n, dtype=np.int64)
-    got = 0
-    while got < s:
-        chunk = rng.integers(0, n, size=max(2 * (s - got), 64), dtype=np.int32)
-        hit = matched[chunk]
-        hits = int(hit.sum())
-        take = min(hits, s - got)
-        counts += np.bincount(chunk[hit][:take], minlength=n)
-        got += take
-        if chunk_log is not None:
-            chunk_log.append((hits, take, bool(hit[-1])))
-    drawn = np.nonzero(counts)[0]
-    costs_u = cost.pairs(drawn, m0[drawn])
-    order = np.argsort(costs_u, kind="stable")
-    sorted_costs = costs_u[order]
-    cum = np.cumsum(counts[drawn][order])
-    d = min(math.ceil(3 * gamma * s), s)
-    keep = s - d
-    kept = np.repeat(sorted_costs, np.diff(np.minimum(cum, keep), prepend=0))
-    w = float(sorted_costs[np.searchsorted(cum, keep, side="right")]) if d > 0 else float("inf")
-    c_hat = (n / s) * float(kept.sum())
-    rows = np.nonzero(matched)[0]
-    alpha_w = float(np.count_nonzero(cost.pairs(rows, m0[rows]) > w)) / n
-    return c_hat, w, alpha_w
-
-
-def test_bounded_int32_draws_are_prefix_consistent():
-    # sample_and_estimate draws its index stream in pieces; its answers at
-    # a seed are fixed only if split draws reproduce one long draw
-    for n in (1 << 10, 690, (1 << 20) + 7):
-        for a in (1, 333, 1 << 18):
-            b = 1001
-            whole = np.random.default_rng(n + a).integers(0, n, size=a + b, dtype=np.int32)
-            rng = np.random.default_rng(n + a)
-            split = np.concatenate([rng.integers(0, n, size=a, dtype=np.int32),
-                                    rng.integers(0, n, size=b, dtype=np.int32)])
-            assert np.array_equal(whole, split), (
-                f"numpy's bounded int32 draws at n={n} differ when split after "
-                f"{a}; sample_and_estimate depends on them being the same")
-
-
-@pytest.mark.parametrize("case", ["one-edge", "below-min-chunk", "later-piece",
-                                  "hit-ends-chunk"])
-def test_sample_and_estimate_equals_chunked_reference(case, monkeypatch):
-    n, gamma, C, seed = 300, 0.3, 1, 3
-    if case == "one-edge":
-        matching = ArrayMatching.from_pairs(n, [(17, 42)])
-    elif case == "below-min-chunk":
-        monkeypatch.setattr(template, "SAMPLE_SIZE_CAP", 40)
-        matching = _sparse_matching(n, 0.1, seed)
-    elif case == "later-piece":
-        gamma, C, seed = 0.1, 4, 0
-        matching = _sparse_matching(n, 0.5, seed)
-    else:
-        seed = 63  # pinned: the |S|-th hit is the last draw of the second chunk
-        matching = _sparse_matching(n, 0.5, 0)
-    s = sample_size(gamma, C, n)
-    costs = np.random.default_rng(7).integers(1, C + 1, size=(n, n)).astype(np.float64)
-    chunk_log = []
-    results = []
-    for estimator in (sample_and_estimate,
-                      functools.partial(_chunked_sample_and_estimate, chunk_log=chunk_log)):
-        inst = BipartiteInstance.from_matrix(costs)
-        cost = ScaledCost(inst.cost, 1.0 / gamma)
-        out = estimator(matching, gamma, C, n, seed, cost)
-        results.append((out, inst.query_count))
-    assert results[0] == results[1]
-    # each case reaches the edge it is named for
-    if case == "one-edge":
-        assert len(chunk_log) > 100
-    elif case == "below-min-chunk":
-        assert s < 64 and len(chunk_log) > 1
-    elif case == "later-piece":
-        # more hits taken from the last chunk than a piece holds draws
-        assert chunk_log[-1][1] > template._DRAW_PIECE
-    else:
-        hits, taken, last_hit = chunk_log[-1]
-        assert len(chunk_log) > 1 and hits == taken and last_hit
-
-
 def test_sample_and_estimate_memory_does_not_grow_with_draws():
-    # at the |S| cap a whole 2|S|-long draw chunk alone would take 16 MB;
-    # the kept prefix the sum is taken over is about 11 MB
-    n, gamma, C = 600, 0.1, 10
-    assert sample_size(gamma, C, n) == SAMPLE_SIZE_CAP
+    # |S| is about 3 * 10^8: the draws as indices would take 2.5 GB, while
+    # per-row draw counts and one read of the matched edges take a few n
+    n, gamma, C = 600, 0.1, 100
+    assert sample_size(gamma, C, n) > 3 * 10 ** 8
     costs = np.random.default_rng(4).integers(1, C + 1, size=(n, n)).astype(np.float64)
     inst = BipartiteInstance.from_matrix(costs)
     matching = _full_matching(n, 4)
@@ -390,7 +285,7 @@ def test_sample_and_estimate_memory_does_not_grow_with_draws():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24e6, f"sample_and_estimate peaked at {peak / 1e6:.1f} MB"
+    assert peak < 1e6, f"sample_and_estimate peaked at {peak / 1e6:.1f} MB"
 
 
 # -- full template runs --------------------------------------------------------------
@@ -440,11 +335,16 @@ def test_run_template_rejects_malformed_costs():
 @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
 def test_run_template_rejects_nan_and_negative_infinity(bad, variant):
     # only +inf is a non-edge: a check on finite values alone would let
-    # both through, and the template would answer without a word
+    # both through, and the template would answer without a word.  The
+    # sampled backend checks only the entries it reads, and it reads none
+    # before iteration 3 (no level >= 1 is eligible at a potential sum
+    # below 2) and not always (3, 7) after, so there every entry is bad
     costs = np.ones((20, 20))
     costs[3, 7] = bad
+    if variant == "sampled":
+        costs[:] = bad
     inst = BipartiteInstance.from_matrix(costs)
-    params = make_params(gamma=0.2, C=3, T=2, k=3)
+    params = make_params(gamma=0.2, C=3, T=3, k=3)
     with pytest.raises(ValueError, match=rf"malformed cost: {bad!r} is not an integer in \[1, 3\]"):
         run_template(inst, params, Backend(variant, seed=0), seed=0)
 
