@@ -285,12 +285,16 @@ class LevelCost(_AdapterCost):
             raise ValueError(f"C = {C} is below the level of w")
         self.readout = _Readout(base, self.n)
 
+    def level(self, vals):
+        """The level of each cost c <= w in ``vals``, without a read."""
+        return np.ceil(2.0 * vals / (self.gamma ** 2 * self.w)) + 1.0
+
     def _map(self, vals):
         if np.count_nonzero(vals >= 0) < vals.size:  # NaN fails this test too
             if np.isnan(vals).any():
                 raise ValueError("malformed cost: a cost read is NaN")
             _reject_negative(vals)
-        levels = np.ceil(2.0 * vals / (self.gamma ** 2 * self.w)) + 1.0
+        levels = self.level(vals)
         levels[vals > self.w] = np.inf  # w is finite, so +inf stays a non-edge
         return levels
 
@@ -512,9 +516,11 @@ class EmptyMatching(MatchingOracle):
 
 
 class ArrayMatching(MatchingOracle):
-    """Matching stored as per-side mate-index arrays."""
+    """Matching stored as per-side mate-index arrays.  ``base``, when
+    given, is the matching this one was cut from."""
 
-    def __init__(self, mate0: np.ndarray, mate1: np.ndarray):
+    def __init__(self, mate0: np.ndarray, mate1: np.ndarray,
+                 base: MatchingOracle | None = None):
         mate0 = np.asarray(mate0, dtype=np.int64)
         mate1 = np.asarray(mate1, dtype=np.int64)
         if len(mate0) != len(mate1):
@@ -522,6 +528,7 @@ class ArrayMatching(MatchingOracle):
         super().__init__(len(mate0))
         self._mate0 = mate0
         self._mate1 = mate1
+        self.base = base
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "ArrayMatching":

@@ -23,8 +23,9 @@ last one, or has a potential sum below 2, too low for a level >= 1 to be
 eligible; a greedy probe is skipped when its column was matched before
 its batch.  Skipping changes the reads, not the draws: paths and
 matchings are the same unless the budget binds.  The forward variant skips
-whole potential buckets below that sum, on both backends, before any draw,
-so the sampled backend spawns no child RNG for them.
+whole potential buckets below that sum before any draw, so the sampled
+backend spawns no child RNG for them, wherever every entry is known to be
+a level: on the exact backend and on a ``LevelCost``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import math
 import numpy as np
 
 from .core import (
-    UNMATCHED, ArrayMatching, CostOracle, MatchingOracle, MaterializedCost,
-    MembershipOracle, OverlayMatching, PotentialOracle, v0, v1,
+    UNMATCHED, ArrayMatching, CostOracle, LevelCost, MatchingOracle,
+    MaterializedCost, MembershipOracle, OverlayMatching, PotentialOracle, v0, v1,
 )
 
 __all__ = ["Backend", "backend_query_budget", "delta_out", "delta_out_forward"]
@@ -501,7 +502,12 @@ class Backend:
         i + j == c(u, v) + 1, and halts at the first pair that yields a
         matching (each pair is a plain large_match with delta_in / R^2).
         ``cost`` holds integer levels >= 1 or +inf, as the template's do,
-        so on both backends a pair with i + j < 2 is skipped unread.
+        so a pair with i + j < 2 is empty.  It is skipped unread where that
+        holds for every entry: on the exact backend, which read and checked
+        the whole cost when preparing it, and on a ``LevelCost``, whose
+        values are levels by construction.  Any other cost is checked only
+        where read, so the sampled backend still probes its i + j = 1
+        pairs, and a malformed entry there raises instead of going unseen.
         """
         n = cost.n
         R = phi.range_bound
@@ -517,12 +523,13 @@ class Backend:
         sub_delta = delta_in / (R * R)
         budget = self.query_budget(n)
         result = None
+        floor = 2 if self.variant == "exact" or isinstance(cost, LevelCost) else 1
         col_buckets = [(qv, cols_all[phi_c == qv]) for qv in np.unique(phi_c)]
         for pv in np.unique(phi_r):
             rows = rows_all[phi_r == pv]
             for qv, cols in col_buckets:
-                if pv + qv < 2:
-                    continue  # no level >= 1 is eligible: the bucket is empty
+                if pv + qv < floor:
+                    continue  # the bucket holds no valid cost
                 target = float(pv + qv) - 1.0  # i + j == c + 1
                 if self.variant == "exact":
                     mask = cost.block(rows, cols) == target

@@ -214,7 +214,12 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     cost (``stages.padded.instance.cost.C``) use C itself.
 
     ``report["matched_fraction"]`` is the exact matched size over n, read
-    through the returned matching (at most n cost reads).  ``stages.prepared``
+    through the returned matching (at most n cost reads).  That matching is
+    the template's final matching on the real pairs, less the edges at a
+    level above w's (``stages.template.alpha_w`` of them; the discarded
+    draws are 3 gamma_effective of the sample, and edges tied with w at its
+    level stay).  Nothing forces it to alpha * n; on uniform instances at
+    the defaults it holds about 0.9 n on both backends.  ``stages.prepared``
     is the instance over ``backend.prepare_cost``'s cost, degenerate sizes
     included; a later call on it with the same backend reads no cost again.
 

@@ -258,7 +258,7 @@ def sample_size(gamma: float, C: int, n: int) -> int:
 
 
 def sample_and_estimate(matching: MatchingOracle, gamma: float, C: int, n: int,
-                        seed, cost: CostOracle):
+                        seed, cost: CostOracle, level=None):
     """Trimmed-sum estimate of the matching cost from mate-oracle access.
 
     Draws |S| = ceil(48 (C/gamma)^2 ln n) of the |M| matched edges uniformly
@@ -270,11 +270,15 @@ def sample_and_estimate(matching: MatchingOracle, gamma: float, C: int, n: int,
 
     ``cost`` is read once per matched edge, and that one read serves the
     draw, w, alpha_w and the thresholded matching.  Returns
-    (c_hat, w, alpha_w, thresholded), all in ``cost``'s units: w is the
-    cheapest discarded draw's cost (+inf when nothing is discarded),
-    alpha_w the fraction of the matched edges costing more than w, and
-    ``thresholded`` an :class:`ArrayMatching` of the matched edges costing
-    at most w, whose ``base`` is ``matching``.
+    (c_hat, w, alpha_w, thresholded), c_hat and w in ``cost``'s units: w
+    is the cheapest discarded draw's cost (+inf when nothing is discarded)
+    and ``thresholded`` an :class:`ArrayMatching` of the matched edges kept
+    by the cut at w, whose ``base`` is ``matching``; alpha_w is the
+    fraction of the matched edges the cut drops.  The cut drops the edges
+    costing more than w, or, when ``level`` maps costs to the levels the
+    matching was built on, the edges at a level above w's: edges tied with
+    w at its level are kept, so the cut drops at most the edges above the
+    discarded draws' cheapest level.
     """
     rng = np.random.default_rng(seed)
     s = sample_size(gamma, C, n)
@@ -294,15 +298,16 @@ def sample_and_estimate(matching: MatchingOracle, gamma: float, C: int, n: int,
     kept = np.diff(np.minimum(cum, keep), prepend=0)
     c_hat = (len(rows) / s) * float(sorted_costs @ kept)
     w = float(sorted_costs[np.searchsorted(cum, keep, side="right")]) if d > 0 else math.inf
-    over = costs > w
+    if level is None:
+        over = costs > w
+    else:
+        over = level(costs) > level(np.float64(w))
     alpha_w = float(np.count_nonzero(over)) / len(rows)
     mate0 = np.full(n, UNMATCHED, dtype=np.int64)
     mate1 = mate0.copy()
     mate0[rows[~over]] = cols[~over]
     mate1[cols[~over]] = rows[~over]
-    thresholded = ArrayMatching(mate0, mate1)
-    thresholded.base = matching
-    return c_hat, w, alpha_w, thresholded
+    return c_hat, w, alpha_w, ArrayMatching(mate0, mate1, matching)
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +373,16 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
     Costs must be integers in [1, params.C], +inf marking a non-edge: a
     ``LevelCost`` with ``C <= params.C`` is so by construction, and any
     other cost is checked when read (on the exact backend all at once).
-    The iterations run on these levels; the estimate, w and alpha_w are
-    read by :func:`sample_and_estimate` in the instance's own units: from a
+    The iterations run on these levels; the estimate and w are read by
+    :func:`sample_and_estimate` in the instance's own units: from a
     ``LevelCost``'s ``readout`` (each real pair's base cost, 0 on pairs
     that touch a dummy), and from the checked cost itself otherwise.  So
     the estimate is the trimmed sample of the final matching's costs,
-    extrapolated by |M| / |S|, and ``result.matching`` the matched edges
-    costing at most w (its ``base`` the untrimmed final matching).
+    extrapolated by |M| / |S|.  ``result.matching`` is an
+    :class:`ArrayMatching` of the final matching's edges at a level no
+    higher than w's, edges tied with w at its level kept, and alpha_w the
+    fraction cut; its ``base`` is the untrimmed final matching, also when
+    that is empty and the estimate 0.
 
     ``collect_trace`` fills ``result.trace`` with one diagnostic record per
     iteration, each a dense read plus a vertex cover, so it is off by default.
@@ -387,10 +395,11 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
     n = instance.n
     cost = instance.cost
     if isinstance(cost, LevelCost) and cost.C <= params.C:
-        readout = cost.readout
+        readout, level = cost.readout, cost.level
         cost = backend.prepare_cost(cost)
     else:
         cost = readout = backend.prepare_cost(_ValidatingCost(cost, params.C))
+        level = None  # the costs are their own levels
     matching: MatchingOracle = EmptyMatching(n)
     phi: PotentialOracle = ZeroPotential(n, params.range_bound)
     states = [IterationState(0, matching, phi)]
@@ -407,7 +416,9 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
             trace.append(rec)
     if matching.size() == 0:
         # nothing ever became eligible: the estimate of an empty matching is 0
-        return TemplateResult(0.0, matching, math.inf, 0.0, states, trace)
+        unmatched = np.full(n, UNMATCHED, dtype=np.int64)
+        return TemplateResult(0.0, ArrayMatching(unmatched, unmatched.copy(), matching),
+                              math.inf, 0.0, states, trace)
     c_hat, w, alpha_w, thresholded = sample_and_estimate(
-        matching, params.gamma, params.C, n, seed, readout)
+        matching, params.gamma, params.C, n, seed, readout, level)
     return TemplateResult(c_hat, thresholded, w, alpha_w, states, trace)

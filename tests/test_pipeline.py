@@ -709,6 +709,21 @@ def test_exact_estimate_lands_in_window_at_the_defaults():
         assert res.report["matched_fraction"] >= config.alpha
 
 
+def test_sampled_matching_is_large_enough_at_the_defaults():
+    # the cut at w keeps the edges tied with w at its level, so the sampled
+    # backend's returned matching holds alpha * n edges too, at the defaults
+    # and at the sampled pin's T = 8, k = 5
+    config = ReductionConfig(0.85, 1.0, 0.1)
+    cases = [(200, int(child.generate_state(1)[0]), {}, {})
+             for child in np.random.SeedSequence(22).spawn(4)]
+    cases.append((128, 4, {"epsilon": 0.2}, {"T": 8, "k": 5}))
+    for n, seed, sampler, budget in cases:
+        res = estimate_min_weight_matching(uniform_instance(n, seed), config,
+                                           Backend.sampled(seed=seed, **sampler),
+                                           seed=seed, **budget)
+        assert res.report["matched_fraction"] >= config.alpha, seed
+
+
 def test_knapsack_answer_and_reads_are_pinned():
     # pins today's answer, not a correct one: the exact size is 166 (the
     # answer was 50.0 while the estimate was read from rounded levels), and

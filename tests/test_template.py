@@ -185,6 +185,21 @@ def test_sample_and_estimate_discards_expensive_tail():
     assert thresholded.edges() == [(i, i) for i in range(5, n)]  # the 20s are cut
 
 
+def test_sample_and_estimate_keeps_ties_at_the_level_of_w():
+    # ten dearer edges, distinct costs on one level: the cut at w's cost
+    # drops some of them, the cut at w's level none; c_hat and w are the same
+    n = 50
+    costs = np.ones((n, n))
+    costs[np.arange(10), np.arange(10)] = np.linspace(2.1, 2.9, 10)
+    matching = ArrayMatching.from_pairs(n, [(i, i) for i in range(n)])
+    cost = BipartiteInstance.from_matrix(costs).cost
+    by_cost = sample_and_estimate(matching, 0.05, 3, n, 3, cost)
+    by_level = sample_and_estimate(matching, 0.05, 3, n, 3, cost, level=np.ceil)
+    assert by_cost[:2] == by_level[:2] and 2.1 < by_cost[1] < 2.9
+    assert by_cost[2] > 0 and by_cost[3].size() == n - round(by_cost[2] * n)
+    assert by_level[2] == 0.0 and by_level[3].size() == n
+
+
 def _sort_based_sample_and_estimate(matching, gamma, C, n, seed, cost):
     """The estimator without draw counts: the same multinomial draw
     materialized as |S| samples, sorted and trimmed."""
@@ -316,6 +331,10 @@ def test_run_template_empty_eligibility_keeps_empty_matching():
     res = run_template(inst, params, Backend.exact(), seed=0)
     assert res.estimate == 0.0
     assert res.matching.size() == 0
+    # the same kind of result as a non-empty run: an ArrayMatching cut from
+    # the final matching
+    assert isinstance(res.matching, ArrayMatching)
+    assert res.matching.base is res.states[-1].matching
 
 
 def test_run_template_rejects_malformed_costs():
@@ -335,16 +354,11 @@ def test_run_template_rejects_malformed_costs():
 @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
 def test_run_template_rejects_nan_and_negative_infinity(bad, variant):
     # only +inf is a non-edge: a check on finite values alone would let
-    # both through, and the template would answer without a word.  The
-    # sampled backend checks only the entries it reads, and it reads none
-    # before iteration 3 (no level >= 1 is eligible at a potential sum
-    # below 2) and not always (3, 7) after, so there every entry is bad
+    # both through, and the template would answer without a word
     costs = np.ones((20, 20))
     costs[3, 7] = bad
-    if variant == "sampled":
-        costs[:] = bad
     inst = BipartiteInstance.from_matrix(costs)
-    params = make_params(gamma=0.2, C=3, T=3, k=3)
+    params = make_params(gamma=0.2, C=3, T=2, k=3)
     with pytest.raises(ValueError, match=rf"malformed cost: {bad!r} is not an integer in \[1, 3\]"):
         run_template(inst, params, Backend(variant, seed=0), seed=0)
 
