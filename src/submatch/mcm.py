@@ -16,16 +16,17 @@ length, free-to-free edges included, pruning dead ends proven independent
 of the current path.  The sampled
 backend is a best-effort randomized implementation under a hard per-call
 query budget and exists to demonstrate empirical sublinearity.  Its path
-search and greedy draw every probe but read only those their candidate
-loops could accept.  A path probe is skipped unread when its side-1 end
-is used, is the row's own mate, is free on an inner hop or matched on the
-last one, or has a potential sum below 2, too low for a level >= 1 to be
-eligible; a greedy probe is skipped when its column was matched before
-its batch.  Skipping changes the reads, not the draws: paths and
-matchings are the same unless the budget binds.  The forward variant skips
-whole potential buckets below that sum before any draw, so the sampled
-backend spawns no child RNG for them, wherever every entry is known to be
-a level: on the exact backend and on a ``LevelCost``.
+search walks the free starts in groups of ``_PATH_GROUP`` in lockstep,
+one draw and one read per hop for the whole group.  It and the greedy
+draw every probe but read only those they could accept.  A path probe
+is skipped unread when its side-1 end is used (a row's own mate is), is
+free on an inner hop or matched on the last one, or has a potential sum
+below 2, too low for a level >= 1 to be eligible; a greedy probe is
+skipped when its column was matched before its batch.  Skipping changes
+the reads, not the draws or picks, unless the budget binds.  The forward
+variant skips whole potential buckets below that sum before any draw, so
+the sampled backend spawns no child RNG for them, wherever every entry
+is known to be a level: on the exact backend and on a ``LevelCost``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from .core import (
 )
 
 __all__ = ["Backend", "backend_query_budget", "delta_out", "delta_out_forward"]
+
+#: free starts the sampled path search walks in lockstep (see augment_eligible)
+_PATH_GROUP = 16
 
 
 def delta_out(delta_in: float) -> float:
@@ -361,7 +365,8 @@ class Backend:
     backend's one query knob: it must be positive, values above 0.2 act as
     0.2, and it sets every call's budget and probe count, so the
     subroutines take no epsilon of their own.  A sampled augmentation
-    call reads each matched edge's tightness at most once.  Sampled calls
+    call walks free starts in groups and reads each matched edge's
+    tightness at most once.  Sampled calls
     read only the probes that could change their answer and log the rest
     as ``skipped``, probes drawn but not passed to the cost oracle.  Where
     every probe is a counted read and the budget does not bind,
@@ -561,7 +566,9 @@ class Backend:
         Tries each exact odd length 2k'+1 <= k in turn and succeeds on the
         first length class that yields at least gamma * n / k disjoint paths
         (and at least one, so a successful call always makes progress).
-        Sampled calls log ``memo_hits``: matched-edge tightness lookups
+        Sampled calls walk each class's free starts in random order, in
+        groups of ``_PATH_GROUP`` that share one draw and one read per hop,
+        and log ``memo_hits``: matched-edge tightness lookups
         served from the call's memo instead of a read.  ``cost`` holds
         integer levels >= 1 or +inf, as the template's do, so the sampled
         path search reads no probe with phi0 + phi1 < 2.
@@ -665,101 +672,93 @@ class Backend:
         """Randomized bounded-depth search for disjoint eligible augmenting
         paths; succeeds on the first exact length class reaching the bar.
 
-        Potentials and mates are snapshots that stay fixed for the whole
-        call, and paths take effect only in the returned overlay, so the
-        tightness of a matched edge (mate1[j], j) cannot change within the
-        call: it is read at most once per call and kept in an int8 memo
-        keyed by j (-1 means not read yet).  Returns the overlay (or None)
-        and the number of tightness lookups the memo served.
+        A group hop draws ``probes`` side-1 vertices per live start and
+        reads those the hop could accept in one ``pairs`` call.  A start
+        takes its first eligible probe in draw order, on an inner hop its
+        first whose matched edge is tight, or drops out and frees its marks;
+        picks go in start order and mark j used at once, which keeps the
+        paths node-disjoint and off themselves.  Potentials and mates are
+        fixed for the call and paths take effect only in the returned
+        overlay, so a matched edge's tightness is read at most once per
+        call, in rounds that read each start's candidates up to its first
+        tight one, into an int8 memo keyed by j (-1: not read yet; a free j,
+        a path's end, is 1 unread).  Returns the overlay (or None) and the
+        number of tightness lookups the memo served.
         """
         n = cost.n
         rng = self._rng()
         budget = self.query_budget(n)
         phi0 = phi.eval_many(v0(np.arange(n, dtype=np.int64)))
         phi1 = phi.eval_many(v1(np.arange(n, dtype=np.int64)))
-        mate0 = m_in.mate_of_v0()
         mate1 = m_in.mate_of_v1()
-        free0_all = np.nonzero(mate0 == UNMATCHED)[0]
+        free0 = np.nonzero(m_in.mate_of_v0() == UNMATCHED)[0]
         probes = max(16, int(round(n ** (1.0 - min(self.epsilon, 0.2)))))
-        memo = np.full(n, -1, dtype=np.int8)
-        memo_hits = 0
-
-        def candidates(i, js, last, used1):
-            # read only the probes the candidate loop could accept: j is
-            # free on the last hop and matched on an inner one, unused, not
-            # i's mate, and phi0[i] + phi1[j] >= 2 (costs are levels >= 1 or
-            # +inf, so a smaller sum is never c + 1)
-            free = mate1[js] == UNMATCHED
-            keep = ((free if last else ~free) & ~used1[js] & (js != mate0[i])
-                    & (phi0[i] + phi1[js] >= 2))
-            js = js[keep]
-            self._skipped += len(keep) - len(js)
-            if len(js) == 0:
-                return js
-            vals = cost.pairs(np.full(len(js), i), js)
-            return js[phi0[i] + phi1[js] == vals + 1]
-
-        def tight_matched(j):
-            nonlocal memo_hits
-            if memo[j] < 0:
-                i2 = mate1[j]
-                memo[j] = phi0[i2] + phi1[j] == cost.pairs([i2], [j])[0]
-            else:
-                memo_hits += 1
-            return memo[j] == 1
+        memo = np.where(mate1 == UNMATCHED, 1, -1).astype(np.int8)
+        lookups = tight_reads = 0
 
         for half_len in range((k + 1) // 2):
-            # a path's side-0 vertices are its free start and the mates of
-            # its side-1 vertices, so marking the side-1 ones keeps paths
-            # disjoint: each start is drawn once, and a used j's mate is used
-            used1 = np.zeros(n, dtype=bool)
+            # side-1 states: 1 free, 2 matched, 0 used by this class's paths; a
+            # path's side-0 vertices are its start and the mates of its side-1
+            # ones, so marking these keeps paths disjoint and a row's mate used
+            state = np.where(mate1 == UNMATCHED, 1, 2).astype(np.int8)
             paths = []
-            order = rng.permutation(free0_all)
-            for start in order:
-                if budget - (cost.counter.count - before) < probes * (half_len + 1) + 4:
-                    break
-                path = self._sample_one_path(
-                    int(start), half_len, used1, mate1, n, rng, probes,
-                    candidates, tight_matched)
-                if path is not None:
-                    paths.append(path)
-                    used1[path[1::2]] = True
+            order = rng.permutation(free0).tolist()
+            for g in range(0, len(order), _PATH_GROUP):
+                seqs = [[start] for start in order[g:g + _PATH_GROUP]]
+                hop = 0
+                while seqs and hop <= half_len:
+                    last = hop == half_len
+                    # the hop's worst case: a pairs and a tightness read per probe
+                    worst = len(seqs) * probes * (1 if last else 2)
+                    if budget - (cost.counter.count - before) < worst:
+                        break
+                    cur = np.array([seq[-1] for seq in seqs])
+                    js = rng.integers(0, n, size=(len(seqs), probes))
+                    sums = phi0[cur][:, None] + phi1[js]
+                    keep = (state[js] == (1 if last else 2)) & (sums >= 2)
+                    rows, cols = np.nonzero(keep)  # row-major: draw order per start
+                    self._skipped += keep.size - len(rows)
+                    js = js[rows, cols]
+                    ok = sums[rows, cols] == cost.pairs(cur[rows], js) + 1
+                    cands = [[] for _ in seqs]  # each start's eligible probes
+                    for r, j in zip(rows[ok].tolist(), js[ok].tolist()):
+                        cands[r].append(j)
+                    ptr, todo, picked = [0] * len(seqs), range(len(seqs)), []
+                    while todo:  # one round of tightness reads
+                        heads = []
+                        for r in todo:  # skip used and known non-tight candidates
+                            c, p = cands[r], ptr[r]
+                            while p < len(c) and (state[c[p]] == 0 or memo[c[p]] == 0):
+                                lookups += bool(state[c[p]])
+                                p += 1
+                            ptr[r] = p
+                            if p < len(c):
+                                heads.append((r, c[p]))
+                                lookups += not last
+                        unread = sorted({j for _, j in heads if memo[j] < 0})
+                        if unread:
+                            i2 = mate1[unread]
+                            memo[unread] = phi0[i2] + phi1[unread] == cost.pairs(i2, unread)
+                            tight_reads += len(unread)
+                        todo = []
+                        for r, j in heads:  # picks in start order
+                            if state[j] and memo[j] == 1:
+                                state[j] = 0
+                                seqs[r] += [j] if last else [j, int(mate1[j])]
+                                picked.append(r)
+                            else:  # not tight, or an earlier start took j this round
+                                ptr[r] += 1
+                                todo.append(r)
+                    for r in set(range(len(seqs))) - set(picked):
+                        state[seqs[r][1::2]] = 2  # a dropped start frees its marks
+                    seqs = [seqs[r] for r in sorted(picked)]
+                    hop += 1
+                if seqs and hop <= half_len:
+                    break  # the budget cannot cover the next hop
+                paths += seqs
             if len(paths) >= bar and len(paths) >= 1:
-                return _augment_overlay(m_in, paths), memo_hits
-        return None, memo_hits
-
-    def _sample_one_path(self, start, half_len, used1, mate1, n, rng, probes,
-                         candidates, tight_matched):
-        seq = [start]
-        onpath1 = set()  # its mates are the path's side-0 vertices after start
-        i = start
-        for hop in range(half_len + 1):
-            last = hop == half_len
-            cand = None
-            # eligible unused probes in draw order, free on the last hop and
-            # matched on inner hops
-            for j in candidates(i, rng.integers(0, n, size=probes), last, used1):
-                j = int(j)
-                if j in onpath1:
-                    continue
-                if last:
-                    cand = (j, None)
-                    break
-                i2 = int(mate1[j])
-                if not tight_matched(j):
-                    continue  # matched edge not tight, cannot walk back
-                cand = (j, i2)
-                break
-            if cand is None:
-                return None
-            j, i2 = cand
-            seq.append(j)
-            onpath1.add(j)
-            if i2 is None:
-                return seq
-            seq.append(i2)
-            i = i2
-        return None
+                return _augment_overlay(m_in, paths), lookups - tight_reads
+        return None, lookups - tight_reads
 
 
 def _probe_greedy(rng, n, rows, cols, edges, counter, budget, stall_limit):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from submatch import baseline
+from submatch import baseline, mcm
 from submatch.core import (
     UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, MatrixCost,
     SetMembership, ZeroPotential, v0, v1,
@@ -409,6 +409,14 @@ def test_sampled_reproducible():
         b = Backend.sampled(seed=11, epsilon=0.15)
         size, m = b.approx_match(mask_cost(mask), 0.0)
         runs.append((size, tuple(m.mate_of_v0())))
+    assert runs[0] == runs[1]
+    # the grouped path search too: the same paths and the same call record
+    costs, phi, m, k, gamma = _augment_state(9)  # three paths through two matched edges
+    runs = []
+    for _ in range(2):
+        b = Backend.sampled(seed=11, epsilon=0.15)
+        got = b.augment_eligible(phi, m, k, gamma, MatrixCost(costs))
+        runs.append((got.augmenting_paths, b.call_log))
     assert runs[0] == runs[1]
 
 
@@ -1074,9 +1082,75 @@ def _augment_state(seed):
     return costs, FixedPotential(p0, p1), ArrayMatching.from_pairs(n, pairs), k, gamma
 
 
-def test_sampled_augment_memo_equals_rereading_reference():
+def _assert_valid_augmentation(out, phi, m, costs, k, bar):
+    """``out`` flips node-disjoint eligible augmenting paths of one exact
+    length <= k + 1 into ``m``, at least ``bar`` of them: each runs from a
+    free side-0 vertex to a free side-1 vertex and alternates eligible
+    non-matched edges (phi0 + phi1 == c + 1) with tight matched ones."""
+    m0, m1 = m.mate_of_v0(), m.mate_of_v1()
+    paths = out.augmenting_paths
+    assert len(paths) >= bar and len(paths) >= 1
+    assert len({len(path) for path in paths}) == 1 and len(paths[0]) <= k + 1
+    for side in (0, 1):
+        seen = [x for path in paths for x in path[side::2]]
+        assert len(seen) == len(set(seen))  # node-disjoint
+    for path in paths:
+        assert len(path) % 2 == 0
+        assert m0[path[0]] == UNMATCHED and m1[path[-1]] == UNMATCHED
+        for t in range(0, len(path), 2):
+            i, j = path[t], path[t + 1]
+            assert m0[i] != j and phi.p0[i] + phi.p1[j] == costs[i, j] + 1
+            assert out.mate_of_v0()[i] == j and out.mate_of_v1()[j] == i
+            if t + 2 < len(path):
+                assert m1[j] == path[t + 2]
+                assert phi.p0[path[t + 2]] + phi.p1[j] == costs[path[t + 2], j]
+
+
+def test_sampled_augment_paths_are_valid_and_memo_reads_once():
     lengths = []
-    nontight_rereads = low_sum_reference_reads = 0
+    nontight_rereads = low_sum_reference_reads = memo_hits = 0
+    for seed in range(24):
+        costs, phi, m, k, gamma = _augment_state(seed)
+        n = len(costs)
+        b = Backend.sampled(seed=seed, epsilon=0.1)
+        cost = _ReadLog(costs, m)
+        got = b.augment_eligible(phi, m, k, gamma, cost)
+        rb = Backend.sampled(seed=seed, epsilon=0.1)
+        _pinned_rng(rb, seed)
+        ref_cost = _ReadLog(costs, m)
+        ref = _reference_sampled_augment(rb, phi, m, k, gamma * n / k, ref_cost, 0)
+
+        # the grouped search and the one-start-at-a-time reference draw
+        # different streams; both must return valid augmentations
+        for out in (got, ref):
+            if out is not None:
+                _assert_valid_augmentation(out, phi, m, costs, k, gamma * n / k)
+        if got is not None:
+            lengths += [len(path) for path in got.augmenting_paths]
+        # each matched edge's tightness is read at most once per call
+        rec = b.call_log[-1]
+        assert len(cost.on_matching) == len(set(cost.on_matching))
+        assert rec["queries"] == cost.counter.count
+        memo_hits += rec["memo_hits"]
+        for (i, j) in set(ref_cost.singles):
+            if phi.p0[i] + phi.p1[j] != costs[i, j]:
+                nontight_rereads += ref_cost.singles.count((i, j)) - 1
+        # costs are levels >= 1, so a probe whose potential sum is at most 1
+        # is never eligible and never read; the reference reads them
+        assert all(phi.p0[i] + phi.p1[j] >= 2 for i, j in cost.probes)
+        low_sum_reference_reads += sum(phi.p0[i] + phi.p1[j] <= 1 for i, j in ref_cost.probes)
+    # paths through one and two matched edges are checked, and the memo
+    # is hit repeatedly on matched edges that are not tight
+    assert lengths.count(4) >= 10 and lengths.count(6) >= 5
+    assert nontight_rereads >= 10 and memo_hits >= 10
+    assert low_sum_reference_reads >= 1000
+
+
+def test_sampled_augment_in_groups_of_one_is_the_sequential_reference(monkeypatch):
+    # a group of one start walks alone, so the grouped search draws, reads
+    # and picks as the one-start-at-a-time reference does, less its
+    # repeated tightness reads and its reads of probes it could not accept
+    monkeypatch.setattr(mcm, "_PATH_GROUP", 1)
     for seed in range(24):
         costs, phi, m, k, gamma = _augment_state(seed)
         n = len(costs)
@@ -1092,32 +1166,44 @@ def test_sampled_augment_memo_equals_rereading_reference():
         assert (got is None) == (ref is None)
         if got is not None:
             assert got.augmenting_paths == ref.augmenting_paths
-            assert got.mate_of_v0().tolist() == ref.mate_of_v0().tolist()
-            assert got.mate_of_v1().tolist() == ref.mate_of_v1().tolist()
-            lengths += [len(path) for path in got.augmenting_paths]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        # each matched edge is read once, at its first lookup; the memo
-        # serves exactly the reference's repeated lookups, and every probe
-        # the reference read is either read or logged as skipped
         rec = b.call_log[-1]
         repeats = len(ref_cost.singles) - len(set(ref_cost.singles))
         assert cost.on_matching == list(dict.fromkeys(ref_cost.singles))
         assert rec["memo_hits"] == repeats
-        assert rec["queries"] == cost.counter.count
         assert rec["queries"] + rec["skipped"] == ref_cost.counter.count - repeats
-        assert rec["queries"] <= ref_cost.counter.count
-        for (i, j) in set(ref_cost.singles):
-            if phi.p0[i] + phi.p1[j] != costs[i, j]:
-                nontight_rereads += ref_cost.singles.count((i, j)) - 1
-        # costs are levels >= 1, so a probe whose potential sum is at most 1
-        # is never eligible and never read; the reference reads them
-        assert all(phi.p0[i] + phi.p1[j] >= 2 for i, j in cost.probes)
-        low_sum_reference_reads += sum(phi.p0[i] + phi.p1[j] <= 1 for i, j in ref_cost.probes)
-    # paths through one and two matched edges are compared, and the memo
-    # is hit repeatedly on matched edges that are not tight
-    assert lengths.count(4) >= 10 and lengths.count(6) >= 5
-    assert nontight_rereads >= 10
-    assert low_sum_reference_reads >= 1000
+
+
+def test_sampled_augment_stays_within_a_budget_that_binds():
+    # at n = 4..8 the budget 4 n^1.9 ln n is 78-433 reads, a few group hops
+    # of 16 probes per start, so the search must stop between hops; free
+    # rows reach free columns only through matched edges
+    binds = 0
+    for seed in range(60):
+        rng = np.random.default_rng([8, seed])
+        n = int(rng.integers(4, 9))
+        costs = rng.integers(1, 3, (n, n)).astype(float)
+        p0, p1 = rng.integers(1, 3, n), rng.integers(0, 2, n)
+        perm = rng.permutation(n)
+        pairs = [(i, int(perm[i])) for i in range(n) if rng.random() < 0.5]
+        for i, j in pairs:
+            costs[i, j] = p0[i] + p1[j] - (rng.random() < 0.3)  # tight or not
+        costs[np.ix_(np.setdiff1d(np.arange(n), [i for i, _ in pairs]),
+                     np.setdiff1d(np.arange(n), [j for _, j in pairs]))] = 9.0
+        m, phi = ArrayMatching.from_pairs(n, pairs), FixedPotential(p0, p1)
+        outs = []
+        for unbounded in (False, True):
+            b = Backend.sampled(seed=seed, epsilon=0.1)
+            if unbounded:
+                b.query_budget = lambda n: 10 ** 9
+            got = b.augment_eligible(phi, m, 7, 7 / n, MatrixCost(costs))  # bar 1
+            rec = b.call_log[-1]
+            assert rec["queries"] <= rec["budget"]
+            if got is not None:
+                _assert_valid_augmentation(got, phi, m, costs, 7, 1)
+            outs.append((got and got.augmenting_paths, rec["queries"]))
+        binds += outs[0] != outs[1]
+    assert binds >= 3
 
 
 def test_sampled_greedy_direct_draws_equal_choice_reference():
@@ -1195,13 +1281,11 @@ def test_sampled_augment_never_walks_back_onto_its_path():
     found = 0
     for seed in range(20):
         b = Backend.sampled(seed=seed, epsilon=0.1)
-        _pinned_rng(b, seed)
         got = b.augment_eligible(phi, m, 7, 0.5, MatrixCost(costs))  # bar 4/7
         rb = Backend.sampled(seed=seed, epsilon=0.1)
-        _pinned_rng(rb, seed)
         ref = _reference_sampled_augment(rb, phi, m, 7, 4 / 7, MatrixCost(costs), 0)
-        assert (got is None) == (ref is None)
-        if got is not None:
-            assert got.augmenting_paths == ref.augmenting_paths == [[0, 1, 1, 2, 2, 3, 3, 0]]
-            found += 1
+        for out in (got, ref):
+            if out is not None:
+                assert out.augmenting_paths == [[0, 1, 1, 2, 2, 3, 3, 0]]
+        found += got is not None
     assert found >= 8

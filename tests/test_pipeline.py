@@ -664,13 +664,14 @@ def test_sampled_estimate_and_reads_are_pinned():
     # the sampled backend reads on demand, only the probes that can change
     # its answer; read from the rounded levels, with target-0 forward
     # buckets probed and the matched edges read three times, the answer
-    # was 44.79995253571114 from 120088 reads
+    # was 44.79995253571114 from 120088 reads, and with one path search per
+    # free start, not per group of starts, 10.027269439334248 from 118086
     inst = uniform_instance(128, 4)
     res = estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
                                        Backend.sampled(seed=4, epsilon=0.2),
                                        seed=4, T=8, k=5)
-    assert res.estimate == 10.027269439334248
-    assert inst.query_count == 118086
+    assert res.estimate == 10.379811412231367
+    assert inst.query_count == 117945
 
 
 def test_sampled_estimate_reads_each_real_matched_edge_once(monkeypatch):
