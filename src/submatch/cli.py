@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -21,7 +20,9 @@ from .core import BipartiteInstance, read_instance, write_instance
 from .emd import DiscreteDistribution, StreamSource, estimate_emd_detailed
 from .generators import GENERATORS, make_instance
 from .mcm import Backend
-from .pipeline import ReductionConfig, estimate_min_weight_matching, max_matching_under_budget
+from .pipeline import (
+    ReductionConfig, _floor_size, estimate_min_weight_matching, max_matching_under_budget,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -82,8 +83,8 @@ def cmd_estimate_mwm(args) -> int:
     if args.exact:
         dense = inst.cost.peek_block(np.arange(inst.n), np.arange(inst.n))
         sweep = baseline.min_weight_matching_sweep(dense)
-        lo = float(sweep[int(math.floor(args.alpha * inst.n))])
-        hi = float(sweep[int(math.floor(args.beta * inst.n))])
+        lo = float(sweep[_floor_size(args.alpha, inst.n)])
+        hi = float(sweep[_floor_size(args.beta, inst.n)])
         payload["exact_alpha_cost"] = lo
         payload["exact_beta_cost"] = hi
         payload["sandwich_ok"] = bool(lo <= res.estimate <= hi)
@@ -141,8 +142,6 @@ def cmd_knapsack(args) -> int:
 
 
 def _add_common(p, budget=False):
-    p.add_argument("--alpha", type=float, default=0.85)
-    p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=0.1)
     if budget:
         p.add_argument("--budget", type=float, required=True)
@@ -181,6 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate-mwm", help="estimate min-weight matching cost")
     _add_instance_args(p)
+    p.add_argument("--alpha", type=float, default=0.85)
+    p.add_argument("--beta", type=float, default=1.0)
     _add_common(p)
     p.add_argument("--exact", action="store_true",
                    help="also compute the exact baseline sandwich (desk scale)")

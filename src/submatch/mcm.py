@@ -15,7 +15,11 @@ for a whole Step 1, and one bounded-length path search serves every path
 length, free-to-free edges included, pruning dead ends proven independent
 of the current path.  The sampled
 backend is a best-effort randomized implementation under a hard per-call
-query budget and exists to demonstrate empirical sublinearity.  Its path
+query budget and exists to demonstrate empirical sublinearity.  Its
+matching-size probes (``approx_match``, ``large_match`` and each forward
+bucket) are one probe greedy alone, batches of random probes with every
+hit between two free ends matched and no augmenting path after, so a
+sampled size can fall well short of the maximum.  Its path
 search walks the free starts in groups of ``_PATH_GROUP`` in lockstep,
 one draw and one read per hop for the whole group.  It and the greedy
 draw every probe but read only those they could accept.  A path probe
@@ -364,10 +368,12 @@ class Backend:
     asserted against :func:`backend_query_budget`.  ``epsilon`` is the
     backend's one query knob: it must be positive, values above 0.2 act as
     0.2, and it sets every call's budget and probe count, so the
-    subroutines take no epsilon of their own.  A sampled augmentation
-    call walks free starts in groups and reads each matched edge's
-    tightness at most once.  Sampled calls
-    read only the probes that could change their answer and log the rest
+    subroutines take no epsilon of their own.  The sampled
+    ``approx_match``, ``large_match`` and forward buckets each run one
+    probe greedy (:meth:`_probe_greedy`) and nothing after it.  A sampled
+    augmentation call walks free starts in groups and reads each matched
+    edge's tightness at most once.  Sampled calls read only the probes
+    that could change their answer and log the rest
     as ``skipped``, probes drawn but not passed to the cost oracle.  Where
     every probe is a counted read and the budget does not bind,
     ``queries + skipped`` is what reading every probe would cost; a padded
@@ -444,8 +450,11 @@ class Backend:
         Hopcroft-Karp from that call's matching, less its pairs of cost
         above ``limit``; any other cost starts from the empty matching.
         The size is the maximum either way, so only which maximum matching
-        comes back depends on the calls before.  Each record logs ``size``,
-        and each exact one ``carried``, the number of pairs it started from.
+        comes back depends on the calls before.  Sampled calls return the
+        probe greedy's matching over all pairs under the full budget, with
+        no augmentation after it, so their size is a lower bound on the
+        maximum.  Each record logs ``size``, and each exact one
+        ``carried``, the number of pairs it started from.
         """
         n = cost.n
         before = cost.counter.count
@@ -466,7 +475,10 @@ class Backend:
             self._warm = (cost, mate0, mate1)
             extra["carried"] = carried
         else:
-            size, mate0, mate1 = self._sampled_greedy(cost, limit, None)
+            every = np.arange(n, dtype=np.int64)
+            size, mate0, mate1 = self._probe_greedy(
+                cost, every, every, lambda is_, js: cost.pairs(is_, js) <= limit,
+                self.query_budget(n), 10)
         self._log("approx_match", cost.counter, before, n, size=size, **extra)
         return size, ArrayMatching(mate0, mate1)
 
@@ -490,7 +502,9 @@ class Backend:
             mu, sub_mate0, _ = _hopcroft_karp(_mask_to_adj(mask), len(rows), len(cols))
             out = None if mu < delta_in * n else _global_matching(n, rows, cols, sub_mate0)
         else:
-            size, mate0, mate1 = self._sampled_greedy(cost, limit, (rows, cols))
+            size, mate0, mate1 = self._probe_greedy(
+                cost, rows, cols, lambda is_, js: cost.pairs(is_, js) <= limit,
+                self.query_budget(n), 10)
             large = size >= delta_out(delta_in) * n and size > 0
             out = ArrayMatching(mate0, mate1) if large else None
         self._log("large_match", cost.counter, before, n)
@@ -548,8 +562,10 @@ class Backend:
                     remaining = budget - (cost.counter.count - before)
                     if remaining <= 0:
                         break
-                    size, m0, m1 = self._sampled_greedy_subset(
-                        cost, rows, cols, target, mate0, remaining)
+                    size, m0, m1 = self._probe_greedy(
+                        cost, rows, cols,
+                        lambda is_, js: (cost.pairs(is_, js) == target) & (mate0[is_] != js),
+                        remaining, 8)
                     if size >= delta_out_forward(delta_in, R) * n and size > 0:
                         result = ArrayMatching(m0, m1)
                         break
@@ -607,65 +623,46 @@ class Backend:
         return out
 
     # -- sampled internals ---------------------------------------------------
-    def _sampled_greedy(self, cost: CostOracle, limit: float, subset):
-        """Greedy matching from random edge probes plus one length-3
-        augmentation pass, all under the per-call budget."""
+    def _probe_greedy(self, cost: CostOracle, rows, cols, edges, budget: int,
+                      stall_limit: int):
+        """Greedy matching on rows x cols from batches of random probes.
+
+        Each batch draws up to 2 probes per free row from the call's child
+        RNG, ``edges(is_, js)`` tests them and every hit whose ends are both
+        still free is matched.  A column matched before the batch stays
+        matched through it, so its probes are not read but added to
+        ``skipped``.  Probing stops when no row is free, when the reads
+        counted on ``cost`` since the call began leave ``len(rows)`` or
+        fewer of ``budget``, or after ``stall_limit`` batches in a row that
+        matched nothing.  Returns (size, mate0, mate1), the mates as
+        length-n index arrays.
+        """
         n = cost.n
         rng = self._rng()
-        if subset is None:
-            rows = np.arange(n, dtype=np.int64)
-            cols = np.arange(n, dtype=np.int64)
-        else:
-            rows, cols = subset
-        budget = self.query_budget(n)
-        before = cost.counter.count
-
-        def edges(is_, js):
-            return cost.pairs(is_, js) <= limit
-
-        mate0, mate1, skipped = _probe_greedy(rng, n, rows, cols, edges, cost.counter,
-                                              budget, 10)
-        self._skipped += skipped
-
-        def remaining():
-            return budget - (cost.counter.count - before)
-
-        # one pass of random length-3 augmentations
-        free_r = rows[mate0[rows] == -1]
-        trials = 0
-        while remaining() > 4 and trials < 2 * len(free_r):
-            trials += 1
+        counter = cost.counter
+        before = counter.count
+        mate0 = np.full(n, -1, dtype=np.int64)
+        mate1 = np.full(n, -1, dtype=np.int64)
+        stall = 0
+        while (room := budget - (counter.count - before)) > len(rows) and stall < stall_limit:
+            free_r = rows[mate0[rows] == -1]
             if len(free_r) == 0:
                 break
-            i = int(free_r[rng.integers(0, len(free_r))])
-            j = int(cols[rng.integers(0, len(cols))])
-            if not bool(edges([i], [j])[0]):
-                continue
-            if mate1[j] == -1:
-                if mate0[i] == -1:
+            batch = min(len(free_r) * 2, max(room // 2, 1), 400_000)
+            is_ = free_r[rng.integers(0, len(free_r), size=batch)]
+            js = cols[rng.integers(0, len(cols), size=batch)]
+            open_ = mate1[js] == -1
+            hits = np.zeros(batch, dtype=bool)
+            if open_.any():
+                hits[open_] = edges(is_[open_], js[open_])
+            self._skipped += batch - int(np.count_nonzero(open_))
+            progressed = False
+            for i, j in zip(is_[hits], js[hits]):
+                if mate0[i] == -1 and mate1[j] == -1:
                     mate0[i] = j
                     mate1[j] = i
-                    free_r = rows[mate0[rows] == -1]
-                continue
-            i2 = int(mate1[j])
-            j2 = int(cols[rng.integers(0, len(cols))])
-            if mate1[j2] == -1 and bool(edges([i2], [j2])[0]):
-                mate0[i] = j
-                mate1[j] = i
-                mate0[i2] = j2
-                mate1[j2] = i2
-                free_r = rows[mate0[rows] == -1]
-        size = int(np.count_nonzero(mate0 >= 0))
-        return size, mate0, mate1
-
-    def _sampled_greedy_subset(self, cost, rows, cols, target, base_mate0, sub_budget):
-        """Greedy matching on a potential bucket under a budget slice."""
-        def edges(is_, js):
-            return (cost.pairs(is_, js) == target) & (base_mate0[is_] != js)
-
-        mate0, mate1, skipped = _probe_greedy(self._rng(), cost.n, rows, cols, edges,
-                                              cost.counter, sub_budget, 8)
-        self._skipped += skipped
+                    progressed = True
+            stall = 0 if progressed else stall + 1
         return int(np.count_nonzero(mate0 >= 0)), mate0, mate1
 
     def _sampled_augment(self, phi, m_in, k, bar, cost, before):
@@ -759,44 +756,6 @@ class Backend:
             if len(paths) >= bar and len(paths) >= 1:
                 return _augment_overlay(m_in, paths), lookups - tight_reads
         return None, lookups - tight_reads
-
-
-def _probe_greedy(rng, n, rows, cols, edges, counter, budget, stall_limit):
-    """Greedy matching on rows x cols from batches of random probes.
-
-    Each batch draws up to 2 probes per free row, ``edges(is_, js)``
-    tests them and every hit whose ends are both still free is matched.
-    A column matched before the batch stays matched through it, so its
-    probes are not read.  Probing stops when no row is free, when the
-    reads counted on ``counter`` since the call began leave ``len(rows)``
-    or fewer of ``budget``, or after ``stall_limit`` batches in a row that
-    matched nothing.  Returns (mate0, mate1) as length-n index arrays and
-    the number of probes drawn but not read.
-    """
-    before = counter.count
-    mate0 = np.full(n, -1, dtype=np.int64)
-    mate1 = np.full(n, -1, dtype=np.int64)
-    stall = skipped = 0
-    while (room := budget - (counter.count - before)) > len(rows) and stall < stall_limit:
-        free_r = rows[mate0[rows] == -1]
-        if len(free_r) == 0:
-            break
-        batch = min(len(free_r) * 2, max(room // 2, 1), 400_000)
-        is_ = free_r[rng.integers(0, len(free_r), size=batch)]
-        js = cols[rng.integers(0, len(cols), size=batch)]
-        open_ = mate1[js] == -1
-        hits = np.zeros(batch, dtype=bool)
-        if open_.any():
-            hits[open_] = edges(is_[open_], js[open_])
-        skipped += batch - int(np.count_nonzero(open_))
-        progressed = False
-        for i, j in zip(is_[hits], js[hits]):
-            if mate0[i] == -1 and mate1[j] == -1:
-                mate0[i] = j
-                mate1[j] = i
-                progressed = True
-        stall = 0 if progressed else stall + 1
-    return mate0, mate1, skipped
 
 
 def _drop_matched(mask: np.ndarray, rows: np.ndarray, cols: np.ndarray,

@@ -295,11 +295,17 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     return PipelineResult(estimate, matching, report, stages)
 
 
+def _floor_size(fraction: float, n: int) -> int:
+    """floor(fraction * n) without the float fuzz of the product: 0.7 * 90
+    is 62.99999999999999, and 70% of 90 vertices is 63."""
+    return math.floor(fraction * n + 1e-9)
+
+
 def _degenerate_estimate(instance, config, seed, timings, t0):
     """n below 1/gamma: answer with the exact baseline directly."""
     from .baseline import exact_min_weight_k_matching
     n = instance.n
-    k_target = max(int(math.floor(config.beta * n)), 0)
+    k_target = _floor_size(config.beta, n)
     dense = instance.cost.dense()
     res = exact_min_weight_k_matching(dense, k_target)
     matching = ArrayMatching.from_pairs(n, res.witness)

@@ -81,6 +81,22 @@ def test_estimate_mwm_exact_flag_checks_sandwich(tmp_path):
     assert (code == 0) == report["sandwich_ok"]
 
 
+def test_estimate_mwm_exact_sandwich_takes_the_exact_floor_of_beta_n(tmp_path):
+    # 0.7 * 90 is 62.99999999999999 in floats; the sandwich's upper edge is
+    # c(M^63), and the degenerate-size estimate is that same cost
+    from submatch import baseline
+    from submatch.generators import uniform_instance
+    out = tmp_path / "r.json"
+    code = run_cli("estimate-mwm", "--generator", "uniform", "--n", 90, "--seed", 1,
+                   "--alpha", 0.65, "--beta", 0.7, "--gamma", 0.1, "--exact",
+                   "--out", out)
+    report = json.loads(out.read_text())
+    sweep = baseline.min_weight_matching_sweep(uniform_instance(90, 1).cost.peek_dense())
+    assert report["exact_alpha_cost"] == float(sweep[58])
+    assert report["exact_beta_cost"] == float(sweep[63]) == report["estimate"]
+    assert code == 0 and report["sandwich_ok"]
+
+
 def test_estimate_emd_cli(tmp_path):
     n = 6
     rng = np.random.default_rng(0)
@@ -111,6 +127,17 @@ def test_knapsack_cli(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["size_estimate"] >= (1 - 0.2) * 30  # generous budget
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+def test_knapsack_takes_no_window_flags(flag, capsys):
+    # the knapsack sets its own window per grid point; only estimate-mwm
+    # takes --alpha and --beta
+    with pytest.raises(SystemExit) as exc:
+        run_cli("knapsack", "--generator", "uniform", "--n", 30, "--budget", 1.0,
+                flag, 0.5)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

@@ -963,7 +963,9 @@ def _reference_sample_one_path(self, start, half_len, used0, used1, mate1,
 
 
 def _reference_sampled_greedy(self, cost, limit, subset):
-    """The rng.choice version of Backend._sampled_greedy, kept verbatim."""
+    """The rng.choice version of the sampled approx_match and large_match
+    greedy, kept verbatim less the length-3 augmentation pass that
+    followed it."""
     n = cost.n
     rng = self._rng()
     if subset is None:
@@ -995,37 +997,14 @@ def _reference_sampled_greedy(self, cost, limit, subset):
                 mate1[j] = i
                 progressed = True
         stall = 0 if progressed else stall + 1
-    free_r = rows[mate0[rows] == -1]
-    trials = 0
-    while remaining() > 4 and trials < 2 * len(free_r):
-        trials += 1
-        if len(free_r) == 0:
-            break
-        i = int(rng.choice(free_r))
-        j = int(rng.choice(cols))
-        if not cost.pairs([i], [j])[0] <= limit:
-            continue
-        if mate1[j] == -1:
-            if mate0[i] == -1:
-                mate0[i] = j
-                mate1[j] = i
-                free_r = rows[mate0[rows] == -1]
-            continue
-        i2 = int(mate1[j])
-        j2 = int(rng.choice(cols))
-        if mate1[j2] == -1 and cost.pairs([i2], [j2])[0] <= limit:
-            mate0[i] = j
-            mate1[j] = i
-            mate0[i2] = j2
-            mate1[j2] = i2
-            free_r = rows[mate0[rows] == -1]
     size = int(np.count_nonzero(mate0 >= 0))
     return size, mate0, mate1
 
 
 def _reference_sampled_greedy_subset(self, cost, rows, cols, target, base_mate0,
                                      sub_budget):
-    """The rng.choice version of Backend._sampled_greedy_subset, kept verbatim."""
+    """The rng.choice version of the large_matching_forward bucket greedy,
+    kept verbatim."""
     n = cost.n
     rng = self._rng()
     before = cost.counter.count
@@ -1206,6 +1185,23 @@ def test_sampled_augment_stays_within_a_budget_that_binds():
     assert binds >= 3
 
 
+def _greedy(b, cost, limit, subset):
+    """The probe greedy as the sampled approx_match (``subset`` None) and
+    large_match (``subset`` their member rows and columns) run it."""
+    every = np.arange(cost.n, dtype=np.int64)
+    rows, cols = (every, every) if subset is None else subset
+    return b._probe_greedy(cost, rows, cols, lambda is_, js: cost.pairs(is_, js) <= limit,
+                           b.query_budget(cost.n), 10)
+
+
+def _bucket_greedy(b, cost, rows, cols, target, base_mate0, sub_budget):
+    """The probe greedy as the sampled large_matching_forward runs it."""
+    return b._probe_greedy(
+        cost, rows, cols,
+        lambda is_, js: (cost.pairs(is_, js) == target) & (base_mate0[is_] != js),
+        sub_budget, 8)
+
+
 def test_sampled_greedy_direct_draws_equal_choice_reference():
     for seed in range(24):
         rng = np.random.default_rng([7, seed])
@@ -1216,7 +1212,7 @@ def test_sampled_greedy_direct_draws_equal_choice_reference():
             subset = (rng.permutation(n)[:int(rng.integers(1, n + 1))],
                       rng.permutation(n)[:int(rng.integers(1, n + 1))])
         outs, reads, skipped = [], [], []
-        for greedy in (Backend._sampled_greedy, _reference_sampled_greedy):
+        for greedy in (_greedy, _reference_sampled_greedy):
             b = Backend.sampled(seed=seed, epsilon=0.1)
             r = _pinned_rng(b, seed)
             cost = mask_cost(mask)
@@ -1239,7 +1235,7 @@ def test_sampled_greedy_subset_direct_draws_equal_choice_reference():
         base_mate0 = np.where(rng.random(n) < 0.5, rng.permutation(n), UNMATCHED)
         sub_budget = int(rng.integers(n, 4 * n * n))
         outs, reads, skipped = [], [], []
-        for greedy in (Backend._sampled_greedy_subset, _reference_sampled_greedy_subset):
+        for greedy in (_bucket_greedy, _reference_sampled_greedy_subset):
             b = Backend.sampled(seed=seed, epsilon=0.1)
             r = _pinned_rng(b, seed)
             cost = MatrixCost(costs)

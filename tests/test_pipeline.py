@@ -108,6 +108,36 @@ def test_characteristic_cost_rejects_negative_ladder_without_extra_reads():
 
 # -- rounding ----------------------------------------------------------------------
 
+def test_sampled_approx_match_is_a_valid_matching_never_above_the_maximum():
+    # at the limits the sampled characteristic-cost search probes, the probe
+    # greedy returns a matching of edges within the limit, and its size is
+    # no more than the maximum the exact backend finds
+    config = ReductionConfig(0.85, 1.0, 0.1)
+    for seed in (1, 2):
+        inst = uniform_instance(200, seed)
+        dense = inst.cost.peek_dense()
+        backend = Backend.sampled(seed=seed)
+        probes = []
+        probe = backend.approx_match
+
+        def recording(cost, limit):
+            size, matching = probe(cost, limit)
+            probes.append((limit, size, matching))
+            return size, matching
+
+        backend.approx_match = recording
+        find_characteristic_cost(inst, config, backend, seed)
+        assert len(probes) >= 5
+        exact = Backend.exact()
+        for limit, size, matching in probes:
+            m0, m1 = matching.mate_of_v0(), matching.mate_of_v1()
+            rows = np.nonzero(m0 != UNMATCHED)[0]
+            assert size == len(rows) == np.count_nonzero(m1 != UNMATCHED)
+            assert np.array_equal(m1[m0[rows]], rows)
+            assert np.all(dense[rows, m0[rows]] <= limit)
+            assert size <= exact.approx_match(MatrixCost(dense), limit)[0]
+
+
 def test_round_costs_examples():
     inst = BipartiteInstance.from_matrix(np.array([[0.0, 1.0], [0.5, 1.0]]))
     rounded = round_costs(inst.cost, 0.1, 1.0)
@@ -511,6 +541,19 @@ def test_estimator_degenerate_small_n_uses_baseline():
         baseline.exact_min_weight_k_matching(dense, n).value)
 
 
+def test_degenerate_estimate_matches_the_exact_floor_of_beta_n():
+    # 0.7 * 90 is 62.99999999999999 in floats; the fallback must match 63
+    n = 90
+    inst = uniform_instance(n, 1)
+    dense = inst.cost.peek_dense()
+    res = estimate_min_weight_matching(inst, ReductionConfig(0.65, 0.7, 0.1),
+                                       Backend.exact(seed=0), seed=0)
+    assert res.report["degenerate"]
+    assert res.estimate == baseline.exact_min_weight_k_matching(dense, 63).value
+    assert res.report["matched_fraction"] == 63 / n
+    assert res.matching.size() == 63
+
+
 def test_estimator_report_schema():
     inst = uniform_instance(60, 1)
     cfg = ReductionConfig(0.8, 1.0, 0.1)
@@ -665,13 +708,15 @@ def test_sampled_estimate_and_reads_are_pinned():
     # its answer; read from the rounded levels, with target-0 forward
     # buckets probed and the matched edges read three times, the answer
     # was 44.79995253571114 from 120088 reads, and with one path search per
-    # free start, not per group of starts, 10.027269439334248 from 118086
+    # free start, not per group of starts, 10.027269439334248 from 118086;
+    # the same answer read 117945 with a length-3 augmentation pass after
+    # each sampled greedy
     inst = uniform_instance(128, 4)
     res = estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
                                        Backend.sampled(seed=4, epsilon=0.2),
                                        seed=4, T=8, k=5)
     assert res.estimate == 10.379811412231367
-    assert inst.query_count == 117945
+    assert inst.query_count == 116603
 
 
 def test_sampled_estimate_reads_each_real_matched_edge_once(monkeypatch):
