@@ -10,10 +10,11 @@ exact backend satisfies every contract deterministically: it reads the cost
 matrix once into memory (:meth:`Backend.prepare_cost`), builds each
 call's graph from it and runs Hopcroft-Karp, each matching-size probe on a
 cost starting from the previous probe's matching; its augmentation keeps one
-eligibility snapshot (adjacency lists of the eligible non-matched edges)
-for a whole Step 1, and one bounded-length path search serves every path
-length, free-to-free edges included, pruning dead ends proven independent
-of the current path.  The sampled
+eligibility snapshot for a whole Step 1, its eligible non-matched edges in
+two hop-class lists (to free columns, to columns matched along a tight
+edge), and one bounded-length path search serves every path length,
+free-to-free edges included, after a numpy reachability pass over those
+lists has marked where a path of that length can end.  The sampled
 backend is a best-effort randomized implementation under a hard per-call
 query budget and exists to demonstrate empirical sublinearity.  Its
 matching-size probes (``approx_match``, ``large_match`` and each forward
@@ -161,9 +162,9 @@ def _mask_to_adj(mask: np.ndarray) -> list[list[int]]:
     """Row-wise ascending column lists of a boolean mask.
 
     One ``np.flatnonzero`` scan finds the true entries in row-major order,
-    so each row's columns come out ascending, the order Hopcroft-Karp and
-    the lowest-id-first path search rely on.  A mask with no columns has
-    no true entries, so the division below never divides anything by 0.
+    so each row's columns come out ascending, the order Hopcroft-Karp
+    relies on.  A mask with no columns has no true entries, so the
+    division below never divides anything by 0.
     The flat indices become the column ids in place, so no third array as
     long as the true entries is made (one raised the peak resident memory
     of exact estimates).
@@ -203,49 +204,94 @@ def _members_on_side(A: MembershipOracle | None, n: int, side_: int) -> np.ndarr
 # Eligibility helpers shared by both backends
 # ---------------------------------------------------------------------------
 
+class _HopEdges:
+    """One hop class of a snapshot's eligible non-matched edges, as CSR
+    arrays: ``rows`` in order and each row's ``cols`` ascending, row i's
+    entries at ``ptr[i]:ptr[i + 1]``.  A row's Python list, the one the
+    path search walks, is made when the search first enters the row."""
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int):
+        self.rows = rows
+        self.cols = cols
+        self.ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        self._lists = [None] * n
+
+    def row(self, i: int) -> list[int]:
+        got = self._lists[i]
+        if got is None:
+            got = self._lists[i] = self.cols[self.ptr[i]:self.ptr[i + 1]].tolist()
+        return got
+
+
 class _Eligibility:
-    """Snapshot of the eligibility graph under a fixed potential and cost:
-    ``adj[i]`` lists, ascending, the j with (i, j) non-matched and eligible
-    (phi0[i] + phi1[j] == c + 1), and ``matched_tight[i]`` says whether i's
-    matched edge is tight (phi0[i] + phi1[mate] == c).  :meth:`augment`
-    keeps it current as the matching grows."""
+    """Snapshot of the eligibility graph under a fixed potential and cost.
+
+    ``matched_tight[i]`` says whether i's matched edge is tight (phi0[i] +
+    phi1[mate] == c).  The eligible non-matched edges (phi0[i] + phi1[j]
+    == c + 1) are split by what a path search can do with the column:
+    ``fin`` (:class:`_HopEdges`) holds those to free columns, the only
+    ones a path's last hop accepts, and ``inner`` those to columns matched
+    along a tight edge, the only ones an inner hop accepts; an edge to any
+    other column is on no path.  ``cost`` holds integer levels >= 1 or
+    +inf, so when max phi0 + max phi1 < 2 no edge is eligible and both
+    lists are built empty without the n^2 test.  :meth:`augment` keeps
+    the mates and ``matched_tight`` current as the matching grows.
+    """
 
     def __init__(self, cost: CostOracle, phi: PotentialOracle, matching: MatchingOracle):
         n = cost.n
         self.n = n
-        # phi0 + phi1 == c + 1 runs as (phi0 - 1) + phi1 == c in float64, the
-        # costs' dtype: one dtype and one n^2 temporary, and exact, since the
-        # potentials are small integers and the validated costs integers or +inf
         phi0 = phi.eval_many(v0(np.arange(n, dtype=np.int64))).astype(np.float64)
         phi1 = phi.eval_many(v1(np.arange(n, dtype=np.int64))).astype(np.float64)
         # own copies: augment() writes into them, never into the oracle's arrays
         self.mate0 = matching.mate_of_v0().copy()
         self.mate1 = matching.mate_of_v1().copy()
         c = cost.block(np.arange(n), np.arange(n))
-        eligible = (phi0 - 1.0)[:, None] + phi1[None, :] == c
         matched_rows = np.nonzero(self.mate0 != UNMATCHED)[0]
         matched_cols = self.mate0[matched_rows]
-        eligible[matched_rows, matched_cols] = False
-        self.adj = _mask_to_adj(eligible)
         self.matched_tight = np.zeros(n, dtype=bool)
         self.matched_tight[matched_rows] = (
             phi0[matched_rows] + phi1[matched_cols] == c[matched_rows, matched_cols])
+        if n and phi0.max() + phi1.max() >= 2:
+            # phi0 + phi1 == c + 1 runs as (phi0 - 1) + phi1 == c in float64,
+            # the costs' dtype: one dtype and one n^2 temporary, and exact,
+            # since the potentials are small integers and the costs integers
+            # or +inf.  Row-major order lists each row's columns ascending.
+            eligible = (phi0 - 1.0)[:, None] + phi1[None, :] == c
+            eligible[matched_rows, matched_cols] = False
+            cols = np.flatnonzero(eligible)
+            rows = cols // n
+            cols %= n  # in place: no third array as long as the edges
+        else:
+            rows = cols = np.zeros(0, dtype=np.int64)
+        keep = self.mate1[cols] == UNMATCHED
+        self.fin = _HopEdges(rows[keep], cols[keep], n)
+        keep = _tight_cols(self)[cols]
+        self.inner = _HopEdges(rows[keep], cols[keep], n)
 
     def augment(self, paths: list[list[int]]):
         """Flip node-disjoint eligible augmenting paths, in place.
 
-        The result equals a snapshot rebuilt against the augmented matching.
-        Each new matched pair (i_t, j_{t+1}) was eligible at c + 1, so it
-        leaves ``adj`` and is not tight at c; the path's old matched edges
-        were tight at c, so they never become eligible non-matched edges.
+        Each new matched pair (i_t, j_{t+1}) was eligible at c + 1, so it is
+        not tight at c: every column of a path ends up matched along a
+        non-tight edge, which neither hop class accepts, so the lists stay
+        as built and the path search's column tests skip those columns.  The
+        path's old matched edges were tight at c, so none becomes eligible.
         """
         for path in paths:
             for t in range(0, len(path) - 1, 2):
                 i, j = path[t], path[t + 1]
-                self.adj[i].remove(j)
                 self.matched_tight[i] = False
                 self.mate0[i] = j
                 self.mate1[j] = i
+
+
+def _tight_cols(elig: _Eligibility) -> np.ndarray:
+    """Which columns are matched along a tight edge, now."""
+    out = np.zeros(elig.n, dtype=bool)
+    cols = np.nonzero(elig.mate1 != UNMATCHED)[0]
+    out[cols] = elig.matched_tight[elig.mate1[cols]]
+    return out
 
 
 def _find_exact_length_paths(elig: _Eligibility, half_len: int) -> list[list[int]]:
@@ -257,87 +303,79 @@ def _find_exact_length_paths(elig: _Eligibility, half_len: int) -> list[list[int
     all starts are processed no further disjoint path of this exact length
     exists, which is the maximality the template needs.
 
-    A vertex whose subtree at a given depth fails without any candidate
-    rejected for lying on the current path is a dead end at that depth for
-    the rest of the call: the graph is fixed and the used sets only grow,
-    so no later prefix or start can succeed through it, and it is skipped.
-    The pruning leaves the returned paths and their order unchanged.
+    A reachability pass bounds the DFS, as the BFS layering bounds each
+    Hopcroft-Karp phase.  Working back from the last hop, ``takes[d][j]``
+    says the hop from depth d may take column j: at depth ``half_len`` a
+    free column, before it a column matched along a tight edge to a row
+    that has such a column at depth d + 1.  The search starts only from
+    free rows with a column at depth 0 and takes only such columns, so it
+    skips just the subtrees that hold no path even with nothing used yet.
+    The returned paths and their order are those of the unbounded search.
     With ``half_len == 0`` each free start takes its lowest free eligible
     neighbor not yet used: a greedy maximal matching on free x free edges.
     """
     n = elig.n
-    used0 = [False] * n
+    mate1 = elig.mate1
+    tight = _tight_cols(elig)
+    takes = [None] * (half_len + 1)
+    takes[half_len] = mate1 == UNMATCHED
+    for d in range(half_len, -1, -1):
+        edges = elig.fin if d == half_len else elig.inner
+        reach = np.zeros(n, dtype=bool)  # rows with a column the hop from d takes
+        reach[edges.rows[takes[d][edges.cols]]] = True
+        if d:
+            # a free column's mate1 of -1 picks reach[-1]; tight masks it off
+            takes[d - 1] = tight & reach[mate1]
+    starts = np.nonzero(reach & (elig.mate0 == UNMATCHED))[0].tolist()
+    if not starts:
+        return []
+    takes = [t.tolist() for t in takes]
+    mate1 = mate1.tolist()
     used1 = [False] * n
-    free0 = (elig.mate0 == UNMATCHED).tolist()
-    free1 = (elig.mate1 == UNMATCHED).tolist()
-    adj = elig.adj
-    mate1 = elig.mate1.tolist()
-    mtight = elig.matched_tight.tolist()
-    dead = [[False] * n for _ in range(half_len + 2)]  # dead[depth][i]
     paths = []
-    for start in range(n):
-        if not free0[start] or used0[start]:
-            continue
-        # pointer-stack DFS; the path alternates i, j, i, j, ...  A side-1
-        # vertex on the path is matched to the side-0 vertex after it: it is
-        # not free, and as a way on it fails its mate's on-path test.
+    for start in starts:
+        # pointer-stack DFS; the path alternates i, j, i, j, ...  A path's
+        # side-0 vertices past its start are the mates of its side-1 ones,
+        # so a used or on-path j is caught by used1 or by its mate's
+        # on-path test, and the rows need no used marks of their own.
         onpath0 = {start}
         seq = [start]
-        nodes = [start]
         ptrs = [0]
-        clean = [True]  # no on-path rejection in the frame's subtree yet
         found = None
         while ptrs:
-            i = nodes[-1]
-            cand = adj[i]
+            d = len(ptrs) - 1
+            last = d == half_len
+            i = seq[-1]
+            cand = (elig.fin if last else elig.inner).row(i)
+            take = takes[d]
             p = ptrs[-1]
-            hops = len(ptrs)  # forward hops consumed by the next edge taken
-            last = hops == half_len + 1
             advanced = False
             while p < len(cand):
                 j = cand[p]
                 p += 1
-                if used1[j]:
+                if used1[j] or not take[j]:
                     continue
                 if last:
-                    if free1[j]:
-                        found = seq + [j]
-                        break
-                    continue
+                    found = seq + [j]
+                    break
                 i2 = mate1[j]
-                if i2 == UNMATCHED or used0[i2] or not mtight[i2] or dead[hops + 1][i2]:
-                    continue
                 if i2 in onpath0:
-                    clean[-1] = False
                     continue
                 ptrs[-1] = p
                 onpath0.add(i2)
-                seq.extend([j, i2])
-                nodes.append(i2)
+                seq += [j, i2]
                 ptrs.append(0)
-                clean.append(True)
                 advanced = True
                 break
             if found is not None:
+                paths.append(found)
+                for j in found[1::2]:
+                    used1[j] = True
                 break
             if not advanced:
                 ptrs.pop()
-                nodes.pop()
-                ok = clean.pop()
-                if ok:
-                    dead[hops][i] = True
-                elif clean:
-                    clean[-1] = False
-                if len(seq) > 1:
-                    onpath0.discard(seq.pop())
-                seq.pop()
-        if found is not None:
-            paths.append(found)
-            for t, x in enumerate(found):
-                if t % 2 == 0:
-                    used0[x] = True
-                else:
-                    used1[x] = True
+                onpath0.discard(i)
+                del seq[-2:]
     return paths
 
 
@@ -378,8 +416,9 @@ class Backend:
     every probe is a counted read and the budget does not bind,
     ``queries + skipped`` is what reading every probe would cost; a padded
     instance counts no dummy pair, so there the sum is larger.  An exact
-    augmentation round that succeeds hands its updated eligibility snapshot
-    to the next round of the same Step 1 (see :meth:`augment_eligible`).
+    augmentation round that succeeds and leaves a free side-0 vertex hands
+    its updated eligibility snapshot, hop-class lists and all, to the next
+    round of the same Step 1 (see :meth:`augment_eligible`).
     """
 
     def __init__(self, variant: str = "exact", seed: int = 0, epsilon: float = 0.1):
@@ -594,7 +633,10 @@ class Backend:
         successful round's and whose matching is the overlay that round
         returned continues from that round's snapshot, updated in place
         along its paths; any other round builds a new one.  At most one
-        snapshot is held at a time.
+        snapshot is held at a time, and none after a round whose paths
+        leave no free side-0 vertex, since no round follows it.  A length
+        class whose reachability pass finds no free start that can end in
+        a free column returns no paths without a DFS.
         """
         n = cost.n
         before = cost.counter.count
@@ -614,7 +656,8 @@ class Backend:
                 if len(paths) >= bar and len(paths) >= 1:
                     out = _augment_overlay(m_in, paths)
                     elig.augment(paths)
-                    self._snapshot = (phi, out, cost, elig)
+                    if np.any(elig.mate0 == UNMATCHED):  # else no next round
+                        self._snapshot = (phi, out, cost, elig)
                     break
         else:
             out, memo_hits = self._sampled_augment(phi, m_in, k, bar, cost, before)

@@ -210,12 +210,16 @@ def step1(phi_in: PotentialOracle, m_in: MatchingOracle, params: TemplateParams,
 
     Eligibility during the loop is always with respect to phi_in and the
     current matching; the output potential is the layered Step-1 recipe.
+    The loop runs only while the matching has a free side-0 vertex, the
+    start every augmenting path needs, so a perfect matching passes
+    through with no backend call; on the exact backend the rounds share
+    one eligibility snapshot (see :meth:`Backend.augment_eligible`).
     Returns (m_out, phi_out, rounds) where rounds counts successful
     augmentation calls.
     """
     m = m_in
     rounds = 0
-    while True:
+    while np.any(m.mate_of_v0() == UNMATCHED):
         nxt = backend.augment_eligible(phi_in, m, params.k, params.xi, cost)
         if nxt is None:
             break
@@ -232,12 +236,14 @@ def step2(phi_in: PotentialOracle, m_in: MatchingOracle, params: TemplateParams,
     The forest is a chain of membership layers over the matchings returned
     by successive forward-matching calls; the loop stops at the first
     bottom or after floor(k/2) layers, which caps the forest depth at k.
-    Returns (phi_out, forest, layers).
+    A matching with no free side-0 vertex gives the forest no root, so it
+    grows no layer and makes no backend call.  Returns (phi_out, forest,
+    layers).
     """
     n = cost.n
     forest = ForestMembership(n, m_in)
     layers = 0
-    max_layers = params.k // 2
+    max_layers = params.k // 2 if np.any(m_in.mate_of_v0() == UNMATCHED) else 0
     while layers < max_layers:
         A = StepAMembership(forest)
         m_t = backend.large_matching_forward(phi_in, A, params.delta, m_in, cost)

@@ -672,6 +672,22 @@ def _cycle_state(rng):
     return state, planted
 
 
+def _split_by_column(adj, mate1, tight):
+    """Row lists ``adj`` split as the hop classes split them: (the free
+    columns, the columns matched along a tight edge), each row in order.
+    ``tight[i]`` says whether side-0 vertex i's matched edge is tight."""
+    free = [m == UNMATCHED for m in mate1]
+    inner = [m != UNMATCHED and bool(tight[m]) for m in mate1]
+    return ([[j for j in row if free[j]] for row in adj],
+            [[j for j in row if inner[j]] for row in adj])
+
+
+def _hop_lists(elig):
+    """(fin, inner) of a snapshot as per-row column lists."""
+    return ([elig.fin.row(i) for i in range(elig.n)],
+            [elig.inner.row(i) for i in range(elig.n)])
+
+
 def test_exact_length_paths_lists_equal_numpy_reference():
     from submatch.mcm import _Eligibility, _find_exact_length_paths
     rng = np.random.default_rng(4)
@@ -679,8 +695,9 @@ def test_exact_length_paths_lists_equal_numpy_reference():
     for trial in range(60):
         state = _random_state(rng)
         elig = _Eligibility(*state)
-        mask = _eligibility_arrays(*state)[0]
-        assert elig.adj == [np.nonzero(row)[0].tolist() for row in mask]
+        mask, tight, _, mate1 = _eligibility_arrays(*state)
+        adj = [np.nonzero(row)[0].tolist() for row in mask]
+        assert _hop_lists(elig) == _split_by_column(adj, mate1, tight)
         for half_len in (1, 2, 3):
             got = _find_exact_length_paths(elig, half_len)
             assert got == _reference_exact_length_paths(state, half_len)
@@ -688,7 +705,7 @@ def test_exact_length_paths_lists_equal_numpy_reference():
     # the random states hold many augmenting paths of every tested length
     assert all(lengths.count(2 * h + 2) >= 10 for h in (1, 2, 3))
     # an on-path rejection makes a vertex fail from one prefix and succeed
-    # from another: the dead-end memo must not record such a failure
+    # from another: the search must still reach it through the second
     for trial in range(20):
         state, planted = _cycle_state(rng)
         elig = _Eligibility(*state)
@@ -738,7 +755,7 @@ def test_eligibility_snapshot_equals_integer_reference():
         elig = _Eligibility(_ValidatingCost(MatrixCost(costs), C),
                             FixedPotential(phi0, phi1), matching)
         adj, tight = _reference_eligibility(costs.tolist(), phi0, phi1, matching.mate_of_v0())
-        assert elig.adj == adj
+        assert _hop_lists(elig) == _split_by_column(adj, matching.mate_of_v1(), tight)
         assert elig.matched_tight.tolist() == tight
         seen["at_C"] += sum(costs[i][j] == C for i in range(n) for j in adj[i])
         seen["negative"] += sum(min(phi0[i], phi1[j]) < 0 for i in range(n) for j in adj[i])
@@ -785,12 +802,46 @@ def test_eligibility_augment_equals_rebuild():
             assert np.array_equal(elig.matched_tight, fresh.matched_tight)
             assert np.array_equal(elig.mate0, fresh.mate0)
             assert np.array_equal(elig.mate1, fresh.mate1)
-            assert elig.adj == fresh.adj
+            # the lists stay as built; filtered by each column's class now,
+            # they are the rebuilt snapshot's
+            fin, inner = _hop_lists(elig)
+            now = (_split_by_column(fin, elig.mate1, elig.matched_tight)[0],
+                   _split_by_column(inner, elig.mate1, elig.matched_tight)[1])
+            assert now == _hop_lists(fresh)
             rounds += 1
         # the snapshot owns its mate arrays; the oracle's stay as they were
         assert np.array_equal(matching._mate0, mates[0])
         assert np.array_equal(matching._mate1, mates[1])
     assert rounds >= 100
+
+
+def test_exact_length_paths_after_augment_equal_rebuilt_references():
+    # a snapshot augmented in place keeps lists that hold columns of other
+    # classes now; the search over it returns the paths of the rebuilt state
+    from submatch.mcm import _augment_overlay, _Eligibility, _find_exact_length_paths
+    rng = np.random.default_rng(26)
+    searches = found = 0
+    for trial in range(80):
+        state = _random_state(rng) if trial % 3 else _cycle_state(rng)[0]
+        cost, phi, m = state
+        elig = _Eligibility(*state)
+        for _ in range(12):
+            taken = None
+            for half_len in (0, 1, 2, 3):
+                got = _find_exact_length_paths(elig, half_len)
+                now = (cost, phi, m)
+                ref = (_reference_exact_length_paths(now, half_len) if half_len
+                       else _reference_free_edge_paths(now))
+                assert got == ref
+                searches += 1
+                found += len(got)
+                taken = taken or got
+            if not taken:
+                break
+            paths = taken[:int(rng.integers(1, len(taken) + 1))]
+            m = _augment_overlay(m, paths)
+            elig.augment(paths)
+    assert searches >= 1000 and found >= 1000
 
 
 def test_exact_step1_builds_one_snapshot(monkeypatch):

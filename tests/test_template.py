@@ -87,6 +87,23 @@ def test_step2_perfect_matching_keeps_potential():
         assert not forest.contains(u)
 
 
+@pytest.mark.parametrize("variant", ["exact", "sampled"])
+def test_steps_call_no_backend_on_a_perfect_matching(variant):
+    # no free side-0 vertex: Step 1 has no path to augment along and Step 2
+    # no root to grow from, so neither calls the backend or logs a record,
+    # although every non-matched edge is eligible
+    n = 6
+    inst = BipartiteInstance.from_matrix(np.ones((n, n)))
+    matching = ArrayMatching.from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
+    phi = FixedPotential(np.full(n, 2), np.zeros(n), range_bound=9)
+    backend = Backend(variant, seed=1)
+    m, _, rounds = step1(phi, matching, make_params(), inst.cost, backend)
+    _, forest, layers = step2(phi, m, make_params(), inst.cost, backend)
+    assert m is matching and rounds == layers == 0
+    assert not forest.contains_many(v0(np.arange(n))).any()
+    assert backend.call_log == []
+
+
 def test_step2_empty_forward_graph_raises_free_side0():
     n = 5
     inst = BipartiteInstance.from_matrix(np.full((n, n), 9.0))
