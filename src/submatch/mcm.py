@@ -5,33 +5,41 @@ matching size, large-matching extraction inside a vertex set, and
 bounded-length augmentation over eligible edges (plus the potential-aware
 forward variant that buckets edges by potential values).  There is no
 separate graph type: a graph is a cost oracle plus a limit, its edges the
-pairs of cost <= limit, and every subroutine reads the costs itself.  The
-exact backend satisfies every contract deterministically: it reads the cost
-matrix once into memory (:meth:`Backend.prepare_cost`), builds each
-call's graph from it and runs Hopcroft-Karp, each matching-size probe on a
-cost starting from the previous probe's matching; its augmentation keeps one
-eligibility snapshot for a whole Step 1, its eligible non-matched edges in
-two hop-class lists (to free columns, to columns matched along a tight
-edge), and one bounded-length path search serves every path length,
-free-to-free edges included, after a numpy reachability pass over those
-lists has marked where a path of that length can end.  The sampled
-backend is a best-effort randomized implementation under a hard per-call
-query budget and exists to demonstrate empirical sublinearity.  Its
-matching-size probes (``approx_match``, ``large_match`` and each forward
-bucket) are one probe greedy alone, batches of random probes with every
-hit between two free ends matched and no augmenting path after, so a
-sampled size can fall well short of the maximum.  Its path
-search walks the free starts in groups of ``_PATH_GROUP`` in lockstep,
-one draw and one read per hop for the whole group.  It and the greedy
-draw every probe but read only those they could accept.  A path probe
-is skipped unread when its side-1 end is used (a row's own mate is), is
-free on an inner hop or matched on the last one, or has a potential sum
-below 2, too low for a level >= 1 to be eligible; a greedy probe is
-skipped when its column was matched before its batch.  Skipping changes
-the reads, not the draws or picks, unless the budget binds.  The forward
-variant skips whole potential buckets below that sum before any draw, so
-the sampled backend spawns no child RNG for them, wherever every entry
-is known to be a level: on the exact backend and on a ``LevelCost``.
+pairs of cost <= limit, and every subroutine reads the costs itself.
+
+Each backend has one matching kernel, :meth:`Backend._match`, a matching
+on rows x cols under an edge test.  ``large_match``, each forward bucket
+and the sampled ``approx_match`` call it.  On the exact backend it is one
+block read and one Hopcroft-Karp, a maximum matching.  On the sampled
+backend it is one probe greedy: batches of random probes, every hit
+between two free ends matched, and no augmenting path after, so a sampled
+size can fall well short of the maximum.
+
+The exact backend satisfies every contract deterministically.  It reads
+the cost matrix once into memory (:meth:`Backend.prepare_cost`) and
+builds each call's graph from it.  Its ``approx_match`` runs its own
+Hopcroft-Karp, started from the previous probe's matching on the same
+cost.  Its augmentation keeps one eligibility snapshot for a whole Step 1,
+with the eligible non-matched edges in two hop-class lists (to free
+columns, to columns matched along a tight edge).  One bounded-length path
+search serves every path length, free-to-free edges included, after a
+numpy reachability pass over those lists has marked where a path of that
+length can end.
+
+The sampled backend is a best-effort randomized implementation under a
+hard per-call query budget and exists to demonstrate empirical
+sublinearity.  Its path search walks the free starts in groups of
+``_PATH_GROUP`` in lockstep, one draw and one read per hop for the whole
+group.  It and the greedy draw every probe but read only those they could
+accept.  A path probe is skipped unread when its side-1 end is used (a
+row's own mate is), is free on an inner hop or matched on the last one, or
+has a potential sum below 2, too low for a level >= 1 to be eligible; a
+greedy probe is skipped when its column was matched before its batch.
+Skipping changes the reads, not the draws or picks, unless the budget
+binds.  The forward variant skips whole potential buckets below that sum
+before any draw, so the sampled backend spawns no child RNG for them,
+wherever every entry is known to be a level: on the exact backend and on
+a ``LevelCost``.
 """
 
 from __future__ import annotations
@@ -406,9 +414,10 @@ class Backend:
     asserted against :func:`backend_query_budget`.  ``epsilon`` is the
     backend's one query knob: it must be positive, values above 0.2 act as
     0.2, and it sets every call's budget and probe count, so the
-    subroutines take no epsilon of their own.  The sampled
-    ``approx_match``, ``large_match`` and forward buckets each run one
-    probe greedy (:meth:`_probe_greedy`) and nothing after it.  A sampled
+    subroutines take no epsilon of their own.  ``large_match``, each
+    forward bucket and the sampled ``approx_match`` run the one matching
+    kernel (:meth:`_match`): exact, one Hopcroft-Karp; sampled, one probe
+    greedy (:meth:`_probe_greedy`) and nothing after it.  A sampled
     augmentation call walks free starts in groups and reads each matched
     edge's tightness at most once.  Sampled calls read only the probes
     that could change their answer and log the rest
@@ -497,7 +506,6 @@ class Backend:
         """
         n = cost.n
         before = cost.counter.count
-        extra = {}
         if self.variant == "exact":
             mask = cost.block(np.arange(n), np.arange(n)) <= limit
             mate0 = mate1 = None
@@ -512,14 +520,13 @@ class Backend:
                 mate0, mate1 = m0.tolist(), m1.tolist()
             size, mate0, mate1 = _hopcroft_karp(_mask_to_adj(mask), n, n, mate0, mate1)
             self._warm = (cost, mate0, mate1)
-            extra["carried"] = carried
-        else:
-            every = np.arange(n, dtype=np.int64)
-            size, mate0, mate1 = self._probe_greedy(
-                cost, every, every, lambda is_, js: cost.pairs(is_, js) <= limit,
-                self.query_budget(n), 10)
-        self._log("approx_match", cost.counter, before, n, size=size, **extra)
-        return size, ArrayMatching(mate0, mate1)
+            self._log("approx_match", cost.counter, before, n, size=size, carried=carried)
+            return size, ArrayMatching(mate0, mate1)
+        every = np.arange(n, dtype=np.int64)
+        size, out = self._match(cost, every, every, lambda c, i, j: c <= limit,
+                                self.query_budget(n), 10)
+        self._log("approx_match", cost.counter, before, n, size=size)
+        return size, out
 
     # -- large_match --------------------------------------------------------
     def large_match(self, cost: CostOracle, limit: float, A: MembershipOracle | None,
@@ -536,18 +543,10 @@ class Backend:
         if len(rows) == 0 or len(cols) == 0:
             self._log("large_match", cost.counter, before, n)
             return None
-        if self.variant == "exact":
-            mask = cost.block(rows, cols) <= limit
-            mu, sub_mate0, _ = _hopcroft_karp(_mask_to_adj(mask), len(rows), len(cols))
-            out = None if mu < delta_in * n else _global_matching(n, rows, cols, sub_mate0)
-        else:
-            size, mate0, mate1 = self._probe_greedy(
-                cost, rows, cols, lambda is_, js: cost.pairs(is_, js) <= limit,
-                self.query_budget(n), 10)
-            large = size >= delta_out(delta_in) * n and size > 0
-            out = ArrayMatching(mate0, mate1) if large else None
+        size, out = self._match(cost, rows, cols, lambda c, i, j: c <= limit,
+                                self.query_budget(n), 10)
         self._log("large_match", cost.counter, before, n)
-        return out
+        return out if self._is_large(size, n, delta_in, 1) else None
 
     # -- large_matching_forward ---------------------------------------------
     def large_matching_forward(self, phi: PotentialOracle, A: MembershipOracle | None,
@@ -578,7 +577,6 @@ class Backend:
         phi_r = phi.eval_many(v0(rows_all))
         phi_c = phi.eval_many(v1(cols_all))
         mate0 = matching.mate_of_v0()
-        sub_delta = delta_in / (R * R)
         budget = self.query_budget(n)
         result = None
         floor = 2 if self.variant == "exact" or isinstance(cost, LevelCost) else 1
@@ -588,26 +586,16 @@ class Backend:
             for qv, cols in col_buckets:
                 if pv + qv < floor:
                     continue  # the bucket holds no valid cost
-                target = float(pv + qv) - 1.0  # i + j == c + 1
-                if self.variant == "exact":
-                    mask = cost.block(rows, cols) == target
-                    _drop_matched(mask, rows, cols, mate0)
-                    mu, sub_mate0, _ = _hopcroft_karp(
-                        _mask_to_adj(mask), len(rows), len(cols))
-                    if mu >= sub_delta * n:
-                        result = _global_matching(n, rows, cols, sub_mate0)
-                        break
-                else:
-                    remaining = budget - (cost.counter.count - before)
-                    if remaining <= 0:
-                        break
-                    size, m0, m1 = self._probe_greedy(
-                        cost, rows, cols,
-                        lambda is_, js: (cost.pairs(is_, js) == target) & (mate0[is_] != js),
-                        remaining, 8)
-                    if size >= delta_out_forward(delta_in, R) * n and size > 0:
-                        result = ArrayMatching(m0, m1)
-                        break
+                remaining = budget - (cost.counter.count - before)
+                if remaining <= 0:
+                    break
+                target = float(pv + qv) - 1.0  # i + j == c + 1, matched pairs out
+                size, m = self._match(
+                    cost, rows, cols, lambda c, i, j: (c == target) & (mate0[i] != j),
+                    remaining, 8)
+                if self._is_large(size, n, delta_in, R):
+                    result = m
+                    break
             if result is not None:
                 break
         self._log("large_matching_forward", cost.counter, before, n)
@@ -664,6 +652,35 @@ class Backend:
         extra = {"memo_hits": memo_hits} if self.variant == "sampled" else {}
         self._log("augment_eligible", cost.counter, before, n, **extra)
         return out
+
+    # -- the matching kernel -------------------------------------------------
+    def _match(self, cost: CostOracle, rows, cols, test, budget: int, stall_limit: int):
+        """A matching on rows x cols of the pairs that pass ``test``.
+
+        ``test(costs, is_, js)`` says which pairs are edges, given their
+        costs and indices.  Exact: one ``cost.block(rows, cols)``, tested
+        with ``rows[:, None]`` and ``cols[None, :]``, and one Hopcroft-Karp
+        on the mask, a maximum matching.  Sampled: the probe greedy, which
+        tests the probes it reads, under ``budget`` and ``stall_limit``.
+        Returns (size, :class:`ArrayMatching` on instance indices).
+        """
+        if self.variant == "exact":
+            mask = test(cost.block(rows, cols), rows[:, None], cols[None, :])
+            size, sub_mate0, _ = _hopcroft_karp(_mask_to_adj(mask), len(rows), len(cols))
+            return size, _global_matching(cost.n, rows, cols, sub_mate0)
+        size, mate0, mate1 = self._probe_greedy(
+            cost, rows, cols, lambda is_, js: test(cost.pairs(is_, js), is_, js),
+            budget, stall_limit)
+        return size, ArrayMatching(mate0, mate1)
+
+    def _is_large(self, size: int, n: int, delta_in: float, R: int) -> bool:
+        """The bottom rule of ``large_match`` (R = 1) and of a forward
+        bucket: exact, size >= delta_in / R^2 * n; sampled, size > 0 and
+        size >= :func:`delta_out_forward` (delta_in, R) * n, which at R = 1
+        is :func:`delta_out`."""
+        if self.variant == "exact":
+            return size >= delta_in / (R * R) * n
+        return size >= delta_out_forward(delta_in, R) * n and size > 0
 
     # -- sampled internals ---------------------------------------------------
     def _probe_greedy(self, cost: CostOracle, rows, cols, edges, budget: int,
@@ -800,13 +817,3 @@ class Backend:
                 return _augment_overlay(m_in, paths), lookups - tight_reads
         return None, lookups - tight_reads
 
-
-def _drop_matched(mask: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                  mate0: np.ndarray):
-    """Clear matched pairs from a non-matched-edge mask (in place)."""
-    colpos = np.full(len(mate0), -1, dtype=np.int64)
-    colpos[cols] = np.arange(len(cols))
-    r = np.nonzero(mate0[rows] != UNMATCHED)[0]
-    t = colpos[mate0[rows[r]]]
-    keep = t >= 0  # the mate is one of the block's columns
-    mask[r[keep], t[keep]] = False

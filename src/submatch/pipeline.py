@@ -145,22 +145,6 @@ def round_costs(cost: CostOracle, gamma: float, w: float) -> RoundedCost:
     return RoundedCost(cost, gamma, w)
 
 
-class FilteredMatching(MatchingOracle):
-    """Unpadded view of a padded matching: any pair touching a dummy is dropped."""
-
-    cache_mates = True
-
-    def __init__(self, base: MatchingOracle, n_real: int):
-        super().__init__(n_real)
-        self.base = base
-        self.n_real = n_real
-
-    def _mates_impl(self, us):
-        out = self.base.mates(us)
-        out = np.where((us >> 1) >= self.n_real, UNMATCHED, out)
-        return np.where((out >> 1) >= self.n_real, UNMATCHED, out)
-
-
 @dataclass
 class PaddedInstance:
     instance: BipartiteInstance
@@ -213,10 +197,11 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     under float fuzz), and the template, the report and the template's
     cost (``stages.padded.instance.cost.C``) use C itself.
 
-    ``report["matched_fraction"]`` is the exact matched size over n, read
-    through the returned matching (at most n cost reads).  That matching is
-    the template's final matching on the real pairs, less the edges at a
-    level above w's (``stages.template.alpha_w`` of them; the discarded
+    ``report["matched_fraction"]`` is the exact matched size over n of the
+    returned matching, an :class:`ArrayMatching` on the real vertices whose
+    ``base`` is the template's matching (``stages.template.matching``).  It
+    holds the template's final matching on the real pairs, less the edges
+    at a level above w's (``stages.template.alpha_w`` of them; the discarded
     draws are 3 gamma_effective of the sample, and edges tied with w at its
     level stay).  Nothing forces it to alpha * n; on uniform instances at
     the defaults it holds about 0.9 n on both backends.  ``stages.prepared``
@@ -271,7 +256,10 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
         timings["template"] = time.perf_counter() - t2
 
         estimate = tres.estimate
-        matching = FilteredMatching(tres.matching, n)
+        # the real vertices' pairs; a pair with a dummy leaves both unmatched
+        m0, m1 = tres.matching.mate_of_v0()[:n], tres.matching.mate_of_v1()[:n]
+        matching = ArrayMatching(np.where(m0 < n, m0, UNMATCHED),
+                                 np.where(m1 < n, m1, UNMATCHED), tres.matching)
         stages = SimpleNamespace(
             prepared=instance, characteristic=characteristic, padded=padded,
             template=tres, template_params=tparams, config=config)

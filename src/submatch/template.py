@@ -46,8 +46,9 @@ class TemplateParams:
     """Template knobs: small (T, k) set by the caller.
 
     The paper's constants (T = C / gamma^3, k = 6000 (2T+1)^10 / delta^5)
-    are far too large to run, so T and k are practical values and the
-    slack parameters are derived as xi = delta = gamma / T.
+    are far too large to run, so T and k are practical values and the one
+    slack is derived as xi = gamma / T.  It serves both of the paper's
+    slacks: Step 1's bar (xi n / k paths) and Step 2's density (delta).
     """
 
     gamma: float
@@ -65,10 +66,6 @@ class TemplateParams:
 
     @property
     def xi(self) -> float:
-        return self.gamma / self.T
-
-    @property
-    def delta(self) -> float:
         return self.gamma / self.T
 
     @property
@@ -100,36 +97,29 @@ class Step1Potential(PotentialOracle):
     """Potential after Step 1.
 
     Side-0 values pass through.  A side-1 vertex drops by one exactly when
-    it is matched in the output matching and that matched edge was eligible
-    (tight at c+1) under the input potential, i.e. the vertex lies on one
-    of the augmenting paths.
+    its mate in ``m_out`` differs from its mate in ``m_in``: it lies on one
+    of Step 1's augmenting paths.  No cost is read.  This is the paper's
+    recipe (drop the vertices whose matched edge is eligible, tight at
+    c + 1, under ``base``) because every matched edge of ``m_in`` is
+    tight: Step 1 leaves its new edges tight, and Step 2 moves both ends
+    of a matched edge together.  A column's mate changes at most once per
+    Step 1, since inner hops take only tight matched edges, so every
+    changed mate is along an eligible edge and every unchanged one tight.
     """
 
-    def __init__(self, base: PotentialOracle, m_out: MatchingOracle,
-                 cost: CostOracle, range_bound: int):
+    def __init__(self, base: PotentialOracle, m_in: MatchingOracle,
+                 m_out: MatchingOracle, range_bound: int):
         super().__init__(base.n, range_bound)
         self.base = base
+        self.m_in = m_in
         self.m_out = m_out
-        self.cost = cost
 
     def _eval_missing(self, us):
         out = self.base.eval_many(us).copy()
         is1 = (us & 1).astype(bool)
-        if not is1.any():
-            return out
-        u1 = us[is1]
-        mates = self.m_out.mates(u1)
-        matched = mates != UNMATCHED
-        if matched.any():
-            um = u1[matched]
-            vm = mates[matched]
-            c = self.cost.pairs(vm >> 1, um >> 1)
-            tight = self.base.eval_many(um) + self.base.eval_many(vm) == c + 1
-            dec = np.zeros(len(u1), dtype=np.int64)
-            dec[np.nonzero(matched)[0][tight]] = 1
-            sub = np.zeros(len(us), dtype=np.int64)
-            sub[is1] = dec
-            out -= sub
+        if is1.any():
+            u1 = us[is1]
+            out[is1] -= self.m_out.mates(u1) != self.m_in.mates(u1)
         return out
 
 
@@ -225,7 +215,7 @@ def step1(phi_in: PotentialOracle, m_in: MatchingOracle, params: TemplateParams,
             break
         m = nxt
         rounds += 1
-    phi_out = Step1Potential(phi_in, m, cost, params.range_bound)
+    phi_out = Step1Potential(phi_in, m_in, m, params.range_bound)
     return m, phi_out, rounds
 
 
@@ -246,7 +236,7 @@ def step2(phi_in: PotentialOracle, m_in: MatchingOracle, params: TemplateParams,
     max_layers = params.k // 2 if np.any(m_in.mate_of_v0() == UNMATCHED) else 0
     while layers < max_layers:
         A = StepAMembership(forest)
-        m_t = backend.large_matching_forward(phi_in, A, params.delta, m_in, cost)
+        m_t = backend.large_matching_forward(phi_in, A, params.xi, m_in, cost)
         if m_t is None:
             break
         forest = ForestMembership(n, m_in, ForestMembership(n, m_t, forest))

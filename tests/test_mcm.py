@@ -871,7 +871,7 @@ def test_exact_step1_builds_one_snapshot(monkeypatch):
 
 
 def _reference_drop_matched(mask, rows, cols, mate0):
-    """The dict loop _drop_matched replaced, kept verbatim."""
+    """The dict loop the exact forward once cleared matched pairs with, kept verbatim."""
     colpos = {int(j): t for t, j in enumerate(cols)}
     for r, i in enumerate(rows):
         m = mate0[i]
@@ -881,24 +881,70 @@ def _reference_drop_matched(mask, rows, cols, mate0):
                 mask[r, t] = False
 
 
-def test_drop_matched_equals_dict_loop_reference():
-    from submatch.mcm import _drop_matched
-    rng = np.random.default_rng(8)
+def _reference_forward(phi, A, delta_in, mate0, costs):
+    """The exact forward with each bucket's mask cleared of matched pairs
+    by the dict loop, as it ran before the one matching kernel.  Returns
+    (matching or None, pairs cleared, bucket rows free or matched outside
+    the bucket's columns)."""
+    n = len(costs)
+    R = phi.range_bound
+    rows_all, cols_all = mcm._members_on_side(A, n, 0), mcm._members_on_side(A, n, 1)
     dropped = outside = 0
-    for _ in range(60):
+    if len(rows_all) == 0 or len(cols_all) == 0:
+        return None, dropped, outside
+    phi_r, phi_c = phi.p0[rows_all], phi.p1[cols_all]
+    for pv in np.unique(phi_r):
+        rows = rows_all[phi_r == pv]
+        for qv in np.unique(phi_c):
+            cols = cols_all[phi_c == qv]
+            if pv + qv < 2:
+                continue
+            mask = costs[np.ix_(rows, cols)] == pv + qv - 1.0
+            kept = int(mask.sum())
+            _reference_drop_matched(mask, rows, cols, mate0)
+            dropped += kept - int(mask.sum())
+            outside += int(np.isin(mate0[rows], cols, invert=True).sum())
+            mu, sub_mate0, _ = mcm._hopcroft_karp(mcm._mask_to_adj(mask), len(rows), len(cols))
+            if mu >= delta_in / (R * R) * n:
+                return mcm._global_matching(n, rows, cols, sub_mate0), dropped, outside
+    return None, dropped, outside
+
+
+def test_exact_forward_equals_dict_loop_reference():
+    # the exact forward drops matched pairs inside each bucket's edge test
+    rng = np.random.default_rng(8)
+    dropped = outside = found = 0
+    for trial in range(100):
         n = int(rng.integers(1, 30))
-        rows = rng.permutation(n)[:int(rng.integers(0, n + 1))]
-        cols = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+        costs = rng.integers(1, 4, (n, n)).astype(float)
+        costs[rng.random((n, n)) < 0.1] = np.inf
+        phi = FixedPotential(rng.integers(0, 3, n), rng.integers(0, 3, n))
         mate0 = np.where(rng.random(n) < rng.uniform(0.0, 1.0), rng.permutation(n), UNMATCHED)
-        mask = rng.random((len(rows), len(cols))) < 0.8
-        got, ref = mask.copy(), mask.copy()
-        _drop_matched(got, rows, cols, mate0)
-        _reference_drop_matched(ref, rows, cols, mate0)
-        assert np.array_equal(got, ref)
-        dropped += int((mask & ~ref).sum())
-        outside += int(np.isin(mate0[rows], cols, invert=True).sum())
-    # many matched pairs are cleared, and many rows are free or have a mate outside cols
-    assert dropped >= 50 and outside >= 50
+        for i in np.nonzero(mate0 != UNMATCHED)[0]:
+            j = mate0[i]
+            if rng.random() < 0.7 and phi.p0[i] + phi.p1[j] >= 2:
+                costs[i, j] = phi.p0[i] + phi.p1[j] - 1  # a matched pair in its bucket
+        matching = ArrayMatching.from_pairs(
+            n, [(i, int(mate0[i])) for i in range(n) if mate0[i] != UNMATCHED])
+        A = None
+        if trial % 3:
+            A = SetMembership(n, [v0(i) for i in range(n) if rng.random() < 0.8]
+                              + [v1(j) for j in range(n) if rng.random() < 0.8])
+        delta_in = float(rng.uniform(0.05, 4.0))  # bars up to about 0.4 n
+        got = Backend.exact().large_matching_forward(phi, A, delta_in, matching,
+                                                     MatrixCost(costs))
+        ref, d, o = _reference_forward(phi, A, delta_in, mate0, costs)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert np.array_equal(got.mate_of_v0(), ref.mate_of_v0())
+            assert np.array_equal(got.mate_of_v1(), ref.mate_of_v1())
+            found += 1
+        dropped += d
+        outside += o
+    # many matched pairs are cleared, many rows are free or have a mate
+    # outside their bucket, and the forward often finds a matching and
+    # often none
+    assert dropped >= 100 and outside >= 500 and found >= 30 and 100 - found >= 20
 
 
 # -- sampled backend against its re-reading, rng.choice originals ------------------

@@ -13,7 +13,7 @@ from submatch.core import (
 from submatch.generators import uniform_instance
 from submatch.mcm import Backend
 from submatch.pipeline import (
-    FilteredMatching, ReductionConfig, RoundedCost, estimate_min_weight_matching,
+    ReductionConfig, RoundedCost, estimate_min_weight_matching,
     find_characteristic_cost, max_matching_under_budget, pad_dummies, round_costs,
 )
 from submatch.template import sample_and_estimate
@@ -296,15 +296,23 @@ def test_padding_identity_against_baseline():
 
 
 def test_unpad_matching_filters_dummy_pairs():
-    inst = BipartiteInstance.from_matrix(np.ones((4, 4)))
-    padded = pad_dummies(inst, beta=0.75, xi_pad=0.25)
-    from submatch.core import ArrayMatching
-    npad = padded.instance.n
-    inner = ArrayMatching.from_pairs(npad, [(0, 0), (1, 4), (4, 1)])
-    outer = FilteredMatching(inner, padded.n_real)
-    assert outer.mate(v0(0)) is not None
-    assert outer.mate(v0(1)) is None   # matched to a dummy
-    assert outer.mate(v0(2)) is None
+    # an estimate's matching holds the template matching's real-real pairs
+    # and leaves unmatched every real vertex whose mate there is a dummy
+    n = 60
+    for variant in ("exact", "sampled"):
+        res = estimate_min_weight_matching(uniform_instance(n, 1),
+                                           ReductionConfig(0.85, 1.0, 0.1),
+                                           Backend(variant, seed=1), seed=1)
+        inner = res.matching.base
+        assert inner is res.stages.template.matching and res.matching.n == n
+        to_dummy = 0
+        for got, mates in ((res.matching.mate_of_v0(), inner.mate_of_v0()[:n]),
+                           (res.matching.mate_of_v1(), inner.mate_of_v1()[:n])):
+            real = mates < n  # a real mate, or none
+            assert np.array_equal(got[real], mates[real])
+            assert np.all(got[~real] == UNMATCHED)
+            to_dummy += int(np.count_nonzero(~real))
+        assert to_dummy > 0 and res.matching.size() > 0.8 * n, variant
 
 
 # -- the one level oracle against the three adapters it replaced --------------------
@@ -710,13 +718,14 @@ def test_sampled_estimate_and_reads_are_pinned():
     # was 44.79995253571114 from 120088 reads, and with one path search per
     # free start, not per group of starts, 10.027269439334248 from 118086;
     # the same answer read 117945 with a length-3 augmentation pass after
-    # each sampled greedy
+    # each sampled greedy, and 116603 while each Step 1 potential re-read
+    # the cost of a side-1 vertex's matched edge
     inst = uniform_instance(128, 4)
     res = estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
                                        Backend.sampled(seed=4, epsilon=0.2),
                                        seed=4, T=8, k=5)
     assert res.estimate == 10.379811412231367
-    assert inst.query_count == 116603
+    assert inst.query_count == 116013
 
 
 def test_sampled_estimate_reads_each_real_matched_edge_once(monkeypatch):

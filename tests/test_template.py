@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from submatch.core import (
-    UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, ZeroPotential,
-    v0, v1,
+    UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, LevelCost,
+    PotentialOracle, ZeroPotential, v0, v1,
 )
 from submatch.mcm import Backend
 from submatch.template import (
@@ -21,7 +21,7 @@ def make_params(gamma=0.2, C=1, T=4, k=3):
 
 def test_params_validation_and_practical_defaults():
     p = make_params(gamma=0.1, C=5, T=10, k=5)
-    assert p.xi == pytest.approx(0.01) and p.delta == pytest.approx(0.01)
+    assert p.xi == pytest.approx(0.01)
     assert p.range_bound == 21
     with pytest.raises(ValueError):
         TemplateParams.practical(gamma=1.5, C=1, T=1, k=1)
@@ -70,6 +70,75 @@ def test_step1_inherited_matched_edges_keep_potential():
                                Backend.exact())
     assert rounds == 0
     assert phi_out.eval(v1(0)) == 0
+
+
+class _ReferenceStep1Potential(PotentialOracle):
+    """The Step 1 potential that re-tested each matched edge's eligibility
+    against the cost, kept verbatim."""
+
+    def __init__(self, base, m_out, cost, range_bound):
+        super().__init__(base.n, range_bound)
+        self.base = base
+        self.m_out = m_out
+        self.cost = cost
+
+    def _eval_missing(self, us):
+        out = self.base.eval_many(us).copy()
+        is1 = (us & 1).astype(bool)
+        if not is1.any():
+            return out
+        u1 = us[is1]
+        mates = self.m_out.mates(u1)
+        matched = mates != UNMATCHED
+        if matched.any():
+            um = u1[matched]
+            vm = mates[matched]
+            c = self.cost.pairs(vm >> 1, um >> 1)
+            tight = self.base.eval_many(um) + self.base.eval_many(vm) == c + 1
+            dec = np.zeros(len(u1), dtype=np.int64)
+            dec[np.nonzero(matched)[0][tight]] = 1
+            sub = np.zeros(len(us), dtype=np.int64)
+            sub[is1] = dec
+            out -= sub
+        return out
+
+
+def _assert_matched_edges_tight(m, phi, cost):
+    rows = np.nonzero(m.mate_of_v0() != UNMATCHED)[0]
+    cols = m.mate_of_v0()[rows]
+    assert np.array_equal(phi.eval_many(v0(rows)) + phi.eval_many(v1(cols)),
+                          cost.peek_pairs(rows, cols))
+
+
+@pytest.mark.parametrize("variant", ["exact", "sampled"])
+def test_step1_potential_reads_no_cost_and_equals_the_tightness_recipe(variant):
+    # every matched edge is tight after each iteration, so the Step 1
+    # potential can read which side-1 vertices Step 1 rematched off the
+    # matchings alone; on a raw cost and on a padded level cost
+    n = 40
+    rng = np.random.default_rng(17)
+    raw = BipartiteInstance.from_matrix(rng.integers(1, 6, (n, n)).astype(float))
+    base = BipartiteInstance.from_matrix(rng.random((n, n)))
+    levels = LevelCost(base.cost, math.sqrt(2.0 / 3.0), 0.5, 5, n + 4)
+    params = make_params(gamma=0.2, C=5, T=8, k=5)
+    for inst, cost in ((raw, raw.cost), (base, levels)):
+        backend = Backend(variant, seed=5)
+        every = np.arange(2 * cost.n, dtype=np.int64)
+        m, phi = EmptyMatching(cost.n), ZeroPotential(cost.n, params.range_bound)
+        dropped = 0
+        for _ in range(params.T):
+            m_in, phi_in = m, phi
+            m, phi, _ = step1(phi_in, m_in, params, cost, backend)
+            reads = inst.query_count
+            got = phi.eval_many(every)
+            assert inst.query_count == reads
+            ref = _ReferenceStep1Potential(phi_in, m, cost, params.range_bound)
+            assert np.array_equal(got, ref.eval_many(every))
+            dropped += int(np.count_nonzero(got != phi_in.eval_many(every)))
+            _assert_matched_edges_tight(m, phi, cost)
+            phi, _, _ = step2(phi, m, params, cost, backend)
+            _assert_matched_edges_tight(m, phi, cost)
+        assert dropped >= n // 2 and m.size() >= n // 2, (variant, dropped, m.size())
 
 
 # -- step 2 ---------------------------------------------------------------------
