@@ -25,7 +25,7 @@ import numpy as np
 __all__ = [
     "v0", "v1",
     "QueryCounter", "CostOracle", "MatrixCost", "FunctionCost",
-    "LevelCost", "MaterializedCost",
+    "LevelCost", "MaterializedCost", "LevelMatrix", "LEVEL_SENTINEL",
     "BipartiteInstance", "write_instance", "read_instance",
     "MatchingOracle", "EmptyMatching", "ArrayMatching", "OverlayMatching",
     "PotentialOracle", "ZeroPotential",
@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 UNMATCHED = -1  # array encoding of "no mate"
+
+#: a :class:`LevelMatrix`'s non-edge, the largest int16; every level is below it
+LEVEL_SENTINEL = np.iinfo(np.int16).max
 
 BINARY_MAGIC = b"SUBM1"
 
@@ -324,6 +327,33 @@ class MaterializedCost(_AdapterCost):
 
     def _pairs(self, is_, js, counted):
         return self._m[is_, js]
+
+
+class LevelMatrix(MaterializedCost):
+    """A cost of levels, integers in [1, C] with C < ``LEVEL_SENTINEL`` or
+    +inf, read once like a :class:`MaterializedCost` and kept as an int16
+    matrix: each level as itself, +inf as ``LEVEL_SENTINEL``.  Its reads
+    return int16 levels, a quarter of the float64 bytes.  ``readout``
+    reads the same entries as float64 costs, +inf for the sentinel, and
+    counts nothing."""
+
+    def __init__(self, base: CostOracle):
+        super().__init__(base)
+        # every level is below the sentinel, so the minimum maps only +inf to it
+        self._m = np.minimum(self._m, LEVEL_SENTINEL).astype(np.int16)
+
+    @property
+    def readout(self) -> CostOracle:
+        # made on demand: held as an attribute it would close a reference
+        # cycle, and the matrix would live until the cyclic collector runs
+        return _LevelValues(self)
+
+
+class _LevelValues(_AdapterCost):
+    """A :class:`LevelMatrix`'s entries as float64 costs, the sentinel as +inf."""
+
+    def _map(self, vals):
+        return np.where(vals == LEVEL_SENTINEL, np.inf, vals)
 
 
 class BipartiteInstance:

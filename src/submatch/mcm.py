@@ -16,15 +16,18 @@ between two free ends matched, and no augmenting path after, so a sampled
 size can fall well short of the maximum.
 
 The exact backend satisfies every contract deterministically.  It reads
-the cost matrix once into memory (:meth:`Backend.prepare_cost`) and
-builds each call's graph from it.  Its ``approx_match`` runs its own
-Hopcroft-Karp, started from the previous probe's matching on the same
-cost.  Its augmentation keeps one eligibility snapshot for a whole Step 1,
-with the eligible non-matched edges in two hop-class lists (to free
-columns, to columns matched along a tight edge).  One bounded-length path
-search serves every path length, free-to-free edges included, after a
-numpy reachability pass over those lists has marked where a path of that
-length can end.
+the cost matrix once into memory (:meth:`Backend.prepare_cost`), the
+template's levels once per template run into an int16 matrix
+(:meth:`Backend.prepare_levels`), and builds each call's graph from
+them.  Its ``approx_match`` runs its own Hopcroft-Karp, which stops once
+the size reaches the caller's ``need``, and keeps its answers on one cost
+in a table by edge count: a repeated graph is answered from it, and any
+other starts from the largest smaller graph's matching.  Its augmentation
+keeps one eligibility snapshot for a whole Step 1, with the eligible
+non-matched edges in two hop-class lists (to free columns, to columns
+matched along a tight edge).  One bounded-length path search serves every
+path length, free-to-free edges included, after a numpy reachability pass
+over those lists has marked where a path of that length can end.
 
 The sampled backend is a best-effort randomized implementation under a
 hard per-call query budget and exists to demonstrate empirical
@@ -49,7 +52,7 @@ import math
 import numpy as np
 
 from .core import (
-    UNMATCHED, ArrayMatching, CostOracle, LevelCost, MatchingOracle,
+    UNMATCHED, ArrayMatching, CostOracle, LevelCost, LevelMatrix, MatchingOracle,
     MaterializedCost, MembershipOracle, OverlayMatching, PotentialOracle, v0, v1,
 )
 
@@ -91,13 +94,16 @@ def backend_query_budget(epsilon: float, n: int, variant: str = "sampled") -> in
 # ---------------------------------------------------------------------------
 
 def _hopcroft_karp(adj: list[list[int]], n0: int, n1: int,
-                   mate0: list[int] | None = None, mate1: list[int] | None = None):
+                   mate0: list[int] | None = None, mate1: list[int] | None = None,
+                   need: float = math.inf):
     """Iterative Hopcroft-Karp; adj[i] lists side-1 neighbors of i in
     ascending order.  Returns (size, mate0, mate1) with int64 mate arrays.
 
     Given ``mate0``/``mate1`` (lists, taken over and written in place), the
     search starts from that matching, whose pairs must be edges of ``adj``;
-    otherwise from the empty one.  Either way it ends at a maximum matching.
+    otherwise from the empty one.  It stops between phases once the
+    matching has ``need`` pairs, and otherwise at a maximum matching, so a
+    size below ``need`` is the maximum.
     """
     if mate0 is None:
         mate0 = [-1] * n0
@@ -105,7 +111,7 @@ def _hopcroft_karp(adj: list[list[int]], n0: int, n1: int,
     inf = n0 + n1 + 1
     dist = [0] * n0
     size = n0 - mate0.count(-1)
-    while True:
+    while size < need:
         queue = []
         for i in range(n0):
             if mate0[i] == -1:
@@ -124,8 +130,7 @@ def _hopcroft_karp(adj: list[list[int]], n0: int, n1: int,
                     dist[m] = d
                     queue.append(m)
         if not found:
-            return (size, np.array(mate0, dtype=np.int64),
-                    np.array(mate1, dtype=np.int64))
+            break
         # phase DFS, iterative to keep stack depth independent of n
         ptr = [0] * n0
         for start in range(n0):
@@ -164,6 +169,7 @@ def _hopcroft_karp(adj: list[list[int]], n0: int, n1: int,
                     stack.pop()
                     if path:
                         path.pop()
+    return size, np.array(mate0, dtype=np.int64), np.array(mate1, dtype=np.int64)
 
 
 def _mask_to_adj(mask: np.ndarray) -> list[list[int]]:
@@ -244,28 +250,32 @@ class _Eligibility:
     +inf, so when max phi0 + max phi1 < 2 no edge is eligible and both
     lists are built empty without the n^2 test.  :meth:`augment` keeps
     the mates and ``matched_tight`` current as the matching grows.
+
+    The tests run in the costs' dtype: int16 over the exact backend's
+    :class:`LevelMatrix`, whose sentinel for +inf no sum of potentials
+    in the template's range reaches (``template.MAX_T``), and float64
+    over any other cost.  Both are exact on small integers.
     """
 
     def __init__(self, cost: CostOracle, phi: PotentialOracle, matching: MatchingOracle):
         n = cost.n
         self.n = n
-        phi0 = phi.eval_many(v0(np.arange(n, dtype=np.int64))).astype(np.float64)
-        phi1 = phi.eval_many(v1(np.arange(n, dtype=np.int64))).astype(np.float64)
+        c = cost.block(np.arange(n), np.arange(n))
+        phi0 = phi.eval_many(v0(np.arange(n, dtype=np.int64))).astype(c.dtype)
+        phi1 = phi.eval_many(v1(np.arange(n, dtype=np.int64))).astype(c.dtype)
         # own copies: augment() writes into them, never into the oracle's arrays
         self.mate0 = matching.mate_of_v0().copy()
         self.mate1 = matching.mate_of_v1().copy()
-        c = cost.block(np.arange(n), np.arange(n))
         matched_rows = np.nonzero(self.mate0 != UNMATCHED)[0]
         matched_cols = self.mate0[matched_rows]
         self.matched_tight = np.zeros(n, dtype=bool)
         self.matched_tight[matched_rows] = (
             phi0[matched_rows] + phi1[matched_cols] == c[matched_rows, matched_cols])
         if n and phi0.max() + phi1.max() >= 2:
-            # phi0 + phi1 == c + 1 runs as (phi0 - 1) + phi1 == c in float64,
-            # the costs' dtype: one dtype and one n^2 temporary, and exact,
-            # since the potentials are small integers and the costs integers
-            # or +inf.  Row-major order lists each row's columns ascending.
-            eligible = (phi0 - 1.0)[:, None] + phi1[None, :] == c
+            # phi0 + phi1 == c + 1 runs as (phi0 - 1) + phi1 == c in the
+            # costs' dtype: one n^2 temporary and no cast of the costs.
+            # Row-major order lists each row's columns ascending.
+            eligible = (phi0 - 1)[:, None] + phi1[None, :] == c
             eligible[matched_rows, matched_cols] = False
             cols = np.flatnonzero(eligible)
             rows = cols // n
@@ -427,7 +437,10 @@ class Backend:
     instance counts no dummy pair, so there the sum is larger.  An exact
     augmentation round that succeeds and leaves a free side-0 vertex hands
     its updated eligibility snapshot, hop-class lists and all, to the next
-    round of the same Step 1 (see :meth:`augment_eligible`).
+    round of the same Step 1 (see :meth:`augment_eligible`).  The exact
+    template calls read an int16 level matrix (:meth:`prepare_levels`), so
+    their eligibility and bucket tests run in int16; the exact
+    ``approx_match`` keeps a table of its answers on one cost (see there).
     """
 
     def __init__(self, variant: str = "exact", seed: int = 0, epsilon: float = 0.1):
@@ -445,8 +458,9 @@ class Backend:
         # (phi, returned overlay, cost, _Eligibility) of the last successful
         # exact augmentation round; matched by identity, never by id()
         self._snapshot = None
-        # (cost, mate0, mate1) of the last exact approx_match, the same way
-        self._warm = None
+        # (cost, {edge count: (size, mate0, mate1, is a maximum)}) of the
+        # exact approx_match calls on one cost, matched the same way
+        self._ladder = None
 
     @classmethod
     def exact(cls, seed: int = 0) -> "Backend":
@@ -470,6 +484,14 @@ class Backend:
             return cost
         return MaterializedCost(cost)
 
+    def prepare_levels(self, cost: CostOracle) -> CostOracle:
+        """:meth:`prepare_cost` for a cost of template levels, integers in
+        [1, C] with C < ``LEVEL_SENTINEL`` or +inf: the exact backend reads
+        it once into an int16 :class:`LevelMatrix`, whose reads are levels
+        and whose ``readout`` is the same costs as float64; the sampled
+        backend gets ``cost`` unchanged."""
+        return cost if self.variant == "sampled" else LevelMatrix(cost)
+
     def _rng(self) -> np.random.Generator:
         child = self._seq.spawn(1)[0]
         return np.random.default_rng(child)
@@ -489,38 +511,52 @@ class Backend:
                 f"sampled backend exceeded its query budget in {op}: {used} > {budget}")
 
     # -- approx_match -------------------------------------------------------
-    def approx_match(self, cost: CostOracle, limit: float):
+    def approx_match(self, cost: CostOracle, limit: float, need: float = math.inf):
         """Estimate the max-matching size of the graph of edges with
         cost <= limit; returns (size, oracle).
 
-        Exact calls return a maximum matching, and they warm-start: a call
-        on the same cost object as the previous exact call starts
-        Hopcroft-Karp from that call's matching, less its pairs of cost
-        above ``limit``; any other cost starts from the empty matching.
-        The size is the maximum either way, so only which maximum matching
-        comes back depends on the calls before.  Sampled calls return the
-        probe greedy's matching over all pairs under the full budget, with
-        no augmentation after it, so their size is a lower bound on the
-        maximum.  Each record logs ``size``, and each exact one
-        ``carried``, the number of pairs it started from.
+        A size below ``need`` is returned as found; at or above it the call
+        may return any size >= ``need`` as soon as it has one.  Exact: a
+        matching of the maximum size, or of at least ``need`` pairs, where
+        Hopcroft-Karp stops between phases.  The graphs of one cost are
+        nested, so the same edge count means the same graph, and the calls
+        on one cost object keep a table of their answers by edge count (a
+        new cost object clears it).  A call whose count holds a maximum, or
+        an answer of at least ``need`` pairs, returns it with no adjacency
+        build and no Hopcroft-Karp; any other call starts Hopcroft-Karp
+        from the entry of the largest count up to its own, whose pairs are
+        all edges of its graph, or from the empty matching.  Only which
+        matching comes back depends on the calls before, and a size below
+        ``need`` is the maximum.  Sampled: the probe greedy's matching over
+        all pairs under the full budget, with no augmentation after it, so
+        the size is a lower bound on the maximum and ``need`` is not used.
+        Each record logs ``size``, and each exact one ``carried``, the
+        pairs it started from, and ``reused``, whether the table answered.
         """
         n = cost.n
         before = cost.counter.count
         if self.variant == "exact":
             mask = cost.block(np.arange(n), np.arange(n)) <= limit
-            mate0 = mate1 = None
-            carried = 0
-            if self._warm is not None and self._warm[0] is cost:
-                m0, m1 = self._warm[1].copy(), self._warm[2].copy()
-                rows = np.nonzero(m0 != UNMATCHED)[0]
-                gone = rows[~mask[rows, m0[rows]]]
-                m1[m0[gone]] = UNMATCHED
-                m0[gone] = UNMATCHED
-                carried = len(rows) - len(gone)
-                mate0, mate1 = m0.tolist(), m1.tolist()
-            size, mate0, mate1 = _hopcroft_karp(_mask_to_adj(mask), n, n, mate0, mate1)
-            self._warm = (cost, mate0, mate1)
-            self._log("approx_match", cost.counter, before, n, size=size, carried=carried)
+            edges = int(np.count_nonzero(mask))
+            if self._ladder is None or self._ladder[0] is not cost:
+                self._ladder = (cost, {})
+            table = self._ladder[1]
+            got = table.get(edges)
+            reused = got is not None and (got[3] or got[0] >= need)
+            if reused:
+                size, mate0, mate1, _ = got
+                carried = size
+            else:
+                below = [e for e in table if e <= edges]
+                carried, mate0, mate1 = 0, None, None
+                if below:
+                    carried, m0, m1, _ = table[max(below)]
+                    mate0, mate1 = m0.tolist(), m1.tolist()
+                size, mate0, mate1 = _hopcroft_karp(_mask_to_adj(mask), n, n,
+                                                    mate0, mate1, need)
+                table[edges] = (size, mate0, mate1, size < need)
+            self._log("approx_match", cost.counter, before, n, size=size,
+                      carried=carried, reused=reused)
             return size, ArrayMatching(mate0, mate1)
         every = np.arange(n, dtype=np.int64)
         size, out = self._match(cost, every, every, lambda c, i, j: c <= limit,
@@ -589,7 +625,9 @@ class Backend:
                 remaining = budget - (cost.counter.count - before)
                 if remaining <= 0:
                     break
-                target = float(pv + qv) - 1.0  # i + j == c + 1, matched pairs out
+                # i + j == c + 1, matched pairs out; a Python int keeps an
+                # int16 block's test in int16
+                target = int(pv + qv) - 1
                 size, m = self._match(
                     cost, rows, cols, lambda c, i, j: (c == target) & (mate0[i] != j),
                     remaining, 8)
@@ -617,10 +655,11 @@ class Backend:
         path search reads no probe with phi0 + phi1 < 2.
 
         Exact calls build one eligibility snapshot per Step 1, from one
-        dense read of the cost: a round whose phi and cost are the previous
-        successful round's and whose matching is the overlay that round
-        returned continues from that round's snapshot, updated in place
-        along its paths; any other round builds a new one.  At most one
+        dense read of the cost (int16 levels, from :meth:`prepare_levels`):
+        a round whose phi and cost are the previous successful round's and
+        whose matching is the overlay that round returned continues from
+        that round's snapshot, updated in place along its paths; any other
+        round builds a new one.  At most one
         snapshot is held at a time, and none after a round whose paths
         leave no free side-0 vertex, since no round follows it.  A length
         class whose reachability pass finds no free start that can end in

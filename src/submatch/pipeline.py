@@ -26,7 +26,7 @@ from .core import (
     MatchingOracle, _AdapterCost, _reject_negative, as_seed_sequence, seed_label,
 )
 from .mcm import Backend
-from .template import TemplateParams, run_template
+from .template import MAX_T, TemplateParams, run_template
 
 __all__ = [
     "ReductionConfig", "CharacteristicCost", "find_characteristic_cost",
@@ -92,12 +92,13 @@ def find_characteristic_cost(instance: BipartiteInstance, config: ReductionConfi
     still has approximate matching size below (beta - 2*gamma) * n, or the
     smallest ladder value when none qualifies.
 
-    The threshold graphs are nested, and on the exact backend each probe
-    warm-starts from the previous probe's maximum matching, less its pairs
-    above the new threshold (see :meth:`Backend.approx_match`).  Only the
-    sizes are used, and they are exact maximum-matching sizes, so the
-    probes and w_bar are those of cold starts; the probes' matchings are
-    discarded.
+    Each probe asks only whether its size reaches the bar, so it passes
+    ``need`` = ceil((beta - 2*gamma) * n): a size below ``need`` is the
+    backend's size, and one at or above it may stop there.  On the
+    exact backend a size below ``need`` is the maximum, however the probe
+    was started or answered (see :meth:`Backend.approx_match`), so the
+    probes and w_bar are those of cold, full Hopcroft-Karp runs; the
+    probes' matchings are discarded.
     """
     n = instance.n
     g = config.gamma_effective
@@ -109,14 +110,15 @@ def find_characteristic_cost(instance: BipartiteInstance, config: ReductionConfi
     if np.isnan(ladder[-1]):  # np.sort puts NaN last
         raise ValueError("malformed cost: the sampled costs include NaN")
     _reject_negative(ladder)
-    bar = (config.beta - 2.0 * g) * n
+    # sizes are integers, so size < (beta - 2 gamma) n is size < need
+    need = math.ceil((config.beta - 2.0 * g) * n)
     probes = 0
 
     def sparse(idx: int) -> bool:
         nonlocal probes
         probes += 1
-        size, _ = backend.approx_match(instance.cost, g * float(ladder[idx]))
-        return size < bar
+        size, _ = backend.approx_match(instance.cost, g * float(ladder[idx]), need)
+        return size < need
 
     lo, hi = 0, s - 1
     if not sparse(lo):
@@ -167,10 +169,13 @@ def pad_dummies(instance: BipartiteInstance, beta: float, xi_pad: float) -> Padd
 # ---------------------------------------------------------------------------
 
 def _template_budget(T: int | None, k: int | None) -> tuple[int, int]:
-    """(T, k) with the defaults filled in; T < 4 or k < 1 raises ``ValueError``."""
+    """(T, k) with the defaults filled in; T < 4, T > ``MAX_T`` (16383) or
+    k < 1 raises ``ValueError``."""
     T, k = DEFAULT_T if T is None else T, DEFAULT_K if k is None else k
     if T < 4:
         raise ValueError("T must be >= 4")
+    if T > MAX_T:
+        raise ValueError(f"T must be <= {MAX_T}")
     if k < 1:
         raise ValueError("k must be >= 1")
     return T, k
@@ -216,8 +221,8 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     c(M^{beta n}) is +inf: the answer is +inf with an empty matching, and
     the template does not run.
 
-    T < 4 or k < 1 raises ``ValueError`` before any cost is read, at
-    degenerate sizes too.
+    T < 4, T > 16383 or k < 1 raises ``ValueError`` before any cost is
+    read, at degenerate sizes too.
     """
     T, k = _template_budget(T, k)
     n = instance.n

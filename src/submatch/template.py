@@ -24,21 +24,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    UNMATCHED, ArrayMatching, BipartiteInstance, CostOracle, EmptyMatching,
-    MatchingOracle, LevelCost, MembershipOracle, PotentialOracle, ZeroPotential,
-    _AdapterCost,
+    LEVEL_SENTINEL, UNMATCHED, ArrayMatching, BipartiteInstance, CostOracle,
+    EmptyMatching, LevelCost, LevelMatrix, MatchingOracle, MembershipOracle,
+    PotentialOracle, ZeroPotential, _AdapterCost,
 )
 from .mcm import Backend
 
 __all__ = [
     "TemplateParams", "IterationState", "TemplateResult", "run_template",
-    "step1", "step2", "sample_and_estimate", "SAMPLE_SIZE_CONSTANT",
+    "step1", "step2", "sample_and_estimate", "SAMPLE_SIZE_CONSTANT", "MAX_T",
 ]
 
 #: multiplier `a` in |S| = ceil(a * (C/gamma)^2 * ln n); chosen so the
 #: multiplicative Chernoff bound on the discarded fraction fails with
 #: probability <= n^-3.
 SAMPLE_SIZE_CONSTANT = 48
+
+#: the largest T: potentials stay in phi0 in [0, T] and phi1 in [-2T, 0], so
+#: every sum the eligibility test forms, (phi0 - 1) + phi1 and phi0 + phi1,
+#: lies in [-2T - 1, T] and fits an int16 without reaching LEVEL_SENTINEL
+MAX_T = (LEVEL_SENTINEL - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,8 @@ class TemplateParams:
     are far too large to run, so T and k are practical values and the one
     slack is derived as xi = gamma / T.  It serves both of the paper's
     slacks: Step 1's bar (xi n / k paths) and Step 2's density (delta).
+    T above ``MAX_T`` (16383) or C at or above ``LEVEL_SENTINEL`` (32767)
+    raises: the exact backend holds the levels and potentials in int16.
     """
 
     gamma: float
@@ -61,6 +68,10 @@ class TemplateParams:
             raise ValueError("gamma must be in (0, 1)")
         if self.C < 1 or self.T < 1:
             raise ValueError("C and T must be positive")
+        if self.T > MAX_T:
+            raise ValueError(f"T must be <= {MAX_T}")
+        if self.C >= LEVEL_SENTINEL:
+            raise ValueError(f"C must be < {LEVEL_SENTINEL}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
@@ -369,10 +380,12 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
     Costs must be integers in [1, params.C], +inf marking a non-edge: a
     ``LevelCost`` with ``C <= params.C`` is so by construction, and any
     other cost is checked when read (on the exact backend all at once).
-    The iterations run on these levels; the estimate and w are read by
-    :func:`sample_and_estimate` in the instance's own units: from a
-    ``LevelCost``'s ``readout`` (each real pair's base cost, 0 on pairs
-    that touch a dummy), and from the checked cost itself otherwise.  So
+    The iterations run on these levels, which the exact backend holds as
+    an int16 :class:`LevelMatrix` (:meth:`Backend.prepare_levels`); the
+    estimate and w are read by :func:`sample_and_estimate` in the
+    instance's own units: from a ``LevelCost``'s ``readout`` (each real
+    pair's base cost, 0 on pairs that touch a dummy), and from the checked
+    cost otherwise, as float64 and with no further counted read.  So
     the estimate is the trimmed sample of the final matching's costs,
     extrapolated by |M| / |S|.  ``result.matching`` is an
     :class:`ArrayMatching` of the final matching's edges at a level no
@@ -392,10 +405,12 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
     cost = instance.cost
     if isinstance(cost, LevelCost) and cost.C <= params.C:
         readout, level = cost.readout, cost.level
-        cost = backend.prepare_cost(cost)
+        cost = backend.prepare_levels(cost)
     else:
-        cost = readout = backend.prepare_cost(_ValidatingCost(cost, params.C))
-        level = None  # the costs are their own levels
+        cost = backend.prepare_levels(_ValidatingCost(cost, params.C))
+        # the costs are their own levels, read back as float64 from an int16 matrix
+        readout = cost.readout if isinstance(cost, LevelMatrix) else cost
+        level = None
     matching: MatchingOracle = EmptyMatching(n)
     phi: PotentialOracle = ZeroPotential(n, params.range_bound)
     states = [IterationState(0, matching, phi)]

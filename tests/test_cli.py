@@ -164,6 +164,13 @@ def test_error_exit_code(tmp_path):
     assert code == 1
 
 
+def test_T_above_16383_exits_1_with_the_message(capsys):
+    code = run_cli("estimate-mwm", "--generator", "uniform", "--n", 20, "--seed", 1,
+                   "--alpha", 0.85, "--beta", 1.0, "--gamma", 0.1, "--T", 16384)
+    assert code == 1
+    assert "error: T must be <= 16383" in capsys.readouterr().err
+
+
 def test_malformed_instance_file_exits_1(tmp_path, capsys):
     inst_path = tmp_path / "i.txt"
     inst_path.write_text("3\n1 2 3\n1 2\n1 2 3\n")

@@ -96,19 +96,19 @@ def test_approx_match_exact_equals_hopcroft_karp_oracle():
 
 
 def _ladder_limits(instance, seed):
-    """The limits ``find_characteristic_cost`` probes, in its order, with the
-    exact backend that probed them."""
+    """The (limit, need) pairs ``find_characteristic_cost`` probes, in its
+    order, the exact backend that probed them and the characteristic cost."""
     from submatch.pipeline import ReductionConfig, find_characteristic_cost
 
     class Recording(Backend):
-        def approx_match(self, cost, limit):
-            self.limits.append(limit)
-            return super().approx_match(cost, limit)
+        def approx_match(self, cost, limit, need=math.inf):
+            self.probes.append((limit, need))
+            return super().approx_match(cost, limit, need)
 
     backend = Recording.exact(seed=0)
-    backend.limits = []
-    find_characteristic_cost(instance, ReductionConfig(0.85, 1.0, 0.1), backend, seed)
-    return backend.limits, backend
+    backend.probes = []
+    found = find_characteristic_cost(instance, ReductionConfig(0.85, 1.0, 0.1), backend, seed)
+    return backend.probes, backend, found
 
 
 def _max_matching_size(dense, limit):
@@ -117,48 +117,123 @@ def _max_matching_size(dense, limit):
     return baseline.max_bipartite_matching(n, n, zip(rows.tolist(), cols.tolist()))[0]
 
 
-def test_warm_started_approx_match_equals_cold_and_baseline_sizes():
+def _reference_bisection(ladder, dense, g, bar):
+    """w_bar and the probed limits of the characteristic-cost search run on
+    cold baseline maximum sizes."""
+    limits = []
+
+    def sparse(idx):
+        limits.append(g * float(ladder[idx]))
+        return _max_matching_size(dense, limits[-1]) < bar
+
+    lo, hi = 0, len(ladder) - 1
+    if not sparse(lo):
+        return float(ladder[0]), limits
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if sparse(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return float(ladder[lo]), limits
+
+
+def test_warm_started_approx_match_equals_cold_and_baseline_sizes(monkeypatch):
     from submatch.generators import uniform_instance
+    from submatch.pipeline import ReductionConfig
+    hk = mcm._hopcroft_karp
+    starts = []
+
+    def recording_hk(adj, n0, n1, mate0=None, mate1=None, need=math.inf):
+        starts.append((adj, None if mate0 is None else (list(mate0), list(mate1))))
+        return hk(adj, n0, n1, mate0, mate1, need)
+
+    monkeypatch.setattr(mcm, "_hopcroft_karp", recording_hk)
+    g = ReductionConfig(0.85, 1.0, 0.1).gamma_effective
+    reused = early = 0
     for s in (1, 2, 3):
         seed = int(np.random.SeedSequence([18, s]).generate_state(1)[0])
         inst = uniform_instance(200, seed)
         cost = Backend.exact().prepare_cost(inst.cost)
         dense = cost.peek_dense()
-        ladder, _ = _ladder_limits(BipartiteInstance(200, cost), seed)
-        assert any(a > b for a, b in zip(ladder, ladder[1:]))  # it goes down too
-        assert any(a < b for a, b in zip(ladder, ladder[1:]))  # and up
-        descending = sorted(set(ladder), reverse=True)
-        for limits in (ladder, descending):
-            warm, sizes = Backend.exact(), []
-            for limit in limits:
+        starts.clear()
+        probes, backend, found = _ladder_limits(BipartiteInstance(200, cost), seed)
+        limits = [limit for limit, _ in probes]
+        assert any(a > b for a, b in zip(limits, limits[1:]))  # it goes down too
+        assert any(a < b for a, b in zip(limits, limits[1:]))  # and up
+        # w_bar and every probe limit are those of cold maximum sizes
+        assert (found.w_bar, limits) == _reference_bisection(
+            found.ladder, dense, g, (1.0 - 2.0 * g) * 200)
+        seen = set()
+        for (limit, need), rec in zip(probes, backend.call_log):
+            top = _max_matching_size(dense, limit)
+            if rec["size"] < need:
+                assert rec["size"] == top
+            else:
+                assert top >= need
+                early += rec["size"] < top
+            # a repeated edge count is answered from the table, with no Hopcroft-Karp
+            edges = int(np.count_nonzero(dense <= limit))
+            assert rec["reused"] == (edges in seen)
+            seen.add(edges)
+        assert len(starts) == sum(not rec["reused"] for rec in backend.call_log)
+        reused += sum(rec["reused"] for rec in backend.call_log)
+        # every matching a probe starts from is a matching of that probe's graph
+        for adj, start in starts:
+            if start is not None:
+                m0, m1 = start
+                for i, j in enumerate(m0):
+                    assert j == UNMATCHED or (j in adj[i] and m1[j] == i)
+                assert sum(j != UNMATCHED for j in m0) == sum(i != UNMATCHED for i in m1)
+        # full-size calls, in the search's order and descending, stay maxima
+        for order in (limits, sorted(set(limits), reverse=True)):
+            warm = Backend.exact()
+            for limit in order:
                 size, m = warm.approx_match(cost, limit)
-                cold, _ = Backend.exact().approx_match(cost, limit)
-                assert size == cold == _max_matching_size(dense, limit)
-                assert m.size() == size
+                assert size == _max_matching_size(dense, limit) == m.size()
                 assert_valid_matching(m, 200, mask_cost(dense <= limit))
-                sizes.append(size)
-            carried = [rec["carried"] for rec in warm.call_log]
-            assert carried[0] == 0
-            assert all(c <= before for c, before in zip(carried[1:], sizes))
-        # going down drops pairs above the new limit
-        assert any(0 < c < before for c, before in zip(carried[1:], sizes))
+    assert reused >= 3 and early >= 1
 
 
 def test_ladder_probes_log_carried_pairs():
     from submatch.generators import uniform_instance
     inst = uniform_instance(200, 7)
     cost = Backend.exact().prepare_cost(inst.cost)
-    _, backend = _ladder_limits(BipartiteInstance(200, cost), 7)
-    carried = [rec["carried"] for rec in backend.call_log]
-    assert carried[0] == 0  # the first probe starts cold
-    assert max(carried[1:]) > 0
+    _, backend, _ = _ladder_limits(BipartiteInstance(200, cost), 7)
+    log = backend.call_log
+    assert log[0]["carried"] == 0 and not log[0]["reused"]  # the first probe starts cold
+    assert max(rec["carried"] for rec in log if not rec["reused"]) > 0
+    # a reused answer carries the whole answer and runs no Hopcroft-Karp
+    assert all(rec["carried"] == rec["size"] for rec in log if rec["reused"])
     # a second cost object on the same backend starts cold, even with equal values
     twin = MatrixCost(cost.peek_dense())
     size, _ = backend.approx_match(twin, 1.0)
-    assert backend.call_log[-1]["carried"] == 0 and size == 200
-    # and the next call on it starts from that matching
+    assert (log[-1]["carried"], log[-1]["reused"], size) == (0, False, 200)
+    # and the next call on it, the same graph, is answered from the table
     backend.approx_match(twin, 1.0)
-    assert backend.call_log[-1]["carried"] == 200
+    assert (log[-1]["carried"], log[-1]["reused"]) == (200, True)
+
+
+def test_approx_match_early_stop_serves_only_needs_up_to_its_size():
+    # knapsack grid points share one prepared cost with different bars
+    from submatch.generators import uniform_instance
+    cost = Backend.exact().prepare_cost(uniform_instance(200, 5).cost)
+    dense = cost.peek_dense()
+    limit = float(np.quantile(dense, 0.01))
+    top = _max_matching_size(dense, limit)
+    backend = Backend.exact()
+    low, _ = backend.approx_match(cost, limit, 1)
+    assert 1 <= low < top  # stopped after one phase, short of the maximum
+    assert backend.approx_match(cost, limit, low)[0] == low
+    assert backend.call_log[-1]["reused"]
+    # a larger need is not served by the short answer, only started from it;
+    # top + 1 is out of reach, so this call runs to the maximum
+    size, m = backend.approx_match(cost, limit, top + 1)
+    assert size == top == m.size() and not backend.call_log[-1]["reused"]
+    assert backend.call_log[-1]["carried"] == low
+    # a size below need is a maximum: it serves every need now
+    assert backend.approx_match(cost, limit)[0] == top
+    assert backend.call_log[-1]["reused"]
 
 
 @pytest.mark.parametrize("variant", ["exact", "sampled"])
@@ -731,15 +806,24 @@ def _reference_eligibility(costs, phi0, phi1, mate0):
 
 
 def test_eligibility_snapshot_equals_integer_reference():
+    # each state is tested over float64 costs and over the exact backend's
+    # int16 level matrix; the last trials put the potentials at the ends of
+    # their range at T = MAX_T, phi0 in [0, T] and phi1 in [-2T, 0]
+    from submatch.core import LEVEL_SENTINEL
     from submatch.mcm import _Eligibility
-    from submatch.template import _ValidatingCost
+    from submatch.template import MAX_T, _ValidatingCost
     rng = np.random.default_rng(19)
-    C = 7
-    seen = dict(at_C=0, negative=0, inf=0, matched_eligible=0, tight=0)
-    for trial in range(40):
+    seen = dict(at_C=0, negative=0, inf=0, matched_eligible=0, tight=0, extreme=0)
+    for trial in range(60):
         n = int(rng.integers(1, 30))
-        phi0 = rng.integers(-3, C + 3, n)
-        phi1 = rng.integers(-3, 4, n)
+        if trial < 40:
+            C = 7
+            phi0 = rng.integers(-3, C + 3, n)
+            phi1 = rng.integers(-3, 4, n)
+        else:
+            C = T = MAX_T
+            phi0 = rng.choice([0, 1, T - 1, T], n)
+            phi1 = rng.choice([-2 * T, -2 * T + 1, -1, 0], n)
         costs = rng.integers(1, C + 1, (n, n)).astype(float)
         # plant eligible pairs, at level C among them, then +inf non-edges
         sums = phi0[:, None] + phi1[None, :]
@@ -752,11 +836,16 @@ def test_eligibility_snapshot_equals_integer_reference():
             if 1 <= c <= C:
                 costs[i, j] = c
         matching = ArrayMatching.from_pairs(n, pairs)
-        elig = _Eligibility(_ValidatingCost(MatrixCost(costs), C),
-                            FixedPotential(phi0, phi1), matching)
         adj, tight = _reference_eligibility(costs.tolist(), phi0, phi1, matching.mate_of_v0())
-        assert _hop_lists(elig) == _split_by_column(adj, matching.mate_of_v1(), tight)
-        assert elig.matched_tight.tolist() == tight
+        levels = Backend.exact().prepare_levels(_ValidatingCost(MatrixCost(costs), C))
+        stored = levels.peek_dense()
+        assert stored.dtype == np.int16
+        assert np.array_equal(stored, np.where(np.isinf(costs), LEVEL_SENTINEL, costs))
+        for validated in (_ValidatingCost(MatrixCost(costs), C), levels):
+            elig = _Eligibility(validated, FixedPotential(phi0, phi1), matching)
+            assert _hop_lists(elig) == _split_by_column(adj, matching.mate_of_v1(), tight)
+            assert elig.matched_tight.tolist() == tight
+        seen["extreme"] += trial >= 40 and sum(map(len, adj)) > 0
         seen["at_C"] += sum(costs[i][j] == C for i in range(n) for j in adj[i])
         seen["negative"] += sum(min(phi0[i], phi1[j]) < 0 for i in range(n) for j in adj[i])
         seen["inf"] += int(np.isinf(costs).sum())

@@ -120,8 +120,8 @@ def test_sampled_approx_match_is_a_valid_matching_never_above_the_maximum():
         probes = []
         probe = backend.approx_match
 
-        def recording(cost, limit):
-            size, matching = probe(cost, limit)
+        def recording(cost, limit, need):
+            size, matching = probe(cost, limit, need)
             probes.append((limit, size, matching))
             return size, matching
 
@@ -668,6 +668,24 @@ def test_estimator_rejects_bad_T_or_k_before_any_read(variant, n, T, k, named):
         estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
                                      Backend(variant, seed=0), seed=0, T=T, k=k)
     assert inst.query_count == 0
+
+
+@pytest.mark.parametrize("variant", ["exact", "sampled"])
+def test_T_above_the_int16_range_is_rejected_before_any_read(variant):
+    # the exact backend holds levels and potentials in int16, so T is capped
+    # where every sum the eligibility test forms stays below the non-edge
+    from submatch.template import MAX_T, TemplateParams
+    assert MAX_T == 16383
+    inst = uniform_instance(20, 1)  # answered by the baseline if T were not checked
+    with pytest.raises(ValueError, match="T must be <= 16383"):
+        estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
+                                     Backend(variant, seed=0), seed=0, T=MAX_T + 1)
+    assert inst.query_count == 0
+    with pytest.raises(ValueError, match="T must be <= 16383"):
+        TemplateParams(0.1, 5, MAX_T + 1, 3)
+    with pytest.raises(ValueError, match="C must be < 32767"):
+        TemplateParams(0.1, 32767, 10, 3)
+    TemplateParams(0.1, 32766, MAX_T, 3)  # the largest allowed
 
 
 def test_knapsack_infinite_budget_fits_everything():

@@ -1,12 +1,14 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from submatch.core import (
     UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, LevelCost,
-    PotentialOracle, ZeroPotential, v0, v1,
+    MatrixCost, PotentialOracle, ZeroPotential, v0, v1,
 )
 from submatch.mcm import Backend
 from submatch.template import (
@@ -27,6 +29,37 @@ def test_params_validation_and_practical_defaults():
         TemplateParams.practical(gamma=1.5, C=1, T=1, k=1)
     with pytest.raises(ValueError):
         TemplateParams.practical(gamma=0.1, C=0, T=1, k=1)
+
+
+def test_run_template_on_raw_integer_costs_keeps_their_units():
+    # a cost that is not a LevelCost is checked and, on the exact backend,
+    # held as an int16 level matrix; the estimate and w are read back from
+    # it as float64 costs, with no further counted read
+    rng = np.random.default_rng(5)
+    n, C = 60, 9
+    costs = rng.integers(1, C + 1, (n, n)).astype(float)
+    costs[rng.random((n, n)) < 0.2] = np.inf
+    inst = BipartiteInstance.from_matrix(costs)
+    res = run_template(inst, make_params(gamma=0.02, C=C, T=6, k=3),
+                       Backend.exact(seed=2), seed=4)
+    assert res.estimate == 57.799181999259744  # the answer before int16 levels
+    assert res.w == 2.0 and type(res.w) is float
+    assert inst.query_count == n * n
+    levels = Backend.exact().prepare_levels(MatrixCost(costs))
+    before = levels.counter.count
+    got = levels.readout.block(np.arange(n), np.arange(n))
+    assert got.dtype == np.float64 and np.array_equal(got, costs)
+    assert np.array_equal(levels.readout.pairs([0, 1], [2, 3]), costs[[0, 1], [2, 3]])
+    assert levels.counter.count == before
+    # nothing but its holders keeps the matrix alive: no reference cycle
+    # waits for the cyclic collector
+    gc.disable()
+    try:
+        held = weakref.ref(levels)
+        del levels
+        assert held() is None
+    finally:
+        gc.enable()
 
 
 # -- step 1 ---------------------------------------------------------------------
