@@ -424,6 +424,8 @@ def read_instance(path) -> BipartiteInstance:
             if len(size) != 8:
                 raise _malformed("the header ends before n")
             (n,) = struct.unpack("<Q", size)
+            if n == 0:
+                raise _malformed("the size must be positive, not 0")
             payload = fh.read()
             if len(payload) != 8 * n * n:
                 raise _malformed(f"n={n} needs {8 * n * n} bytes of costs, "

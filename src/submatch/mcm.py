@@ -3,17 +3,18 @@
 The template algorithm only ever talks to three subroutines: approximate
 matching size, large-matching extraction inside a vertex set, and
 bounded-length augmentation over eligible edges (plus the potential-aware
-forward variant that buckets edges by potential values).  There is no
-separate graph type: a graph is a cost oracle plus a limit, its edges the
-pairs of cost <= limit, and every subroutine reads the costs itself.
+forward variant, one matching over the edges phi0 + phi1 == c + 1 at every
+potential value).  There is no separate graph type: a graph is a cost
+oracle plus a limit, its edges the pairs of cost <= limit, and every
+subroutine reads the costs itself.
 
 Each backend has one matching kernel, :meth:`Backend._match`, a matching
-on rows x cols under an edge test.  ``large_match``, each forward bucket
-and the sampled ``approx_match`` call it.  On the exact backend it is one
-block read and one Hopcroft-Karp, a maximum matching.  On the sampled
-backend it is one probe greedy: batches of random probes, every hit
-between two free ends matched, and no augmenting path after, so a sampled
-size can fall well short of the maximum.
+on rows x cols under an edge test.  ``large_match``, the forward variant
+and the sampled ``approx_match`` call it once per call.  On the exact
+backend it is one block read and one Hopcroft-Karp, a maximum matching.
+On the sampled backend it is one probe greedy: batches of random probes,
+every hit between two free ends matched, and no augmenting path after, so
+a sampled size can fall well short of the maximum.
 
 The exact backend satisfies every contract deterministically.  It reads
 the cost matrix once into memory (:meth:`Backend.prepare_cost`), the
@@ -39,10 +40,9 @@ row's own mate is), is free on an inner hop or matched on the last one, or
 has a potential sum below 2, too low for a level >= 1 to be eligible; a
 greedy probe is skipped when its column was matched before its batch.
 Skipping changes the reads, not the draws or picks, unless the budget
-binds.  The forward variant skips whole potential buckets below that sum
-before any draw, so the sampled backend spawns no child RNG for them,
+binds.  The forward variant admits no pair whose potential sum is below 2
 wherever every entry is known to be a level: on the exact backend and on
-a ``LevelCost``.
+a ``LevelCost``, where the sampled greedy skips such a probe unread.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def delta_out(delta_in: float) -> float:
 
 
 def delta_out_forward(delta_in: float, range_bound: int) -> float:
-    """Density guarantee of the potential-bucketed forward variant."""
+    """Density guarantee of the potential-aware forward variant."""
     return delta_in ** 5 / (2000.0 * range_bound ** 10)
 
 
@@ -212,6 +212,13 @@ def _members_on_side(A: MembershipOracle | None, n: int, side_: int) -> np.ndarr
         return idx
     ids = v0(idx) if side_ == 0 else v1(idx)
     return idx[A.contains_many(ids)]
+
+
+def _forward_test(p0: np.ndarray, p1: np.ndarray, mate0: np.ndarray):
+    """The forward graph's edge test for :meth:`Backend._match`, given
+    phi0 - 1 and phi1 on instance indices: c == (phi0 - 1) + phi1 in the
+    costs' dtype, and not a pair of the base matching ``mate0``."""
+    return lambda c, i, j: (p0[i].astype(c.dtype) + p1[j].astype(c.dtype) == c) & (mate0[i] != j)
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +431,14 @@ class Backend:
     asserted against :func:`backend_query_budget`.  ``epsilon`` is the
     backend's one query knob: it must be positive, values above 0.2 act as
     0.2, and it sets every call's budget and probe count, so the
-    subroutines take no epsilon of their own.  ``large_match``, each
-    forward bucket and the sampled ``approx_match`` run the one matching
-    kernel (:meth:`_match`): exact, one Hopcroft-Karp; sampled, one probe
-    greedy (:meth:`_probe_greedy`) and nothing after it.  A sampled
-    augmentation call walks free starts in groups and reads each matched
-    edge's tightness at most once.  Sampled calls read only the probes
-    that could change their answer and log the rest
-    as ``skipped``, probes drawn but not passed to the cost oracle.  Where
+    subroutines take no epsilon of their own.  ``large_match``, the
+    forward variant and the sampled ``approx_match`` each run the one
+    matching kernel (:meth:`_match`) once per call: exact, one
+    Hopcroft-Karp; sampled, one probe greedy (:meth:`_probe_greedy`) and
+    nothing after it.  A sampled augmentation call walks free starts in
+    groups and reads each matched edge's tightness at most once.  Sampled
+    calls read only the probes that could change their answer and log the
+    rest as ``skipped``, probes drawn but not passed to the cost oracle.  Where
     every probe is a counted read and the budget does not bind,
     ``queries + skipped`` is what reading every probe would cost; a padded
     instance counts no dummy pair, so there the sum is larger.  An exact
@@ -439,7 +446,7 @@ class Backend:
     its updated eligibility snapshot, hop-class lists and all, to the next
     round of the same Step 1 (see :meth:`augment_eligible`).  The exact
     template calls read an int16 level matrix (:meth:`prepare_levels`), so
-    their eligibility and bucket tests run in int16; the exact
+    their eligibility and forward tests run in int16; the exact
     ``approx_match`` keeps a table of its answers on one cost (see there).
     """
 
@@ -590,52 +597,33 @@ class Backend:
                                cost: CostOracle):
         """Large matching in the forward graph restricted to A, or None.
 
-        Iterates potential-value pairs (i, j), restricting to
-        phi^-1(i) x phi^-1(j) where the edge test degenerates to
-        i + j == c(u, v) + 1, and halts at the first pair that yields a
-        matching (each pair is a plain large_match with delta_in / R^2).
-        ``cost`` holds integer levels >= 1 or +inf, as the template's do,
-        so a pair with i + j < 2 is empty.  It is skipped unread where that
-        holds for every entry: on the exact backend, which read and checked
-        the whole cost when preparing it, and on a ``LevelCost``, whose
-        values are levels by construction.  Any other cost is checked only
-        where read, so the sampled backend still probes its i + j = 1
-        pairs, and a malformed entry there raises instead of going unseen.
+        One :meth:`_match` over all of A's side-0 rows x side-1 columns, its
+        edges the pairs outside ``matching`` with phi0 + phi1 == c + 1 at
+        every potential value, None by :meth:`_is_large` at R =
+        phi.range_bound.  ``cost`` holds levels >= 1 or +inf, as the
+        template's do, so a pair of potential sum below 2 is not admitted
+        where every entry is known to be a level: on the exact backend,
+        which read the whole cost when preparing it, and on a ``LevelCost``,
+        where the sampled greedy skips such probes unread.  Any other cost
+        is checked only where read, so there the greedy reads every probe it
+        draws, and a malformed entry raises instead of going unseen.
         """
         n = cost.n
-        R = phi.range_bound
         before = cost.counter.count
-        rows_all = _members_on_side(A, n, 0)
-        cols_all = _members_on_side(A, n, 1)
-        if len(rows_all) == 0 or len(cols_all) == 0:
-            self._log("large_matching_forward", cost.counter, before, n)
-            return None
-        phi_r = phi.eval_many(v0(rows_all))
-        phi_c = phi.eval_many(v1(cols_all))
-        mate0 = matching.mate_of_v0()
-        budget = self.query_budget(n)
+        rows = _members_on_side(A, n, 0)
+        cols = _members_on_side(A, n, 1)
         result = None
-        floor = 2 if self.variant == "exact" or isinstance(cost, LevelCost) else 1
-        col_buckets = [(qv, cols_all[phi_c == qv]) for qv in np.unique(phi_c)]
-        for pv in np.unique(phi_r):
-            rows = rows_all[phi_r == pv]
-            for qv, cols in col_buckets:
-                if pv + qv < floor:
-                    continue  # the bucket holds no valid cost
-                remaining = budget - (cost.counter.count - before)
-                if remaining <= 0:
-                    break
-                # i + j == c + 1, matched pairs out; a Python int keeps an
-                # int16 block's test in int16
-                target = int(pv + qv) - 1
-                size, m = self._match(
-                    cost, rows, cols, lambda c, i, j: (c == target) & (mate0[i] != j),
-                    remaining, 8)
-                if self._is_large(size, n, delta_in, R):
-                    result = m
-                    break
-            if result is not None:
-                break
+        if len(rows) and len(cols):
+            # int16 like a LevelMatrix: the potentials' sums fit (template.MAX_T)
+            p0, p1 = np.zeros(n, dtype=np.int16), np.zeros(n, dtype=np.int16)
+            p0[rows] = phi.eval_many(v0(rows)) - 1  # phi0 - 1, on instance indices
+            p1[cols] = phi.eval_many(v1(cols))
+            edges = _forward_test(p0, p1, matching.mate_of_v0())
+            all_levels = self.variant == "exact" or isinstance(cost, LevelCost)
+            admit = (lambda i, j: p0[i] + p1[j] >= 1) if all_levels else None
+            size, m = self._match(cost, rows, cols, edges, self.query_budget(n), 8, admit)
+            if self._is_large(size, n, delta_in, phi.range_bound):
+                result = m
         self._log("large_matching_forward", cost.counter, before, n)
         return result
 
@@ -693,28 +681,34 @@ class Backend:
         return out
 
     # -- the matching kernel -------------------------------------------------
-    def _match(self, cost: CostOracle, rows, cols, test, budget: int, stall_limit: int):
+    def _match(self, cost: CostOracle, rows, cols, test, budget: int, stall_limit: int,
+               admit=None):
         """A matching on rows x cols of the pairs that pass ``test``.
 
         ``test(costs, is_, js)`` says which pairs are edges, given their
-        costs and indices.  Exact: one ``cost.block(rows, cols)``, tested
-        with ``rows[:, None]`` and ``cols[None, :]``, and one Hopcroft-Karp
-        on the mask, a maximum matching.  Sampled: the probe greedy, which
-        tests the probes it reads, under ``budget`` and ``stall_limit``.
+        costs and indices, and ``admit(is_, js)``, if given, which pairs
+        may be edges at all, without their costs.  Exact: one
+        ``cost.block(rows, cols)``, tested with ``rows[:, None]`` and
+        ``cols[None, :]``, and one Hopcroft-Karp on the mask, a maximum
+        matching.  Sampled: the probe greedy, which reads the admitted
+        probes and tests them, under ``budget`` and ``stall_limit``.
         Returns (size, :class:`ArrayMatching` on instance indices).
         """
         if self.variant == "exact":
-            mask = test(cost.block(rows, cols), rows[:, None], cols[None, :])
+            i, j = rows[:, None], cols[None, :]
+            mask = test(cost.block(rows, cols), i, j)
+            if admit is not None:
+                mask &= admit(i, j)
             size, sub_mate0, _ = _hopcroft_karp(_mask_to_adj(mask), len(rows), len(cols))
             return size, _global_matching(cost.n, rows, cols, sub_mate0)
         size, mate0, mate1 = self._probe_greedy(
             cost, rows, cols, lambda is_, js: test(cost.pairs(is_, js), is_, js),
-            budget, stall_limit)
+            budget, stall_limit, admit)
         return size, ArrayMatching(mate0, mate1)
 
     def _is_large(self, size: int, n: int, delta_in: float, R: int) -> bool:
-        """The bottom rule of ``large_match`` (R = 1) and of a forward
-        bucket: exact, size >= delta_in / R^2 * n; sampled, size > 0 and
+        """The bottom rule of ``large_match`` (R = 1) and of the forward
+        matching: exact, size >= delta_in / R^2 * n; sampled, size > 0 and
         size >= :func:`delta_out_forward` (delta_in, R) * n, which at R = 1
         is :func:`delta_out`."""
         if self.variant == "exact":
@@ -723,14 +717,15 @@ class Backend:
 
     # -- sampled internals ---------------------------------------------------
     def _probe_greedy(self, cost: CostOracle, rows, cols, edges, budget: int,
-                      stall_limit: int):
+                      stall_limit: int, admit=None):
         """Greedy matching on rows x cols from batches of random probes.
 
         Each batch draws up to 2 probes per free row from the call's child
         RNG, ``edges(is_, js)`` tests them and every hit whose ends are both
         still free is matched.  A column matched before the batch stays
         matched through it, so its probes are not read but added to
-        ``skipped``.  Probing stops when no row is free, when the reads
+        ``skipped``, and so are the probes ``admit(is_, js)``, if given,
+        rules out.  Probing stops when no row is free, when the reads
         counted on ``cost`` since the call began leave ``len(rows)`` or
         fewer of ``budget``, or after ``stall_limit`` batches in a row that
         matched nothing.  Returns (size, mate0, mate1), the mates as
@@ -751,6 +746,8 @@ class Backend:
             is_ = free_r[rng.integers(0, len(free_r), size=batch)]
             js = cols[rng.integers(0, len(cols), size=batch)]
             open_ = mate1[js] == -1
+            if admit is not None:
+                open_ &= admit(is_, js)
             hits = np.zeros(batch, dtype=bool)
             if open_.any():
                 hits[open_] = edges(is_[open_], js[open_])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from submatch.core import (
-    UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, LevelCost,
+    BINARY_MAGIC, UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, LevelCost,
     MaterializedCost, OverlayMatching, SetMembership, ZeroPotential,
     read_instance, v0, v1, write_instance,
 )
@@ -129,6 +129,15 @@ def test_binary_file_cut_short_is_malformed(tmp_path, keep, message):
     write_instance(np.ones((4, 4)), path, binary=True)
     path.write_bytes(path.read_bytes()[:keep])
     with pytest.raises(ValueError, match=f"malformed instance file: {message}"):
+        read_instance(path)
+
+
+def test_binary_file_of_size_zero_is_malformed(tmp_path):
+    # the text path rejects a zero size with the same message
+    path = tmp_path / "x.bin"
+    path.write_bytes(BINARY_MAGIC + (0).to_bytes(8, "little"))
+    with pytest.raises(ValueError,
+                       match="malformed instance file: the size must be positive, not 0"):
         read_instance(path)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from submatch import baseline, mcm
 from submatch.core import (
-    UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, MatrixCost,
+    UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, LevelCost, MatrixCost,
     SetMembership, ZeroPotential, v0, v1,
 )
 from submatch.mcm import Backend, backend_query_budget, delta_out
@@ -953,7 +953,9 @@ def test_exact_step1_builds_one_snapshot(monkeypatch):
     backend = Backend.exact(seed=3)
     res = estimate_min_weight_matching(uniform_instance(200, 3),
                                        ReductionConfig(0.85, 1.0, 0.1), backend, seed=3)
-    assert res.estimate == 1.2291638903056794  # the pinned answer
+    # the pinned answer (1.2291638903056794 while each forward call matched
+    # one potential bucket)
+    assert res.estimate == 1.245526245349203
     calls = sum(rec["op"] == "augment_eligible" for rec in backend.call_log)
     assert len(built) == sum(started) < calls
     assert backend._snapshot is None  # the last round of a Step 1 fails
@@ -971,41 +973,38 @@ def _reference_drop_matched(mask, rows, cols, mate0):
 
 
 def _reference_forward(phi, A, delta_in, mate0, costs):
-    """The exact forward with each bucket's mask cleared of matched pairs
-    by the dict loop, as it ran before the one matching kernel.  Returns
-    (matching or None, pairs cleared, bucket rows free or matched outside
-    the bucket's columns)."""
+    """The exact forward as one union mask: every pair of A's rows x
+    columns with phi0 + phi1 == c + 1 and a potential sum of at least 2,
+    cleared of matched pairs by the dict loop, and one Hopcroft-Karp on it.
+    Returns (matching or None, its size, pairs cleared, rows free or
+    matched outside A's columns)."""
     n = len(costs)
     R = phi.range_bound
-    rows_all, cols_all = mcm._members_on_side(A, n, 0), mcm._members_on_side(A, n, 1)
-    dropped = outside = 0
-    if len(rows_all) == 0 or len(cols_all) == 0:
-        return None, dropped, outside
-    phi_r, phi_c = phi.p0[rows_all], phi.p1[cols_all]
-    for pv in np.unique(phi_r):
-        rows = rows_all[phi_r == pv]
-        for qv in np.unique(phi_c):
-            cols = cols_all[phi_c == qv]
-            if pv + qv < 2:
-                continue
-            mask = costs[np.ix_(rows, cols)] == pv + qv - 1.0
-            kept = int(mask.sum())
-            _reference_drop_matched(mask, rows, cols, mate0)
-            dropped += kept - int(mask.sum())
-            outside += int(np.isin(mate0[rows], cols, invert=True).sum())
-            mu, sub_mate0, _ = mcm._hopcroft_karp(mcm._mask_to_adj(mask), len(rows), len(cols))
-            if mu >= delta_in / (R * R) * n:
-                return mcm._global_matching(n, rows, cols, sub_mate0), dropped, outside
-    return None, dropped, outside
+    rows, cols = mcm._members_on_side(A, n, 0), mcm._members_on_side(A, n, 1)
+    if len(rows) == 0 or len(cols) == 0:
+        return None, 0, 0, 0
+    sums = phi.p0[rows][:, None] + phi.p1[cols][None, :]
+    mask = (costs[np.ix_(rows, cols)] == sums - 1.0) & (sums >= 2)
+    kept = int(mask.sum())
+    _reference_drop_matched(mask, rows, cols, mate0)
+    outside = int(np.isin(mate0[rows], cols, invert=True).sum())
+    mu, sub_mate0, _ = mcm._hopcroft_karp(mcm._mask_to_adj(mask), len(rows), len(cols))
+    edges = [(int(rows[r]), int(cols[t])) for r, t in zip(*np.nonzero(mask))]
+    assert mu == baseline.max_bipartite_matching(n, n, edges)[0]
+    got = mcm._global_matching(n, rows, cols, sub_mate0) if mu >= delta_in / (R * R) * n else None
+    return got, mu, kept - int(mask.sum()), outside
 
 
 def test_exact_forward_equals_dict_loop_reference():
-    # the exact forward drops matched pairs inside each bucket's edge test
+    # one mask over every potential bucket, matched pairs dropped inside the
+    # edge test and pairs whose potential sum is below 2 not admitted
     rng = np.random.default_rng(8)
-    dropped = outside = found = 0
+    dropped = outside = found = floored = 0
     for trial in range(100):
         n = int(rng.integers(1, 30))
-        costs = rng.integers(1, 4, (n, n)).astype(float)
+        # level costs >= 1, and every other trial also zeros, which only the
+        # floor keeps off the pairs of potential sum 1
+        costs = rng.integers(trial % 2, 4, (n, n)).astype(float)
         costs[rng.random((n, n)) < 0.1] = np.inf
         phi = FixedPotential(rng.integers(0, 3, n), rng.integers(0, 3, n))
         mate0 = np.where(rng.random(n) < rng.uniform(0.0, 1.0), rng.permutation(n), UNMATCHED)
@@ -1019,21 +1018,39 @@ def test_exact_forward_equals_dict_loop_reference():
         if trial % 3:
             A = SetMembership(n, [v0(i) for i in range(n) if rng.random() < 0.8]
                               + [v1(j) for j in range(n) if rng.random() < 0.8])
-        delta_in = float(rng.uniform(0.05, 4.0))  # bars up to about 0.4 n
-        got = Backend.exact().large_matching_forward(phi, A, delta_in, matching,
-                                                     MatrixCost(costs))
-        ref, d, o = _reference_forward(phi, A, delta_in, mate0, costs)
-        assert (got is None) == (ref is None)
+        delta_in = float(rng.uniform(0.05, 9.0))  # bars up to n at R = 3
+        backend = Backend.exact()
+        got = backend.large_matching_forward(phi, A, delta_in, matching, MatrixCost(costs))
+        ref, mu, d, o = _reference_forward(phi, A, delta_in, mate0, costs)
+        # None exactly when mu < delta_in / R^2 * n
+        assert (got is None) == (ref is None) == (mu < delta_in / phi.range_bound ** 2 * n)
         if got is not None:
             assert np.array_equal(got.mate_of_v0(), ref.mate_of_v0())
             assert np.array_equal(got.mate_of_v1(), ref.mate_of_v1())
             found += 1
+        assert [rec["op"] for rec in backend.call_log] == ["large_matching_forward"]
         dropped += d
         outside += o
+        floored += int(np.sum((phi.p0[:, None] + phi.p1[None, :] == 1) & (costs == 0)))
     # many matched pairs are cleared, many rows are free or have a mate
-    # outside their bucket, and the forward often finds a matching and
-    # often none
-    assert dropped >= 100 and outside >= 500 and found >= 30 and 100 - found >= 20
+    # outside A, the floor keeps many sum-1 pairs out, and the forward
+    # often finds a matching and often none
+    assert dropped >= 100 and outside >= 500 and floored >= 100
+    assert found >= 30 and 100 - found >= 20
+
+
+@pytest.mark.parametrize("variant", ["exact", "sampled"])
+def test_forward_takes_every_potential_bucket_in_one_call(variant):
+    # (0, 0) is eligible in the bucket phi = (2, 0) and (1, 1) in the bucket
+    # (3, 0): a call that stopped at the first bucket holding a matching
+    # would return one pair
+    costs = np.full((2, 2), 9.0)
+    costs[0, 0], costs[1, 1] = 1.0, 2.0
+    phi = FixedPotential([2, 3], [0, 0])
+    got = Backend(variant, seed=0).large_matching_forward(
+        phi, None, 0.1, EmptyMatching(2), MatrixCost(costs))
+    assert got is not None
+    assert got.mate_of_v0().tolist() == [0, 1]
 
 
 # -- sampled backend against its re-reading, rng.choice originals ------------------
@@ -1381,11 +1398,12 @@ def _greedy(b, cost, limit, subset):
 
 
 def _bucket_greedy(b, cost, rows, cols, target, base_mate0, sub_budget):
-    """The probe greedy as the sampled large_matching_forward runs it."""
-    return b._probe_greedy(
-        cost, rows, cols,
-        lambda is_, js: (cost.pairs(is_, js) == target) & (base_mate0[is_] != js),
-        sub_budget, 8)
+    """The probe greedy with the sampled large_matching_forward's edge test
+    on one potential bucket: phi0 - 1 = ``target`` on every row, phi1 = 0."""
+    n = cost.n
+    test = mcm._forward_test(np.full(n, target), np.zeros(n), base_mate0)
+    return b._probe_greedy(cost, rows, cols, lambda is_, js: test(cost.pairs(is_, js), is_, js),
+                           sub_budget, 8)
 
 
 def test_sampled_greedy_direct_draws_equal_choice_reference():
@@ -1445,6 +1463,75 @@ def test_sampled_greedy_subset_direct_draws_equal_choice_reference():
             continue
         assert outs[0] == outs[1]
         assert reads[0] + skipped[0] == reads[1]
+
+
+class _CountingRng:
+    """A generator that counts the integers drawn through it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.drawn = 0
+
+    def integers(self, low, high, size):
+        self.drawn += size
+        return self.rng.integers(low, high, size=size)
+
+
+class _PairLog(MatrixCost):
+    """Matrix cost logging every pair it reads."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.read = []
+
+    def _pairs(self, is_, js, counted):
+        self.read += zip(is_.tolist(), js.tolist())
+        return super()._pairs(is_, js, counted)
+
+
+def _sampled_forward_reads(cost, phi, matching, seed):
+    """One sampled forward call: (its record, the probes it drew, the
+    side-0 mates it returned).  The probe greedy draws each probe's row and
+    column with one ``integers`` call each."""
+    b = Backend.sampled(seed=seed)
+    rng = _CountingRng(seed)
+    b._rng = lambda: rng
+    got = b.large_matching_forward(phi, None, 0.01, matching, cost)
+    return b.call_log[-1], rng.drawn // 2, got and got.mate_of_v0().tolist()
+
+
+def test_sampled_forward_reads_only_admitted_probes():
+    # the same levels 1..3 as a LevelCost (every entry a level by
+    # construction) and as a raw matrix (checked only where read)
+    low = 0
+    for seed in range(12):
+        rng = np.random.default_rng([29, seed])
+        n = int(rng.integers(8, 40))
+        base = rng.random((n, n))
+        levels = np.ceil(2.0 * base) + 1.0  # LevelCost's map at gamma = w = 1
+        phi = FixedPotential(rng.integers(0, 4, n), -rng.integers(0, 2, n))
+        sums = phi.p0[:, None] + phi.p1[None, :]
+        matching = ArrayMatching.from_pairs(
+            n, [(i, int(j)) for i, j in enumerate(rng.permutation(n)) if rng.random() < 0.3])
+        level_log, raw_log = _PairLog(base), _PairLog(levels)
+        at_level = _sampled_forward_reads(LevelCost(level_log, 1.0, 1.0, 3), phi, matching, seed)
+        raw = _sampled_forward_reads(raw_log, phi, matching, seed)
+        for (rec, drawn, _), log in ((at_level, level_log), (raw, raw_log)):
+            assert rec["queries"] == len(log.read)
+            assert rec["queries"] + rec["skipped"] == drawn
+        # a LevelCost's probe of potential sum below 2 is drawn, never read;
+        # the raw matrix reads it, and both calls draw and pick the same
+        assert all(sums[i, j] >= 2 for i, j in level_log.read)
+        raw_low = sum(sums[i, j] < 2 for i, j in raw_log.read)
+        assert raw[1:] == at_level[1:]
+        assert raw[0]["queries"] - at_level[0]["queries"] == raw_low
+        low += raw_low
+    assert low >= 1000
+    # with no edge no column is matched, so the raw matrix reads every probe
+    rec, drawn, got = _sampled_forward_reads(
+        _PairLog(np.full((20, 20), 9.0)), FixedPotential(np.arange(20) % 4, np.zeros(20)),
+        EmptyMatching(20), 0)
+    assert got is None and rec["skipped"] == 0 and rec["queries"] == drawn > 0
 
 
 def test_sampled_augment_never_walks_back_onto_its_path():
