@@ -4,10 +4,10 @@ Everything downstream is built from four oracle kinds: cost oracles (the
 only objects that may touch the cost matrix, every access counted at the
 root), matching oracles (``mate`` queries), potential oracles (integer
 dual values with a declared range bound) and membership oracles (vertex
-set predicates).  Oracles are immutable after construction; derived
-oracles hold references to the oracles they are built from, never copies.
-Because answers never change, every layered oracle keeps them in a
-:class:`_Memo` and computes each vertex at most once.
+set predicates).  Cost oracles are lazy: adapters hold references to the
+oracles they are built from and read through them.  The other three hold
+per-side arrays over V0 and V1, read-only because oracles are immutable
+and later oracles share them, and answer every point query from them.
 
 Vertices carry a side bit: the V0 vertex with index ``i`` is encoded as
 ``2*i`` and the V1 vertex with index ``j`` as ``2*j + 1``, so ``u & 1`` is
@@ -16,6 +16,7 @@ a global id's side and ``u >> 1`` its index.
 
 from __future__ import annotations
 
+import operator
 import struct
 from pathlib import Path
 from typing import Callable, Iterable
@@ -27,7 +28,7 @@ __all__ = [
     "QueryCounter", "CostOracle", "MatrixCost", "FunctionCost",
     "LevelCost", "MaterializedCost", "LevelMatrix", "LEVEL_SENTINEL",
     "BipartiteInstance", "write_instance", "read_instance",
-    "MatchingOracle", "EmptyMatching", "ArrayMatching", "OverlayMatching",
+    "MatchingOracle", "EmptyMatching", "ArrayMatching",
     "PotentialOracle", "ZeroPotential",
     "MembershipOracle", "SetMembership",
 ]
@@ -45,6 +46,15 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)
+
+
+def int_seed(seed) -> int:
+    """An integer seed as an int (a numpy integer counts); anything else
+    raises ``TypeError``."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {seed!r}") from None
 
 
 def seed_label(seed):
@@ -462,78 +472,51 @@ def read_instance(path) -> BipartiteInstance:
 # Matching oracles
 # ---------------------------------------------------------------------------
 
-class _Memo:
-    """Per-vertex answers of one oracle, each computed at most once.
-
-    Oracles are immutable, so an answer never goes stale.  Every memoized
-    oracle query is ``get(us, compute)``: ``compute`` sees only the
-    distinct ids not answered before, ascending, and each id reaches it
-    once.  Missing ids already strictly increasing, as every all-vertex
-    query's are, skip the ``np.unique`` that would return them unchanged.
-    """
-
-    __slots__ = ("_vals", "_have")
-
-    def __init__(self, n: int, dtype):
-        self._vals = np.zeros(2 * n, dtype=dtype)
-        self._have = np.zeros(2 * n, dtype=bool)
-
-    def get(self, us: np.ndarray, compute: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        missing = us[~self._have[us]]
-        if len(missing):
-            if not (missing[1:] > missing[:-1]).all():
-                missing = np.unique(missing)
-            self._vals[missing] = compute(missing)
-            self._have[missing] = True
-        return self._vals[us]
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``, taken over without a
+    copy when it already is one: oracles share their arrays."""
+    out = np.asarray(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 class MatchingOracle:
-    """Implicit matching answering ``mate(u) -> v or None`` on global ids.
+    """Matching answering ``mate(u) -> v or None`` on global ids.
 
-    Invariants (enforced by construction, checked by the test suite):
-    symmetry ``mate(mate(u)) == u``, bipartiteness (mates live on the
-    opposite side) and determinism.
-
-    Layered implementations (overlays, filters, thresholds) set
-    ``cache_mates`` and keep their answers in a :class:`_Memo`, the same
-    memo potential and membership oracles use; without it a query would
-    walk the whole layer chain every time.  Array-backed matchings answer
-    directly.
+    Subclasses give the per-side mate-index arrays (``mate_of_v0``,
+    ``mate_of_v1``); every query is answered from them.  Invariants
+    (enforced by construction, checked by the test suite): symmetry
+    ``mate(mate(u)) == u``, bipartiteness (mates live on the opposite
+    side) and determinism.
     """
-
-    #: layered subclasses set this to memoize resolved mates
-    cache_mates = False
 
     def __init__(self, n: int):
         self.n = int(n)
-        self._memo = _Memo(self.n, np.int64) if self.cache_mates else None
 
-    def _mates_impl(self, us: np.ndarray) -> np.ndarray:
+    def mate_of_v0(self) -> np.ndarray:
+        """Mate index of every V0 vertex, UNMATCHED for none."""
+        raise NotImplementedError
+
+    def mate_of_v1(self) -> np.ndarray:
+        """Mate index of every V1 vertex, UNMATCHED for none."""
         raise NotImplementedError
 
     def mates(self, us) -> np.ndarray:
         """Vectorized mate query; UNMATCHED encodes "no mate"."""
         us = np.asarray(us, dtype=np.int64)
-        if self._memo is None:
-            return self._mates_impl(us)
-        return self._memo.get(us, self._mates_impl)
+        idx = us >> 1
+        is1 = (us & 1).astype(bool)
+        out = np.where(is1, self.mate_of_v1()[idx], self.mate_of_v0()[idx])
+        # encode side: V0's mate is on side 1 and vice versa
+        enc = np.where(is1, out << 1, (out << 1) | 1)
+        return np.where(out == UNMATCHED, UNMATCHED, enc)
 
     def mate(self, u: int):
         m = int(self.mates(np.array([u], dtype=np.int64))[0])
         return None if m == UNMATCHED else m
 
-    # side-indexed convenience: mates of all V0 / V1 vertices as index arrays
-    def mate_of_v0(self) -> np.ndarray:
-        out = self.mates(v0(np.arange(self.n, dtype=np.int64)))
-        return np.where(out == UNMATCHED, UNMATCHED, out >> 1)
-
-    def mate_of_v1(self) -> np.ndarray:
-        out = self.mates(v1(np.arange(self.n, dtype=np.int64)))
-        return np.where(out == UNMATCHED, UNMATCHED, out >> 1)
-
     def size(self) -> int:
-        """Exact matched-pair count (Theta(n) mate queries; desk scale)."""
+        """Exact matched-pair count."""
         return int(np.count_nonzero(self.mate_of_v0() != UNMATCHED))
 
     def edges(self) -> list[tuple[int, int]]:
@@ -542,19 +525,14 @@ class MatchingOracle:
         return [(i, int(j)) for i, j in enumerate(m0) if j != UNMATCHED]
 
 
-class EmptyMatching(MatchingOracle):
-    def _mates_impl(self, us):
-        return np.full(len(us), UNMATCHED, dtype=np.int64)
-
-
 class ArrayMatching(MatchingOracle):
-    """Matching stored as per-side mate-index arrays.  ``base``, when
-    given, is the matching this one was cut from."""
+    """Matching stored as per-side mate-index arrays, taken over read-only.
+    ``base``, when given, is the matching this one was cut from."""
 
     def __init__(self, mate0: np.ndarray, mate1: np.ndarray,
                  base: MatchingOracle | None = None):
-        mate0 = np.asarray(mate0, dtype=np.int64)
-        mate1 = np.asarray(mate1, dtype=np.int64)
+        mate0 = _frozen(mate0, np.int64)
+        mate1 = _frozen(mate1, np.int64)
         if len(mate0) != len(mate1):
             raise ValueError("side arrays must have equal length")
         super().__init__(len(mate0))
@@ -573,40 +551,17 @@ class ArrayMatching(MatchingOracle):
             mate1[j] = i
         return cls(mate0, mate1)
 
-    def _mates_impl(self, us):
-        idx = us >> 1
-        is1 = (us & 1).astype(bool)
-        out = np.where(is1, self._mate1[idx], self._mate0[idx])
-        # encode side: V0's mate is on side 1 and vice versa
-        enc = np.where(is1, out << 1, (out << 1) | 1)
-        return np.where(out == UNMATCHED, UNMATCHED, enc)
+    def mate_of_v0(self) -> np.ndarray:
+        return self._mate0
+
+    def mate_of_v1(self) -> np.ndarray:
+        return self._mate1
 
 
-class OverlayMatching(MatchingOracle):
-    """A matching expressed as a small patch over a base oracle.
-
-    Holds a reference to the base (never a copy); only the vertices whose
-    mate changed are stored explicitly.
-    """
-
-    cache_mates = True
-
-    def __init__(self, base: MatchingOracle, changed: dict[int, int]):
-        # changed maps global id -> new mate global id (UNMATCHED to free it)
-        super().__init__(base.n)
-        self.base = base
-        keys = np.fromiter(changed.keys(), dtype=np.int64, count=len(changed))
-        order = np.argsort(keys)
-        self._keys = keys[order]
-        self._vals = np.fromiter(changed.values(), dtype=np.int64, count=len(changed))[order]
-
-    def _mates_impl(self, us):
-        out = self.base.mates(us)
-        if len(self._keys):
-            pos = np.clip(np.searchsorted(self._keys, us), 0, len(self._keys) - 1)
-            hit = self._keys[pos] == us
-            out = np.where(hit, self._vals[pos], out)
-        return out
+class EmptyMatching(ArrayMatching):
+    def __init__(self, n: int):
+        unmatched = np.full(n, UNMATCHED, dtype=np.int64)
+        super().__init__(unmatched, unmatched)
 
 
 # ---------------------------------------------------------------------------
@@ -614,65 +569,56 @@ class OverlayMatching(MatchingOracle):
 # ---------------------------------------------------------------------------
 
 class PotentialOracle:
-    """Integer dual potential with a declared range bound.
+    """Integer dual potential held as two read-only arrays, ``phi0`` over
+    V0 and ``phi1`` over V1, with a declared range bound.
 
     ``range_bound`` is an upper bound on the number of distinct values the
-    oracle may take.  Evaluations go through a :class:`_Memo`: the oracle
-    DAG built across template iterations is immutable, so the memo is sound
-    and keeps the layered evaluation cost linear instead of exponential in
-    depth.
+    oracle may take.
     """
 
-    def __init__(self, n: int, range_bound: int):
-        self.n = int(n)
+    def __init__(self, phi0, phi1, range_bound: int):
+        self.phi0 = _frozen(phi0, np.int64)
+        self.phi1 = _frozen(phi1, np.int64)
+        self.n = len(self.phi0)
         self.range_bound = int(range_bound)
-        self._memo = _Memo(self.n, np.int64)
-
-    def _eval_missing(self, us: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def eval_many(self, us) -> np.ndarray:
-        return self._memo.get(np.asarray(us, dtype=np.int64), self._eval_missing)
+        us = np.asarray(us, dtype=np.int64)
+        return np.where((us & 1).astype(bool), self.phi1[us >> 1], self.phi0[us >> 1])
 
     def eval(self, u: int) -> int:
         return int(self.eval_many(np.array([u], dtype=np.int64))[0])
 
-    def on_v0(self) -> np.ndarray:
-        return self.eval_many(v0(np.arange(self.n, dtype=np.int64)))
-
-    def on_v1(self) -> np.ndarray:
-        return self.eval_many(v1(np.arange(self.n, dtype=np.int64)))
-
 
 class ZeroPotential(PotentialOracle):
     def __init__(self, n: int, range_bound: int = 1):
-        super().__init__(n, range_bound)
-
-    def _eval_missing(self, us):
-        return np.zeros(len(us), dtype=np.int64)
+        zeros = np.zeros(n, dtype=np.int64)
+        super().__init__(zeros, zeros, range_bound)
 
 
 class MembershipOracle:
-    """Deterministic vertex-set predicate on global ids (memoized)."""
+    """Vertex set held as two read-only boolean arrays, ``in0`` over V0
+    and ``in1`` over V1, queried on global ids."""
 
-    def __init__(self, n: int):
-        self.n = int(n)
-        self._memo = _Memo(self.n, bool)
-
-    def _contains_missing(self, us: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def __init__(self, in0, in1):
+        self.in0 = _frozen(in0, bool)
+        self.in1 = _frozen(in1, bool)
+        self.n = len(self.in0)
 
     def contains_many(self, us) -> np.ndarray:
-        return self._memo.get(np.asarray(us, dtype=np.int64), self._contains_missing)
+        us = np.asarray(us, dtype=np.int64)
+        return np.where((us & 1).astype(bool), self.in1[us >> 1], self.in0[us >> 1])
 
     def contains(self, u: int) -> bool:
         return bool(self.contains_many(np.array([u], dtype=np.int64))[0])
 
 
 class SetMembership(MembershipOracle):
-    def __init__(self, n: int, members: Iterable[int]):
-        super().__init__(n)
-        self._members = frozenset(int(u) for u in members)
+    """The vertex set of the global ids ``members``."""
 
-    def _contains_missing(self, us):
-        return np.fromiter((u in self._members for u in us), dtype=bool, count=len(us))
+    def __init__(self, n: int, members: Iterable[int]):
+        ids = np.fromiter((int(u) for u in members), dtype=np.int64)
+        sides = [np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)]
+        for side_ in (0, 1):
+            sides[side_][ids[(ids & 1) == side_] >> 1] = True
+        super().__init__(*sides)

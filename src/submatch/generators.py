@@ -17,11 +17,9 @@ rows ..n-k of ``uniform_instance(n, s + k)``.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .core import BipartiteInstance, FunctionCost
+from .core import BipartiteInstance, FunctionCost, int_seed
 
 __all__ = [
     "uniform_instance", "euclidean_instance", "one_two_metric_instance",
@@ -31,13 +29,6 @@ __all__ = [
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def _seed(seed) -> int:
-    try:
-        return operator.index(seed)
-    except TypeError:
-        raise TypeError(f"seed must be an integer, got {seed!r}") from None
 
 
 def _splitmix(x: np.ndarray) -> np.ndarray:
@@ -54,7 +45,7 @@ def _splitmix(x: np.ndarray) -> np.ndarray:
 def _hashed_instance(n: int, seed, to_cost) -> BipartiteInstance:
     """Instance whose entry (i, j) is ``to_cost`` of a hashed uniform in [0, 1)."""
     idx = np.arange(n, dtype=np.uint64)
-    row_keys = _splitmix(idx + np.uint64(_seed(seed) % 2 ** 64)) * _GOLD
+    row_keys = _splitmix(idx + np.uint64(int_seed(seed) % 2 ** 64)) * _GOLD
     col_keys = _splitmix(idx ^ np.uint64(0xA5A5A5A5A5A5A5A5))
 
     def unit(sums):  # sums is a fresh array, so mixing it in place is safe
@@ -80,7 +71,7 @@ def euclidean_instance(n: int, seed: int, dim: int = 2) -> BipartiteInstance:
     """Pairwise Euclidean distances between two point clouds in [0,1]^dim."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim!r}")
-    rng = np.random.default_rng(np.random.SeedSequence([_seed(seed), dim, n]))
+    rng = np.random.default_rng(np.random.SeedSequence([int_seed(seed), dim, n]))
     p0 = rng.random((n, dim))
     p1 = rng.random((n, dim))
 
@@ -105,7 +96,7 @@ def one_two_metric_instance(n: int, seed: int, p: float = 0.5) -> BipartiteInsta
 
 def permutation_instance(n: int, seed: int) -> BipartiteInstance:
     """A planted zero-cost perfect matching; every other edge costs 1."""
-    rng = np.random.default_rng(np.random.SeedSequence([_seed(seed), n]))
+    rng = np.random.default_rng(np.random.SeedSequence([int_seed(seed), n]))
     perm = rng.permutation(n)
 
     def block(rows, cols):

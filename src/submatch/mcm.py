@@ -53,7 +53,7 @@ import numpy as np
 
 from .core import (
     UNMATCHED, ArrayMatching, CostOracle, LevelCost, LevelMatrix, MatchingOracle,
-    MaterializedCost, MembershipOracle, OverlayMatching, PotentialOracle, v0, v1,
+    MaterializedCost, MembershipOracle, PotentialOracle, int_seed,
 )
 
 __all__ = ["Backend", "backend_query_budget", "delta_out", "delta_out_forward"]
@@ -206,12 +206,12 @@ def _global_matching(n: int, rows, cols, sub_mate0) -> ArrayMatching:
     return ArrayMatching(mate0, mate1)
 
 
-def _members_on_side(A: MembershipOracle | None, n: int, side_: int) -> np.ndarray:
-    idx = np.arange(n, dtype=np.int64)
+def _members(A: MembershipOracle | None, n: int):
+    """A's side-0 rows and side-1 columns, ascending; all n of each without A."""
     if A is None:
-        return idx
-    ids = v0(idx) if side_ == 0 else v1(idx)
-    return idx[A.contains_many(ids)]
+        every = np.arange(n, dtype=np.int64)
+        return every, every
+    return np.flatnonzero(A.in0), np.flatnonzero(A.in1)
 
 
 def _forward_test(p0: np.ndarray, p1: np.ndarray, mate0: np.ndarray):
@@ -268,9 +268,9 @@ class _Eligibility:
         n = cost.n
         self.n = n
         c = cost.block(np.arange(n), np.arange(n))
-        phi0 = phi.eval_many(v0(np.arange(n, dtype=np.int64))).astype(c.dtype)
-        phi1 = phi.eval_many(v1(np.arange(n, dtype=np.int64))).astype(c.dtype)
-        # own copies: augment() writes into them, never into the oracle's arrays
+        phi0 = phi.phi0.astype(c.dtype)
+        phi1 = phi.phi1.astype(c.dtype)
+        # own copies: augment() writes into them; the oracle's are read-only
         self.mate0 = matching.mate_of_v0().copy()
         self.mate1 = matching.mate_of_v1().copy()
         matched_rows = np.nonzero(self.mate0 != UNMATCHED)[0]
@@ -404,16 +404,17 @@ def _find_exact_length_paths(elig: _Eligibility, half_len: int) -> list[list[int
     return paths
 
 
-def _augment_overlay(m_in: MatchingOracle, paths: list[list[int]]) -> OverlayMatching:
-    """Flip a set of node-disjoint augmenting paths into an overlay oracle."""
-    changed: dict[int, int] = {}
-    for path in paths:
-        # path = [i0, j1, i1, j2, ...]: new matched pairs are (i_t, j_{t+1})
-        for t in range(0, len(path) - 1, 2):
-            i, j = path[t], path[t + 1]
-            changed[v0(i)] = v1(j)
-            changed[v1(j)] = v0(i)
-    out = OverlayMatching(m_in, changed)
+def _flip_paths(m_in: MatchingOracle, paths: list[list[int]]) -> ArrayMatching:
+    """A copy of ``m_in`` with a set of node-disjoint augmenting paths
+    flipped; the paths are kept as its ``augmenting_paths``."""
+    mate0 = m_in.mate_of_v0().copy()
+    mate1 = m_in.mate_of_v1().copy()
+    # path = [i0, j1, i1, j2, ...]: new matched pairs are (i_t, j_{t+1}), and
+    # every path has even length, so joined they keep that alternation
+    flat = np.fromiter((x for path in paths for x in path), dtype=np.int64)
+    mate0[flat[0::2]] = flat[1::2]
+    mate1[flat[1::2]] = flat[0::2]
+    out = ArrayMatching(mate0, mate1)
     out.augmenting_paths = paths
     return out
 
@@ -425,8 +426,9 @@ def _augment_overlay(m_in: MatchingOracle, paths: list[list[int]]) -> OverlayMat
 class Backend:
     """Exact or sampled realization of the matching subroutines.
 
-    All randomness of the sampled backend derives from the seed; each call
-    spawns a child RNG so runs are reproducible call-for-call.  Sampled
+    All randomness of the sampled backend derives from the seed, an integer
+    (anything else raises ``TypeError``); each call spawns a child RNG so
+    runs are reproducible call-for-call.  Sampled
     calls are budget-capped and every call's query usage is logged and
     asserted against :func:`backend_query_budget`.  ``epsilon`` is the
     backend's one query knob: it must be positive, values above 0.2 act as
@@ -454,7 +456,7 @@ class Backend:
         if variant not in ("exact", "sampled"):
             raise ValueError("variant must be 'exact' or 'sampled'")
         self.variant = variant
-        self.seed = int(seed)
+        self.seed = int_seed(seed)
         self.epsilon = float(epsilon)
         if not self.epsilon > 0.0:  # NaN fails this test too
             raise ValueError(f"epsilon must be positive, not {epsilon}")
@@ -462,7 +464,7 @@ class Backend:
         self.call_log: list[dict] = []
         # sampled probes drawn and left unread since the last logged call
         self._skipped = 0
-        # (phi, returned overlay, cost, _Eligibility) of the last successful
+        # (phi, returned matching, cost, _Eligibility) of the last successful
         # exact augmentation round; matched by identity, never by id()
         self._snapshot = None
         # (cost, {edge count: (size, mate0, mate1, is a maximum)}) of the
@@ -581,8 +583,7 @@ class Backend:
         """
         n = cost.n
         before = cost.counter.count
-        rows = _members_on_side(A, n, 0)
-        cols = _members_on_side(A, n, 1)
+        rows, cols = _members(A, n)
         if len(rows) == 0 or len(cols) == 0:
             self._log("large_match", cost.counter, before, n)
             return None
@@ -610,14 +611,13 @@ class Backend:
         """
         n = cost.n
         before = cost.counter.count
-        rows = _members_on_side(A, n, 0)
-        cols = _members_on_side(A, n, 1)
+        rows, cols = _members(A, n)
         result = None
         if len(rows) and len(cols):
             # int16 like a LevelMatrix: the potentials' sums fit (template.MAX_T)
             p0, p1 = np.zeros(n, dtype=np.int16), np.zeros(n, dtype=np.int16)
-            p0[rows] = phi.eval_many(v0(rows)) - 1  # phi0 - 1, on instance indices
-            p1[cols] = phi.eval_many(v1(cols))
+            p0[rows] = phi.phi0[rows] - 1  # phi0 - 1, on instance indices
+            p1[cols] = phi.phi1[cols]
             edges = _forward_test(p0, p1, matching.mate_of_v0())
             all_levels = self.variant == "exact" or isinstance(cost, LevelCost)
             admit = (lambda i, j: p0[i] + p1[j] >= 1) if all_levels else None
@@ -645,7 +645,7 @@ class Backend:
         Exact calls build one eligibility snapshot per Step 1, from one
         dense read of the cost (int16 levels, from :meth:`prepare_levels`):
         a round whose phi and cost are the previous successful round's and
-        whose matching is the overlay that round returned continues from
+        whose matching is the one that round returned continues from
         that round's snapshot, updated in place along its paths; any other
         round builds a new one.  At most one
         snapshot is held at a time, and none after a round whose paths
@@ -669,7 +669,7 @@ class Backend:
             for half_len in range((k + 1) // 2):
                 paths = _find_exact_length_paths(elig, half_len)
                 if len(paths) >= bar and len(paths) >= 1:
-                    out = _augment_overlay(m_in, paths)
+                    out = _flip_paths(m_in, paths)
                     elig.augment(paths)
                     if np.any(elig.mate0 == UNMATCHED):  # else no next round
                         self._snapshot = (phi, out, cost, elig)
@@ -772,17 +772,16 @@ class Backend:
         picks go in start order and mark j used at once, which keeps the
         paths node-disjoint and off themselves.  Potentials and mates are
         fixed for the call and paths take effect only in the returned
-        overlay, so a matched edge's tightness is read at most once per
+        matching, so a matched edge's tightness is read at most once per
         call, in rounds that read each start's candidates up to its first
         tight one, into an int8 memo keyed by j (-1: not read yet; a free j,
-        a path's end, is 1 unread).  Returns the overlay (or None) and the
+        a path's end, is 1 unread).  Returns the matching (or None) and the
         number of tightness lookups the memo served.
         """
         n = cost.n
         rng = self._rng()
         budget = self.query_budget(n)
-        phi0 = phi.eval_many(v0(np.arange(n, dtype=np.int64)))
-        phi1 = phi.eval_many(v1(np.arange(n, dtype=np.int64)))
+        phi0, phi1 = phi.phi0, phi.phi1
         mate1 = m_in.mate_of_v1()
         free0 = np.nonzero(m_in.mate_of_v0() == UNMATCHED)[0]
         probes = max(16, int(round(n ** (1.0 - min(self.epsilon, 0.2)))))
@@ -850,6 +849,6 @@ class Backend:
                     break  # the budget cannot cover the next hop
                 paths += seqs
             if len(paths) >= bar and len(paths) >= 1:
-                return _augment_overlay(m_in, paths), lookups - tight_reads
+                return _flip_paths(m_in, paths), lookups - tight_reads
         return None, lookups - tight_reads
 

@@ -212,6 +212,8 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     the defaults it holds about 0.9 n on both backends.  ``stages.prepared``
     is the instance over ``backend.prepare_cost``'s cost, degenerate sizes
     included; a later call on it with the same backend reads no cost again.
+    ``report["iterations"]`` is the template's per-iteration telemetry
+    (``TemplateResult.iterations``), empty where the template does not run.
 
     The estimate is the template's, read in the input's units: a trimmed
     sample of the real edges' costs in its final matching, extrapolated by
@@ -242,6 +244,7 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
     timings["characteristic"] = time.perf_counter() - t0
     w_bar = max(characteristic.w_bar, 1e-300)  # all-zero ladders stay usable
 
+    iterations = []
     if w_bar == math.inf:
         estimate, matching = math.inf, EmptyMatching(n)
         stages = SimpleNamespace(prepared=instance, characteristic=characteristic,
@@ -260,7 +263,7 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
                             seed=seeds[1], collect_trace=collect_trace)
         timings["template"] = time.perf_counter() - t2
 
-        estimate = tres.estimate
+        estimate, iterations = tres.estimate, tres.iterations
         # the real vertices' pairs; a pair with a dummy leaves both unmatched
         m0, m1 = tres.matching.mate_of_v0()[:n], tres.matching.mate_of_v1()[:n]
         matching = ArrayMatching(np.where(m0 < n, m0, UNMATCHED),
@@ -283,6 +286,7 @@ def estimate_min_weight_matching(instance: BipartiteInstance, config: ReductionC
         "backend": backend.variant,
         "seed": seed_label(seed),
         "stage_timings": timings,
+        "iterations": iterations,
         "degenerate": False,
     }
     return PipelineResult(estimate, matching, report, stages)
@@ -309,7 +313,8 @@ def _degenerate_estimate(instance, config, seed, timings, t0):
         "w_bar": None, "C": None, "T": 0, "k": 0,
         "estimate": res.value, "matched_fraction": k_target / n,
         "total_queries": instance.query_count, "backend": "baseline",
-        "seed": seed_label(seed), "stage_timings": timings, "degenerate": True,
+        "seed": seed_label(seed), "stage_timings": timings, "iterations": [],
+        "degenerate": True,
     }
     return PipelineResult(res.value, matching, report,
                           SimpleNamespace(prepared=instance, baseline=res))

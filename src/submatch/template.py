@@ -9,11 +9,12 @@ iterations the matched edges' costs, in the input's own units, are sampled
 with replacement, the top 3*gamma fraction of the samples is discarded and
 the trimmed sum is extrapolated to the whole matching.
 
-Within the iterations nothing is materialized: matchings, potentials and
-forest memberships are oracles layered over the oracles of the previous
-iteration, exactly mirroring the per-iteration recipes of the sublinear
-construction.  Every oracle answer is memoized (``core._Memo``) so the
-layered evaluation stays linear in depth.
+Each iteration's matching, potential and forest are held as per-side
+arrays over V0 and V1, read-only and shared with the states before them:
+Step 1's potential is the previous one with the rematched side-1 vertices
+lowered, and Step 2 grows its forest by gathers over the matchings.  No
+cost is read for them.  An iteration that changes nothing returns the
+objects it was given.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .core import (
 from .mcm import Backend
 
 __all__ = [
-    "TemplateParams", "IterationState", "TemplateResult", "run_template",
+    "TemplateParams", "IterationState", "Forest", "TemplateResult", "run_template",
     "step1", "step2", "sample_and_estimate", "SAMPLE_SIZE_CONSTANT", "MAX_T",
 ]
 
@@ -90,115 +91,31 @@ class TemplateParams:
         return cls(gamma, C, T, k)
 
 
+class Forest(MembershipOracle):
+    """Step 2's forest: its membership arrays and, in ``forward``, the
+    forward-graph matchings of its layers in growth order."""
+
+    def __init__(self, in0, in1, forward: tuple[MatchingOracle, ...] = ()):
+        super().__init__(in0, in1)
+        self.forward = forward
+
+
 @dataclass
 class IterationState:
-    """Snapshot after iteration t: the matching and potential oracles."""
+    """Snapshot after iteration t: the matching, potential and forest."""
 
     t: int
     matching: MatchingOracle
     potential: PotentialOracle
-    forest: "ForestMembership | None" = None
+    forest: Forest | None = None
 
 
-# ---------------------------------------------------------------------------
-# Layered oracles
-# ---------------------------------------------------------------------------
-
-class Step1Potential(PotentialOracle):
-    """Potential after Step 1.
-
-    Side-0 values pass through.  A side-1 vertex drops by one exactly when
-    its mate in ``m_out`` differs from its mate in ``m_in``: it lies on one
-    of Step 1's augmenting paths.  No cost is read.  This is the paper's
-    recipe (drop the vertices whose matched edge is eligible, tight at
-    c + 1, under ``base``) because every matched edge of ``m_in`` is
-    tight: Step 1 leaves its new edges tight, and Step 2 moves both ends
-    of a matched edge together.  A column's mate changes at most once per
-    Step 1, since inner hops take only tight matched edges, so every
-    changed mate is along an eligible edge and every unchanged one tight.
-    """
-
-    def __init__(self, base: PotentialOracle, m_in: MatchingOracle,
-                 m_out: MatchingOracle, range_bound: int):
-        super().__init__(base.n, range_bound)
-        self.base = base
-        self.m_in = m_in
-        self.m_out = m_out
-
-    def _eval_missing(self, us):
-        out = self.base.eval_many(us).copy()
-        is1 = (us & 1).astype(bool)
-        if is1.any():
-            u1 = us[is1]
-            out[is1] -= self.m_out.mates(u1) != self.m_in.mates(u1)
-        return out
-
-
-class Step2Potential(PotentialOracle):
-    """Potential after Step 2: +1 on forest side-0, -1 on forest side-1."""
-
-    def __init__(self, base: PotentialOracle, forest: MembershipOracle,
-                 range_bound: int):
-        super().__init__(base.n, range_bound)
-        self.base = base
-        self.forest = forest
-
-    def _eval_missing(self, us):
-        out = self.base.eval_many(us).copy()
-        inf = self.forest.contains_many(us)
-        is1 = (us & 1).astype(bool)
-        out[inf & ~is1] += 1
-        out[inf & is1] -= 1
-        return out
-
-
-class ForestMembership(MembershipOracle):
-    """One growth layer of the quasi-maximal forest.
-
-    With no ``prev`` it is the roots layer: the free side-0 vertices of
-    ``matching``.  Otherwise it is ``prev`` plus every vertex whose mate
-    under ``matching`` is in ``prev``.  Step 2 stacks two such layers per
-    round: one over a forward-graph matching adds the partners of forest
-    vertices, and one over the template matching then pulls in their mates,
-    so matched edges never cross the forest boundary.
-    """
-
-    def __init__(self, n: int, matching: MatchingOracle,
-                 prev: "ForestMembership | None" = None):
-        super().__init__(n)
-        self.matching = matching
-        self.prev = prev
-
-    def _contains_missing(self, us):
-        if self.prev is None:
-            is0 = (us & 1) == 0
-            out = np.zeros(len(us), dtype=bool)
-            if is0.any():
-                out[is0] = self.matching.mates(us[is0]) == UNMATCHED
-            return out
-        out = self.prev.contains_many(us).copy()
-        need = ~out
-        if need.any():
-            mates = self.matching.mates(us[need])
-            has = mates != UNMATCHED
-            hit = np.zeros(len(us[need]), dtype=bool)
-            if has.any():
-                hit[has] = self.prev.contains_many(mates[has])
-            out[np.nonzero(need)[0][hit]] = True
-        return out
-
-
-class StepAMembership(MembershipOracle):
-    """The restriction set A = (forest on side 0) union (side 1 off-forest)."""
-
-    def __init__(self, forest: MembershipOracle):
-        super().__init__(forest.n)
-        self.forest = forest
-
-    def _contains_missing(self, us):
-        inf = self.forest.contains_many(us)
-        is1 = (us & 1).astype(bool)
-        return np.where(is1, ~inf, inf)
+def _grow(in0, in1, matching: MatchingOracle):
+    """The forest plus every vertex whose mate under ``matching`` is in it."""
+    m0, m1 = matching.mate_of_v0(), matching.mate_of_v1()
+    # an unmatched vertex's index of -1 gathers the last entry; the mask drops it
+    return (in0 | ((m0 != UNMATCHED) & in1[m0]),
+            in1 | ((m1 != UNMATCHED) & in0[m1]))
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +127,23 @@ def step1(phi_in: PotentialOracle, m_in: MatchingOracle, params: TemplateParams,
     """Augment until no further short eligible path set is found.
 
     Eligibility during the loop is always with respect to phi_in and the
-    current matching; the output potential is the layered Step-1 recipe.
-    The loop runs only while the matching has a free side-0 vertex, the
-    start every augmenting path needs, so a perfect matching passes
-    through with no backend call; on the exact backend the rounds share
-    one eligibility snapshot (see :meth:`Backend.augment_eligible`).
+    current matching.  The loop runs only while the matching has a free
+    side-0 vertex, the start every augmenting path needs, so a perfect
+    matching passes through with no backend call; on the exact backend
+    the rounds share one eligibility snapshot (see
+    :meth:`Backend.augment_eligible`).
+
+    The output potential reads no cost: side 0 passes through, and a
+    side-1 vertex drops by one exactly when its mate changed, that is when
+    it lies on one of the augmenting paths.  This is the paper's recipe
+    (drop the vertices whose matched edge is eligible, tight at c + 1,
+    under phi_in) because every matched edge of ``m_in`` is tight: Step 1
+    leaves its new edges tight, and Step 2 moves both ends of a matched
+    edge together.  A column's mate changes at most once per Step 1, since
+    inner hops take only tight matched edges, so every changed mate is
+    along an eligible edge and every unchanged one tight.  A Step 1 that
+    augments nothing returns ``m_in`` and ``phi_in`` themselves.
+
     Returns (m_out, phi_out, rounds) where rounds counts successful
     augmentation calls.
     """
@@ -226,34 +155,42 @@ def step1(phi_in: PotentialOracle, m_in: MatchingOracle, params: TemplateParams,
             break
         m = nxt
         rounds += 1
-    phi_out = Step1Potential(phi_in, m_in, m, params.range_bound)
-    return m, phi_out, rounds
+    if m is m_in:
+        return m_in, phi_in, 0
+    moved = m.mate_of_v1() != m_in.mate_of_v1()
+    return m, PotentialOracle(phi_in.phi0, phi_in.phi1 - moved, params.range_bound), rounds
 
 
 def step2(phi_in: PotentialOracle, m_in: MatchingOracle, params: TemplateParams,
           cost: CostOracle, backend: Backend):
     """Grow the quasi-maximal forest and shift potentials across it.
 
-    The forest is a chain of membership layers over the matchings returned
-    by successive forward-matching calls; the loop stops at the first
+    The forest starts at the free side-0 vertices.  Each layer is one
+    forward-matching call inside A = (forest on side 0) + (side 1 off the
+    forest), after which the forest takes in the vertices matched to it by
+    the forward matching and then their mates under ``m_in``, so matched
+    edges never cross the forest boundary.  The loop stops at the first
     bottom or after floor(k/2) layers, which caps the forest depth at k.
-    A matching with no free side-0 vertex gives the forest no root, so it
-    grows no layer and makes no backend call.  Returns (phi_out, forest,
-    layers).
+    The potential then rises by 1 on the forest's side 0 and drops by 1 on
+    its side 1.  A matching with no free side-0 vertex gives the forest no
+    root, so it grows no layer, makes no backend call and returns
+    ``phi_in`` itself.  Returns (phi_out, forest, layers), the forest a
+    :class:`Forest` that keeps its layers' forward matchings.
     """
-    n = cost.n
-    forest = ForestMembership(n, m_in)
-    layers = 0
-    max_layers = params.k // 2 if np.any(m_in.mate_of_v0() == UNMATCHED) else 0
-    while layers < max_layers:
-        A = StepAMembership(forest)
+    in0 = m_in.mate_of_v0() == UNMATCHED
+    in1 = np.zeros(cost.n, dtype=bool)
+    if not in0.any():
+        return phi_in, Forest(in0, in1), 0
+    forward = []
+    while len(forward) < params.k // 2:
+        A = MembershipOracle(in0, ~in1)
         m_t = backend.large_matching_forward(phi_in, A, params.xi, m_in, cost)
         if m_t is None:
             break
-        forest = ForestMembership(n, m_in, ForestMembership(n, m_t, forest))
-        layers += 1
-    phi_out = Step2Potential(phi_in, forest, params.range_bound)
-    return phi_out, forest, layers
+        forward.append(m_t)
+        in0, in1 = _grow(*_grow(in0, in1, m_t), m_in)
+    phi_out = PotentialOracle(phi_in.phi0 + in0, phi_in.phi1 - in1, params.range_bound)
+    return phi_out, Forest(in0, in1, tuple(forward)), len(forward)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +282,7 @@ class TemplateResult:
     w: float
     alpha_w: float
     states: list[IterationState]
+    iterations: list[dict]
     trace: list[dict] = field(default_factory=list)
 
 
@@ -356,8 +294,8 @@ def _diagnostics(t, state, instance):
     m1 = state.matching.mate_of_v1()
     f0 = np.nonzero(m0 == UNMATCHED)[0]
     f1 = np.nonzero(m1 == UNMATCHED)[0]
-    phi0 = state.potential.on_v0()
-    phi1 = state.potential.on_v1()
+    phi0 = state.potential.phi0
+    phi1 = state.potential.phi1
     spurious = int(np.count_nonzero(phi1[f1] != 0))
     dense = instance.cost.peek_dense()
     viol = (phi0[:, None] + phi1[None, :]) > dense + 1
@@ -393,8 +331,13 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
     fraction cut; its ``base`` is the untrimmed final matching, also when
     that is empty and the estimate 0.
 
-    ``collect_trace`` fills ``result.trace`` with one diagnostic record per
-    iteration, each a dense read plus a vertex cover, so it is off by default.
+    ``result.iterations`` holds one cheap record per iteration, always:
+    ``t``, Step 1's successful rounds (``step1_rounds``), Step 2's forest
+    layers (``step2_layers``), whether they hit the cap of k // 2
+    (``step2_capped``) and the pairs of the matching after the iteration,
+    dummies included (``matched``).  ``collect_trace`` fills
+    ``result.trace`` with the same records plus diagnostics, each a dense
+    read and a vertex cover, so it is off by default.
 
     There is no small-n fallback: the template runs at every size.  The
     pipeline answers n < 1/gamma with the exact baseline before it gets
@@ -414,22 +357,22 @@ def run_template(instance: BipartiteInstance, params: TemplateParams,
     matching: MatchingOracle = EmptyMatching(n)
     phi: PotentialOracle = ZeroPotential(n, params.range_bound)
     states = [IterationState(0, matching, phi)]
-    trace = []
+    iterations, trace = [], []
     for t in range(1, params.T + 1):
         matching, phi, s1_rounds = step1(phi, matching, params, cost, backend)
         phi, forest, s2_layers = step2(phi, matching, params, cost, backend)
         state = IterationState(t, matching, phi, forest)
         states.append(state)
+        iterations.append({"t": t, "step1_rounds": s1_rounds, "step2_layers": s2_layers,
+                           "step2_capped": s2_layers == params.k // 2,
+                           "matched": matching.size()})
         if collect_trace:
-            rec = _diagnostics(t, state, instance)
-            rec["step1_rounds"] = s1_rounds
-            rec["step2_layers"] = s2_layers
-            trace.append(rec)
+            trace.append({**_diagnostics(t, state, instance), **iterations[-1]})
     if matching.size() == 0:
         # nothing ever became eligible: the estimate of an empty matching is 0
         unmatched = np.full(n, UNMATCHED, dtype=np.int64)
         return TemplateResult(0.0, ArrayMatching(unmatched, unmatched.copy(), matching),
-                              math.inf, 0.0, states, trace)
+                              math.inf, 0.0, states, iterations, trace)
     c_hat, w, alpha_w, thresholded = sample_and_estimate(
         matching, params.gamma, params.C, n, seed, readout, level)
-    return TemplateResult(c_hat, thresholded, w, alpha_w, states, trace)
+    return TemplateResult(c_hat, thresholded, w, alpha_w, states, iterations, trace)

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from submatch.core import (
-    BINARY_MAGIC, UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, LevelCost,
-    MaterializedCost, OverlayMatching, SetMembership, ZeroPotential,
+    BINARY_MAGIC, ArrayMatching, BipartiteInstance, EmptyMatching, LevelCost,
+    MaterializedCost, PotentialOracle, SetMembership, ZeroPotential,
     read_instance, v0, v1, write_instance,
 )
+from submatch.mcm import _flip_paths
 from submatch.pipeline import RoundedCost
-from submatch.template import StepAMembership, Step2Potential
 
 
 @given(st.integers(0, 10 ** 9), st.sampled_from([0, 1]))
@@ -190,25 +190,21 @@ def test_matching_symmetry_and_bipartiteness():
     assert sorted(m.edges()) == [(0, 2), (3, 1)]
 
 
-def test_overlay_matching_patches_base():
+def test_flip_paths_copies_the_base_with_the_paths_flipped():
     base = ArrayMatching.from_pairs(4, [(0, 0), (1, 1)])
     # augment along the length-3 path v0(2) - v1(1) - v0(1) - v1(2)
-    overlay = OverlayMatching(base, {
-        v0(2): v1(1), v1(1): v0(2), v0(1): v1(2), v1(2): v0(1)})
-    assert overlay.mate(v0(0)) == v1(0)      # untouched
-    assert overlay.mate(v0(2)) == v1(1)
-    assert overlay.mate(v1(1)) == v0(2)
-    assert overlay.mate(v0(1)) == v1(2)
-    assert overlay.base is base              # reference, not a copy
-    # determinism through the cache
-    assert overlay.mate(v0(2)) == v1(1)
-
-
-def test_overlay_can_free_a_vertex():
-    base = ArrayMatching.from_pairs(2, [(0, 0)])
-    overlay = OverlayMatching(base, {v0(0): UNMATCHED, v1(0): UNMATCHED})
-    assert overlay.mate(v0(0)) is None
-    assert overlay.mate(v1(0)) is None
+    out = _flip_paths(base, [[2, 1, 1, 2]])
+    assert out.mate(v0(0)) == v1(0)      # untouched
+    assert out.mate(v0(2)) == v1(1)
+    assert out.mate(v1(1)) == v0(2)
+    assert out.mate(v0(1)) == v1(2)
+    assert out.augmenting_paths == [[2, 1, 1, 2]]
+    # a copy: the base keeps its pairs, and neither can be written to
+    assert sorted(base.edges()) == [(0, 0), (1, 1)]
+    for m in (base, out):
+        for arr in (m.mate_of_v0(), m.mate_of_v1()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 3
 
 
 def test_empty_matching():
@@ -228,86 +224,16 @@ def test_zero_potential_and_membership():
     assert not mem.contains(v0(3))
 
 
-class CountingOverlay(OverlayMatching):
-    seen: list
-
-    def _mates_impl(self, us):
-        self.seen += us.tolist()
-        return super()._mates_impl(us)
-
-
-class CountingStep2Potential(Step2Potential):
-    seen: list
-
-    def _eval_missing(self, us):
-        self.seen += us.tolist()
-        return super()._eval_missing(us)
-
-
-class CountingStepAMembership(StepAMembership):
-    seen: list
-
-    def _contains_missing(self, us):
-        self.seen += us.tolist()
-        return super()._contains_missing(us)
-
-
-def test_layered_oracles_compute_each_vertex_once():
-    n = 6
-    base = ArrayMatching.from_pairs(n, [(0, 0), (1, 1), (2, 3)])
-    members = SetMembership(n, [v0(1), v1(2), v0(5), v1(3)])
-    cases = [
-        (CountingOverlay(base, {v0(4): v1(5), v1(5): v0(4)}), "mates",
-         OverlayMatching._mates_impl),
-        (CountingStep2Potential(ZeroPotential(n), members, 3), "eval_many",
-         Step2Potential._eval_missing),
-        (CountingStepAMembership(members), "contains_many",
-         StepAMembership._contains_missing),
-    ]
-    batches = [[3, 0, 3, 7, 0], [7, 8, 3, 11, 11], [11, 11], list(range(2 * n)), [8, 0]]
-    for oracle, query, hook in cases:
-        oracle.seen = []
-        for batch in batches:
-            us = np.array(batch, dtype=np.int64)
-            assert getattr(oracle, query)(us).tolist() == hook(oracle, us).tolist()
-        assert sorted(oracle.seen) == list(range(2 * n))  # each id once
-
-
-class SpyPotential(ZeroPotential):
-    """Potential 3u - 5 on global id u; records every batch it computes."""
-
-    def __init__(self, n):
-        super().__init__(n)
-        self.batches = []
-
-    def _eval_missing(self, us):
-        self.batches.append(us.tolist())
-        return 3 * us - 5
-
-
-def test_memo_computes_sorted_distinct_missing_ids_once():
-    n = 8
-    all0, all1 = v0(np.arange(n)), v1(np.arange(n))
-    queries = [
-        [5, 3, 3, 9],                  # unsorted, with a duplicate
-        [0, 2, 4, 6],                  # sorted, none memoized
-        [1, 1, 2, 7],                  # sorted but not strictly increasing
-        [2, 3, 4, 5, 11],              # sorted, partly memoized
-        [12, 1, 12, 0, 10],            # unsorted, duplicated, partly memoized
-        all0,                          # the all-vertex queries, partly memoized
-        all1,
-        [15, 14, 13],                  # unsorted, all memoized
-        [],
-        np.arange(2 * n),
-    ]
-    phi, seen = SpyPotential(n), set()
-    for us in queries:
-        us = np.asarray(us, dtype=np.int64)
-        got = phi.eval_many(us)
-        fresh = SpyPotential(n).eval_many(us)
-        assert got.dtype == np.int64 and got.tolist() == fresh.tolist() == (3 * us - 5).tolist()
-        want = sorted(set(us.tolist()) - seen)
-        assert phi.batches == ([want] if want else [])
-        seen |= set(want)
-        phi.batches = []
-    assert seen == set(range(2 * n))
+def test_array_oracles_answer_global_ids_from_read_only_arrays():
+    phi = PotentialOracle([4, 5, 6], [-1, -2, -3], range_bound=9)
+    us = np.array([v1(2), v0(0), v0(2), v1(0), v0(0)])
+    assert phi.eval_many(us).tolist() == [-3, 4, 6, -1, 4]
+    mem = SetMembership(3, [v1(2), v0(0), v0(0)])
+    assert mem.in0.tolist() == [True, False, False]
+    assert mem.in1.tolist() == [False, False, True]
+    assert mem.contains_many(us).tolist() == [True, True, False, False, True]
+    m = ArrayMatching.from_pairs(3, [(0, 2), (2, 1)])
+    assert m.mates(us).tolist() == [v0(0), v1(2), v1(1), -1, v1(2)]
+    for arr in (phi.phi0, phi.phi1, mem.in0, mem.in1):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1

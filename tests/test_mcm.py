@@ -6,25 +6,20 @@ import pytest
 from submatch import baseline, mcm
 from submatch.core import (
     UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, LevelCost, MatrixCost,
-    SetMembership, ZeroPotential, v0, v1,
+    PotentialOracle, SetMembership, v0, v1,
 )
 from submatch.mcm import Backend, backend_query_budget, delta_out
 
 
-class FixedPotential(ZeroPotential):
-    """Potential given by explicit per-side arrays (test helper)."""
+class FixedPotential(PotentialOracle):
+    """Potential given by explicit per-side arrays, ``p0`` and ``p1``, its
+    range bound by default the number of distinct values (test helper)."""
 
     def __init__(self, phi0, phi1, range_bound=None):
-        self.p0 = np.asarray(phi0, dtype=np.int64)
-        self.p1 = np.asarray(phi1, dtype=np.int64)
-        values = len(set(self.p0) | set(self.p1))
-        super().__init__(len(self.p0), range_bound or max(values, 1))
-
-    def _eval_missing(self, us):
-        out = np.empty(len(us), dtype=np.int64)
-        for t, u in enumerate(us):
-            out[t] = self.p1[u >> 1] if u & 1 else self.p0[u >> 1]
-        return out
+        p0, p1 = np.asarray(phi0, dtype=np.int64), np.asarray(phi1, dtype=np.int64)
+        values = len(set(p0.tolist()) | set(p1.tolist()))
+        super().__init__(p0, p1, range_bound or max(values, 1))
+        self.p0, self.p1 = self.phi0, self.phi1
 
 
 def mask_cost(mask):
@@ -62,6 +57,16 @@ def test_backend_rejects_nonpositive_epsilon_and_clamps_large_ones():
                 Backend(variant, seed=0, epsilon=bad)
         assert (Backend(variant, epsilon=0.5).query_budget(1000)
                 == backend_query_budget(0.2, 1000, variant))
+
+
+@pytest.mark.parametrize("variant", ["exact", "sampled"])
+def test_backend_rejects_a_seed_that_is_not_an_integer(variant):
+    # int(2.7) would run seed 2 without a word
+    for bad in (2.7, "3", None):
+        with pytest.raises(TypeError, match=f"seed must be an integer, got {bad!r}"):
+            Backend(variant, seed=bad)
+    assert Backend(variant, seed=np.int64(3)).seed == 3
+    assert type(Backend(variant, seed=np.int64(3)).seed) is int
 
 
 # -- approx_match ---------------------------------------------------------------
@@ -568,7 +573,7 @@ def _eligibility_arrays(cost, phi, matching):
     costs, potential and mates: mask[i, j] says (i, j) is a non-matched
     eligible edge, matched_tight[i] that i's matched edge is tight."""
     c = cost.peek_dense()
-    phi0, phi1 = phi.on_v0(), phi.on_v1()
+    phi0, phi1 = phi.phi0, phi.phi1
     mate0, mate1 = matching.mate_of_v0(), matching.mate_of_v1()
     mask = phi0[:, None] + phi1[None, :] == c + 1
     rows = np.nonzero(mate0 != UNMATCHED)[0]
@@ -869,7 +874,7 @@ def test_exact_length_paths_serve_free_edges_like_the_greedy():
 
 
 def test_eligibility_augment_equals_rebuild():
-    from submatch.mcm import _augment_overlay, _Eligibility, _find_exact_length_paths
+    from submatch.mcm import _flip_paths, _Eligibility, _find_exact_length_paths
     rng = np.random.default_rng(12)
     rounds = 0
     for trial in range(40):
@@ -885,7 +890,7 @@ def test_eligibility_augment_equals_rebuild():
             if not paths:
                 break
             paths = paths[:int(rng.integers(1, len(paths) + 1))]  # any subset will do
-            m = _augment_overlay(m, paths)
+            m = _flip_paths(m, paths)
             elig.augment(paths)
             fresh = _Eligibility(cost, phi, m)
             assert np.array_equal(elig.matched_tight, fresh.matched_tight)
@@ -907,7 +912,7 @@ def test_eligibility_augment_equals_rebuild():
 def test_exact_length_paths_after_augment_equal_rebuilt_references():
     # a snapshot augmented in place keeps lists that hold columns of other
     # classes now; the search over it returns the paths of the rebuilt state
-    from submatch.mcm import _augment_overlay, _Eligibility, _find_exact_length_paths
+    from submatch.mcm import _flip_paths, _Eligibility, _find_exact_length_paths
     rng = np.random.default_rng(26)
     searches = found = 0
     for trial in range(80):
@@ -928,7 +933,7 @@ def test_exact_length_paths_after_augment_equal_rebuilt_references():
             if not taken:
                 break
             paths = taken[:int(rng.integers(1, len(taken) + 1))]
-            m = _augment_overlay(m, paths)
+            m = _flip_paths(m, paths)
             elig.augment(paths)
     assert searches >= 1000 and found >= 1000
 
@@ -980,7 +985,8 @@ def _reference_forward(phi, A, delta_in, mate0, costs):
     matched outside A's columns)."""
     n = len(costs)
     R = phi.range_bound
-    rows, cols = mcm._members_on_side(A, n, 0), mcm._members_on_side(A, n, 1)
+    every = np.arange(n)
+    rows, cols = (every, every) if A is None else (every[A.in0], every[A.in1])
     if len(rows) == 0 or len(cols) == 0:
         return None, 0, 0, 0
     sums = phi.p0[rows][:, None] + phi.p1[cols][None, :]
@@ -1087,7 +1093,7 @@ def _pinned_rng(backend, seed):
 
 def _reference_sampled_augment(self, phi, m_in, k, bar, cost, before):
     """The sampled augmentation that re-read matched edges, kept verbatim."""
-    from submatch.mcm import _augment_overlay
+    from submatch.mcm import _flip_paths
     n = cost.n
     rng = self._rng()
     budget = self.query_budget(n)
@@ -1120,7 +1126,7 @@ def _reference_sampled_augment(self, phi, m_in, k, bar, cost, before):
                 for t, x in enumerate(path):
                     (used0 if t % 2 == 0 else used1)[x] = True
         if len(paths) >= bar and len(paths) >= 1:
-            return _augment_overlay(m_in, paths)
+            return _flip_paths(m_in, paths)
     return None
 
 

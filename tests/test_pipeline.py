@@ -577,6 +577,27 @@ def test_estimator_report_schema():
     assert res.report["total_queries"] == inst.query_count
 
 
+@pytest.mark.parametrize("variant", ["exact", "sampled"])
+def test_report_holds_one_record_per_template_iteration(variant):
+    inst = uniform_instance(200, 5)
+    res = estimate_min_weight_matching(inst, ReductionConfig(0.85, 1.0, 0.1),
+                                       Backend(variant, seed=5), seed=5, T=8, k=5)
+    its = res.report["iterations"]
+    assert [rec["t"] for rec in its] == list(range(1, 9))
+    assert its == res.stages.template.iterations
+    matched = [rec["matched"] for rec in its]
+    assert matched == sorted(matched) and matched[-1] > 0  # never decreases
+    assert matched == [state.matching.size() for state in res.stages.template.states[1:]]
+    for rec in its:
+        assert rec["step2_capped"] == (rec["step2_layers"] == 5 // 2)
+        assert rec["step1_rounds"] >= 0 and 0 <= rec["step2_layers"] <= 5 // 2
+    assert sum(rec["step1_rounds"] for rec in its) >= 1
+    # where the template does not run there are no records
+    small = estimate_min_weight_matching(uniform_instance(6, 5), ReductionConfig(0.5, 1.0, 0.3),
+                                         Backend(variant, seed=5), seed=5)
+    assert small.report["degenerate"] and small.report["iterations"] == []
+
+
 def test_estimator_matching_contract_on_uniform():
     # |M_hat| >= alpha * n and its true cost stays within the c(M^beta)
     # budget plus the documented practical-resolution slack

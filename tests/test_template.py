@@ -1,3 +1,5 @@
+from __future__ import annotations
+
 import gc
 import math
 import tracemalloc
@@ -7,12 +9,13 @@ import numpy as np
 import pytest
 
 from submatch.core import (
-    UNMATCHED, ArrayMatching, BipartiteInstance, EmptyMatching, LevelCost,
-    MatrixCost, PotentialOracle, ZeroPotential, v0, v1,
+    UNMATCHED, ArrayMatching, BipartiteInstance, CostOracle, EmptyMatching, LevelCost,
+    MatchingOracle, MatrixCost, MembershipOracle, PotentialOracle, ZeroPotential, v0, v1,
 )
 from submatch.mcm import Backend
 from submatch.template import (
-    TemplateParams, run_template, sample_and_estimate, sample_size, step1, step2,
+    TemplateParams, _ValidatingCost, run_template, sample_and_estimate, sample_size,
+    step1, step2,
 )
 from tests.test_mcm import FixedPotential
 
@@ -105,7 +108,241 @@ def test_step1_inherited_matched_edges_keep_potential():
     assert phi_out.eval(v1(0)) == 0
 
 
-class _ReferenceStep1Potential(PotentialOracle):
+# -- the layered oracles of the template before its state became arrays ----------
+
+class _Layered:
+    """The old base of the layered recipes below: each vertex's answer is
+    computed once (here all 2n at the first query) and the per-side arrays
+    the backend reads are cut from those answers."""
+
+    def __init__(self, n, range_bound=None):
+        self.n = n
+        self.range_bound = range_bound
+        self._answers = None
+
+    def _all(self, compute):
+        if self._answers is None:
+            self._answers = compute(np.arange(2 * self.n, dtype=np.int64))
+        return self._answers
+
+
+class _LayeredPotential(_Layered):
+    def eval_many(self, us):
+        return self._all(self._eval_missing)[np.asarray(us, dtype=np.int64)]
+
+    phi0 = property(lambda self: self._all(self._eval_missing)[0::2])
+    phi1 = property(lambda self: self._all(self._eval_missing)[1::2])
+
+
+class _LayeredMembership(_Layered):
+    def contains_many(self, us):
+        return self._all(self._contains_missing)[np.asarray(us, dtype=np.int64)]
+
+    in0 = property(lambda self: self._all(self._contains_missing)[0::2])
+    in1 = property(lambda self: self._all(self._contains_missing)[1::2])
+
+
+class _LayeredMatching(_Layered, MatchingOracle):
+    def mates(self, us):
+        return self._all(self._mates_impl)[np.asarray(us, dtype=np.int64)]
+
+    def mate_of_v0(self):
+        out = self._all(self._mates_impl)[0::2]
+        return np.where(out == UNMATCHED, UNMATCHED, out >> 1)
+
+    def mate_of_v1(self):
+        out = self._all(self._mates_impl)[1::2]
+        return np.where(out == UNMATCHED, UNMATCHED, out >> 1)
+
+
+class _OverlayMatching(_LayeredMatching):
+    """A matching expressed as a small patch over a base oracle.
+
+    Holds a reference to the base (never a copy); only the vertices whose
+    mate changed are stored explicitly.
+    """
+
+    def __init__(self, base: MatchingOracle, changed: dict[int, int]):
+        # changed maps global id -> new mate global id (UNMATCHED to free it)
+        super().__init__(base.n)
+        self.base = base
+        keys = np.fromiter(changed.keys(), dtype=np.int64, count=len(changed))
+        order = np.argsort(keys)
+        self._keys = keys[order]
+        self._vals = np.fromiter(changed.values(), dtype=np.int64, count=len(changed))[order]
+
+    def _mates_impl(self, us):
+        out = self.base.mates(us)
+        if len(self._keys):
+            pos = np.clip(np.searchsorted(self._keys, us), 0, len(self._keys) - 1)
+            hit = self._keys[pos] == us
+            out = np.where(hit, self._vals[pos], out)
+        return out
+
+
+def _reference_augment_overlay(m_in: MatchingOracle, paths: list[list[int]]) -> "_OverlayMatching":
+    """Flip a set of node-disjoint augmenting paths into an overlay oracle."""
+    changed: dict[int, int] = {}
+    for path in paths:
+        # path = [i0, j1, i1, j2, ...]: new matched pairs are (i_t, j_{t+1})
+        for t in range(0, len(path) - 1, 2):
+            i, j = path[t], path[t + 1]
+            changed[v0(i)] = v1(j)
+            changed[v1(j)] = v0(i)
+    out = _OverlayMatching(m_in, changed)
+    out.augmenting_paths = paths
+    return out
+
+
+class _Step1Potential(_LayeredPotential):
+    """Potential after Step 1.
+
+    Side-0 values pass through.  A side-1 vertex drops by one exactly when
+    its mate in ``m_out`` differs from its mate in ``m_in``: it lies on one
+    of Step 1's augmenting paths.  No cost is read.  This is the paper's
+    recipe (drop the vertices whose matched edge is eligible, tight at
+    c + 1, under ``base``) because every matched edge of ``m_in`` is
+    tight: Step 1 leaves its new edges tight, and Step 2 moves both ends
+    of a matched edge together.  A column's mate changes at most once per
+    Step 1, since inner hops take only tight matched edges, so every
+    changed mate is along an eligible edge and every unchanged one tight.
+    """
+
+    def __init__(self, base: PotentialOracle, m_in: MatchingOracle,
+                 m_out: MatchingOracle, range_bound: int):
+        super().__init__(base.n, range_bound)
+        self.base = base
+        self.m_in = m_in
+        self.m_out = m_out
+
+    def _eval_missing(self, us):
+        out = self.base.eval_many(us).copy()
+        is1 = (us & 1).astype(bool)
+        if is1.any():
+            u1 = us[is1]
+            out[is1] -= self.m_out.mates(u1) != self.m_in.mates(u1)
+        return out
+
+
+class _Step2Potential(_LayeredPotential):
+    """Potential after Step 2: +1 on forest side-0, -1 on forest side-1."""
+
+    def __init__(self, base: PotentialOracle, forest: MembershipOracle,
+                 range_bound: int):
+        super().__init__(base.n, range_bound)
+        self.base = base
+        self.forest = forest
+
+    def _eval_missing(self, us):
+        out = self.base.eval_many(us).copy()
+        inf = self.forest.contains_many(us)
+        is1 = (us & 1).astype(bool)
+        out[inf & ~is1] += 1
+        out[inf & is1] -= 1
+        return out
+
+
+class _ForestMembership(_LayeredMembership):
+    """One growth layer of the quasi-maximal forest.
+
+    With no ``prev`` it is the roots layer: the free side-0 vertices of
+    ``matching``.  Otherwise it is ``prev`` plus every vertex whose mate
+    under ``matching`` is in ``prev``.  Step 2 stacks two such layers per
+    round: one over a forward-graph matching adds the partners of forest
+    vertices, and one over the template matching then pulls in their mates,
+    so matched edges never cross the forest boundary.
+    """
+
+    def __init__(self, n: int, matching: MatchingOracle,
+                 prev: "_ForestMembership | None" = None):
+        super().__init__(n)
+        self.matching = matching
+        self.prev = prev
+
+    def _contains_missing(self, us):
+        if self.prev is None:
+            is0 = (us & 1) == 0
+            out = np.zeros(len(us), dtype=bool)
+            if is0.any():
+                out[is0] = self.matching.mates(us[is0]) == UNMATCHED
+            return out
+        out = self.prev.contains_many(us).copy()
+        need = ~out
+        if need.any():
+            mates = self.matching.mates(us[need])
+            has = mates != UNMATCHED
+            hit = np.zeros(len(us[need]), dtype=bool)
+            if has.any():
+                hit[has] = self.prev.contains_many(mates[has])
+            out[np.nonzero(need)[0][hit]] = True
+        return out
+
+
+class _StepAMembership(_LayeredMembership):
+    """The restriction set A = (forest on side 0) union (side 1 off-forest)."""
+
+    def __init__(self, forest: MembershipOracle):
+        super().__init__(forest.n)
+        self.forest = forest
+
+    def _contains_missing(self, us):
+        inf = self.forest.contains_many(us)
+        is1 = (us & 1).astype(bool)
+        return np.where(is1, ~inf, inf)
+
+
+def _reference_step1(phi_in: PotentialOracle, m_in: MatchingOracle, params: TemplateParams,
+          cost: CostOracle, backend: Backend):
+    """Augment until no further short eligible path set is found.
+
+    Eligibility during the loop is always with respect to phi_in and the
+    current matching; the output potential is the layered Step-1 recipe.
+    The loop runs only while the matching has a free side-0 vertex, the
+    start every augmenting path needs, so a perfect matching passes
+    through with no backend call; on the exact backend the rounds share
+    one eligibility snapshot (see :meth:`Backend.augment_eligible`).
+    Returns (m_out, phi_out, rounds) where rounds counts successful
+    augmentation calls.
+    """
+    m = m_in
+    rounds = 0
+    while np.any(m.mate_of_v0() == UNMATCHED):
+        nxt = backend.augment_eligible(phi_in, m, params.k, params.xi, cost)
+        if nxt is None:
+            break
+        m = _reference_augment_overlay(m, nxt.augmenting_paths)
+        rounds += 1
+    phi_out = _Step1Potential(phi_in, m_in, m, params.range_bound)
+    return m, phi_out, rounds
+
+
+def _reference_step2(phi_in: PotentialOracle, m_in: MatchingOracle, params: TemplateParams,
+          cost: CostOracle, backend: Backend):
+    """Grow the quasi-maximal forest and shift potentials across it.
+
+    The forest is a chain of membership layers over the matchings returned
+    by successive forward-matching calls; the loop stops at the first
+    bottom or after floor(k/2) layers, which caps the forest depth at k.
+    A matching with no free side-0 vertex gives the forest no root, so it
+    grows no layer and makes no backend call.  Returns (phi_out, forest,
+    layers).
+    """
+    n = cost.n
+    forest = _ForestMembership(n, m_in)
+    layers = 0
+    max_layers = params.k // 2 if np.any(m_in.mate_of_v0() == UNMATCHED) else 0
+    while layers < max_layers:
+        A = _StepAMembership(forest)
+        m_t = backend.large_matching_forward(phi_in, A, params.xi, m_in, cost)
+        if m_t is None:
+            break
+        forest = _ForestMembership(n, m_in, _ForestMembership(n, m_t, forest))
+        layers += 1
+    phi_out = _Step2Potential(phi_in, forest, params.range_bound)
+    return phi_out, forest, layers
+
+
+class _ReferenceStep1Potential(_LayeredPotential):
     """The Step 1 potential that re-tested each matched edge's eligibility
     against the cost, kept verbatim."""
 
@@ -491,8 +728,8 @@ def test_run_template_phi_range_and_invariants():
     res = run_template(inst, params, Backend.exact(), seed=5, collect_trace=True)
     for state in res.states:
         t = state.t
-        phi0 = state.potential.on_v0()
-        phi1 = state.potential.on_v1()
+        phi0 = state.potential.phi0
+        phi1 = state.potential.phi1
         assert np.all(phi0 >= 0) and np.all(phi0 <= t)
         assert np.all(phi1 <= 0) and np.all(phi1 >= -t)
     # free side-0 potential == t exactly (Lemma 4.1 analogue), from the trace
@@ -514,15 +751,8 @@ def test_run_template_forest_component_bounds():
         forest = state.forest
         if forest is None:
             continue
-        # walk the membership chain, collecting layer edges: each round
-        # stacks a mate layer over a forward-matching layer, down to the roots
-        edges = []
-        node = forest
-        while node.prev is not None:
-            fwd = node.prev
-            for i, j in fwd.matching.edges():
-                edges.append((v0(i), v1(j)))
-            node = fwd.prev
+        # the forward-layer matchings the forest grew by, in growth order
+        edges = [(v0(i), v1(j)) for fwd in forest.forward for i, j in fwd.edges()]
         # matched-mate edges: for every side-1 forest vertex its mate is in
         members = [u for u in (list(map(v0, range(n))) + list(map(v1, range(n))))
                    if forest.contains(u)]
@@ -542,18 +772,81 @@ def test_run_template_forest_component_bounds():
             assert len(comp) <= 2 ** params.k
 
 
-def test_oracle_layering_depth_is_bounded_by_configuration():
-    # evaluating phi_T touches a bounded number of layered oracles: the
-    # chain has exactly 2 potential layers per iteration
-    n = 30
-    rng = np.random.default_rng(17)
-    costs = rng.integers(1, 4, (n, n)).astype(float)
-    inst = BipartiteInstance.from_matrix(costs)
-    params = make_params(gamma=0.2, C=3, T=6, k=3)
-    res = run_template(inst, params, Backend.exact(), seed=1)
-    depth = 0
-    node = res.states[-1].potential
-    while hasattr(node, "base"):
-        depth += 1
-        node = node.base
-    assert depth == 2 * params.T
+def _reference_cases():
+    """(instance, its cost as the template holds it on a backend, params):
+    a padded level cost, and sparse integer costs with non-edges, of nine,
+    four and two values, that grow forests of up to k // 2 layers."""
+    rng = np.random.default_rng(31)
+    base = BipartiteInstance.from_matrix(rng.random((36, 36)))
+    levels = LevelCost(base.cost, math.sqrt(2.0 / 3.0), 0.5, 5, 40)
+    cases = [(BipartiteInstance(levels.n, levels), lambda b: b.prepare_levels(levels),
+              make_params(gamma=0.2, C=5, T=8, k=5))]
+    for n, C, p, T, k, gamma in ((40, 9, 0.5, 12, 5, 0.2), (40, 4, 0.85, 10, 7, 0.2),
+                                 (30, 2, 0.9, 8, 7, 0.1)):
+        costs = rng.integers(1, C + 1, (n, n)).astype(float)
+        costs[rng.random((n, n)) < p] = np.inf
+        inst = BipartiteInstance.from_matrix(costs)
+        cases.append((inst, lambda b, cost=inst.cost, C=C: b.prepare_levels(_ValidatingCost(cost, C)),
+                      make_params(gamma=gamma, C=C, T=T, k=k)))
+    return cases
+
+
+def _recording_forward_sets(backend):
+    """Log the side arrays of the set A of every forward call on ``backend``."""
+    seen, forward = [], backend.large_matching_forward
+
+    def recording(phi, A, *args):
+        seen.append((np.array(A.in0), np.array(A.in1)))
+        return forward(phi, A, *args)
+
+    backend.large_matching_forward = recording
+    return seen
+
+
+@pytest.mark.parametrize("variant", ["exact", "sampled"])
+def test_template_state_equals_the_layered_recipes(variant):
+    # the layered recipes, run on a second backend of the same seed, reach
+    # the same matching, potential, forest and A at every iteration, and
+    # make the same backend calls
+    rounds = layers = 0
+    for inst, prepare, params in _reference_cases():
+        n = inst.n
+        backend = Backend(variant, seed=11)
+        sets = _recording_forward_sets(backend)
+        res = run_template(inst, params, backend, seed=1)
+        ref_backend = Backend(variant, seed=11)
+        ref_sets = _recording_forward_sets(ref_backend)
+        cost = prepare(ref_backend)
+        m, phi = EmptyMatching(n), ZeroPotential(n, params.range_bound)
+        every0, every1 = v0(np.arange(n)), v1(np.arange(n))
+        for state, rec in zip(res.states[1:], res.iterations):
+            m, phi, _ = _reference_step1(phi, m, params, cost, ref_backend)
+            phi, forest, _ = _reference_step2(phi, m, params, cost, ref_backend)
+            assert np.array_equal(state.matching.mate_of_v0(), m.mate_of_v0())
+            assert np.array_equal(state.matching.mate_of_v1(), m.mate_of_v1())
+            assert np.array_equal(state.potential.phi0, phi.eval_many(every0))
+            assert np.array_equal(state.potential.phi1, phi.eval_many(every1))
+            assert np.array_equal(state.forest.in0, forest.contains_many(every0))
+            assert np.array_equal(state.forest.in1, forest.contains_many(every1))
+            rounds += rec["step1_rounds"]
+            layers += rec["step2_layers"]
+        assert len(sets) == len(ref_sets)
+        for (a0, a1), (r0, r1) in zip(sets, ref_sets):
+            assert np.array_equal(a0, r0) and np.array_equal(a1, r1)
+        assert backend.call_log == ref_backend.call_log
+    assert rounds >= 15 and layers >= 20, (rounds, layers)
+
+
+def test_an_idle_iteration_returns_its_input_objects():
+    # every cost 1: the matching is perfect after a few iterations, and each
+    # iteration after that hands its matching and potential on unchanged
+    n = 20
+    inst = BipartiteInstance.from_matrix(np.ones((n, n)))
+    res = run_template(inst, make_params(gamma=0.25, C=1, T=6, k=3), Backend.exact(), seed=7)
+    idle = [t for t in range(1, len(res.states))
+            if res.states[t - 1].matching.size() == n]
+    assert idle
+    for t in idle:
+        prev, state = res.states[t - 1], res.states[t]
+        assert state.matching is prev.matching and state.potential is prev.potential
+        assert not state.forest.in0.any() and not state.forest.in1.any()
